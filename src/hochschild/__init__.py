@@ -16,8 +16,8 @@ from .bimodule import (
     sub_bimodule, tensor_over, zero_bimodule,
 )
 from .cohomology import (
-    BAR_CAP, CapExceeded, Cochain, CohomologySpace, bar_differential, bracket1,
-    class_equal, cup, der0_basis, derivation_from_arrow_values, hh,
+    BAR_CAP, CapExceeded, Cochain, CohomologySpace, bar_apply, bar_differential,
+    bracket1, class_equal, cup, der0_basis, derivation_from_arrow_values, hh,
     hh1_via_derivations, is_derivation,
 )
 from .extcohom import (

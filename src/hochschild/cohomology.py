@@ -161,78 +161,98 @@ def _factorizations(algebra):
     return fact
 
 
+def _bar_column(algebra, module, n):
+    """The column kernel of b^{n+1}, the one place the bar formula lives.
+
+    Returns column(t_idx, slots, m): the sparse image, in flat coordinates
+    tensor_index * dim M + m, of the cochain sending the tensor t_idx
+    (basis indices slots) to e_m and every other tensor to 0.
+    """
+    field = algebra.field
+    d = algebra.dim
+    dm = module.dim
+    add, neg, zero = field.add, field.neg, field.zero
+    top = d ** n
+    # signs: (-1)^{p+1} on the contraction at slot p, (-1)^{n+1} on the
+    # right action
+    fact = _factorizations(algebra)
+    neg_fact = {k: [(x, y, neg(c)) for x, y, c in lst]
+                for k, lst in fact.items()}
+    contractions = [(d ** (n - 1 - p), neg_fact if p % 2 == 0 else fact)
+                    for p in range(n)]
+    # per value index m: (key offset, column) of the nonzero actions on e_m
+    lefts = [[(c0 * top * dm, col) for c0 in range(d)
+              if (col := module.left[c0].column(m))] for m in range(dm)]
+    rights = [[(cn * dm, {k: neg(v) for k, v in col.items()}
+                if n % 2 == 0 else col) for cn in range(d)
+               if (col := module.right[cn].column(m))] for m in range(dm)]
+
+    def column(t_idx, slots, m):
+        col = {}
+        # c_0 . f(...): distinct keys, written first
+        base = t_idx * dm
+        for offset, lcol in lefts[m]:
+            for m2, v in lcol.items():
+                col[offset + base + m2] = v
+        # inner contractions: slots[p] -> (x, y)
+        for p, (span, signed_fact) in enumerate(contractions):
+            high = t_idx // (span * d) * d
+            low = t_idx % span
+            for (x, y, c) in signed_fact.get(slots[p], ()):
+                key = (((high + x) * d + y) * span + low) * dm + m
+                w = add(col.get(key, zero), c)
+                if w:
+                    col[key] = w
+                elif key in col:
+                    del col[key]
+        # f(...) . c_n
+        base = t_idx * d * dm
+        for offset, rcol in rights[m]:
+            for m2, v in rcol.items():
+                key = base + offset + m2
+                w = add(col.get(key, zero), v)
+                if w:
+                    col[key] = w
+                elif key in col:
+                    del col[key]
+        return col
+
+    return column
+
+
 def bar_differential(algebra, module, n, cap=BAR_CAP):
     """Matrix of b^{n+1}: Hom(A^{(x)n}, M) -> Hom(A^{(x)n+1}, M).
 
     Flat coordinates are tensor_index * dim M + m on both sides.
     """
     _check_cap(algebra, module, n, cap)
-    field = algebra.field
     d = algebra.dim
     dm = module.dim
-    fact = _factorizations(algebra)
+    column = _bar_column(algebra, module, n)
     cols = {}
-    if n == 0:
-        # (b^1 x)(c) = c.x - x.c
+    for t_idx, slots in enumerate(itertools.product(range(d), repeat=n)):
         for m in range(dm):
-            col = {}
-            xvec = {m: field.one}
-            for c in range(d):
-                diff = dict(module.left[c].matvec(xvec))
-                axpy(field, diff, field.of(-1), module.right[c].matvec(xvec))
-                for m2, v in diff.items():
-                    col[(c * dm) + m2] = v
+            col = column(t_idx, slots, m)
             if col:
-                cols[m] = col
-        return Mat(d * dm, dm, field, cols)
+                cols[t_idx * dm + m] = col
+    return Mat((d ** (n + 1)) * dm, (d ** n) * dm, algebra.field, cols)
 
-    tuples = list(itertools.product(range(d), repeat=n))
-    minus_one = field.of(-1)
-    for t_idx, slots in enumerate(tuples):
-        for m in range(dm):
-            col = {}
-            src = t_idx * dm + m
-            xvec = {m: field.one}
-            # c_0 . f(...)
-            for c0 in range(d):
-                out_t = c0 * (d ** n) + t_idx
-                lcol = module.left[c0].column(m)
-                for m2, v in lcol.items():
-                    key = out_t * dm + m2
-                    w = field.add(col.get(key, field.zero), v)
-                    if w:
-                        col[key] = w
-                    elif key in col:
-                        del col[key]
-            # inner contractions
-            for p in range(n):
-                sign = field.one if (p + 1) % 2 == 0 else minus_one
-                for (x, y, c) in fact.get(slots[p], ()):
-                    out_slots = slots[:p] + (x, y) + slots[p + 1:]
-                    out_t = 0
-                    for s in out_slots:
-                        out_t = out_t * d + s
-                    key = out_t * dm + m
-                    w = field.add(col.get(key, field.zero), field.mul(sign, c))
-                    if w:
-                        col[key] = w
-                    elif key in col:
-                        del col[key]
-            # f(...) . c_n with sign (-1)^{n+1}
-            sign = field.one if (n + 1) % 2 == 0 else minus_one
-            for cn in range(d):
-                out_t = t_idx * d + cn
-                rcol = module.right[cn].column(m)
-                for m2, v in rcol.items():
-                    key = out_t * dm + m2
-                    w = field.add(col.get(key, field.zero), field.mul(sign, v))
-                    if w:
-                        col[key] = w
-                    elif key in col:
-                        del col[key]
-            if col:
-                cols[src] = col
-    return Mat((d ** (n + 1)) * dm, (d ** n) * dm, field, cols)
+
+def bar_apply(algebra, module, n, f):
+    """b^{n+1}(f) for a degree-n cochain f, as a Cochain.
+
+    Builds only the columns of b^{n+1} in f's support, and no matrix, so
+    the bar cap does not apply.
+    """
+    _check_shape(f, algebra, module, n)
+    field = algebra.field
+    column = _bar_column(algebra, module, n)
+    out = {}
+    for t_idx, vals in f.data.items():
+        slots = f.decode(t_idx)
+        for m, c in vals.items():
+            axpy(field, out, c, column(t_idx, slots, m))
+    return Cochain.from_vec(algebra, module, n + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +356,9 @@ class NormalizedComplex:
             def put(chain_out, m_out, v):
                 key = pos_out.get((chain_out, m_out))
                 if key is None:
-                    return  # value fell outside its block: impossible, but cheap
+                    raise AssertionError(
+                        f"normalized differential left its block at "
+                        f"{chain_out}, {m_out}")
                 w = field.add(col.get(key, field.zero), v)
                 if w:
                     col[key] = w

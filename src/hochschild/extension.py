@@ -16,7 +16,7 @@ from .bimodule import (
     regular_bimodule, sub_bimodule, tensor_over,
 )
 from .cohomology import (
-    Cochain, bar_differential, cup, hh, random_cochain,
+    Cochain, bar_apply, cup, hh, random_cochain,
     random_normalized_cochain, transport,
 )
 from .linalg import Mat, axpy, kernel_basis_sparse, rank
@@ -269,7 +269,6 @@ def projection_respects_representatives(ext, n, trials=5, seed=1):
     base = projection_morphism(ext, n)
     HB, HC = base.source, base.target
     regB = regular_bimodule(ext.B)
-    bB = bar_differential(ext.B, regB, n - 1)
     rng = random.Random(seed)
     for j in range(HB.dim):
         f = HB.representative(j)
@@ -278,7 +277,7 @@ def projection_respects_representatives(ext, n, trials=5, seed=1):
                 g = random_normalized_cochain(ext.B, regB, n - 1, rng=rng)
             else:
                 g = random_cochain(ext.B, regB, n - 1, rng=rng)
-            shifted = f.add(Cochain.from_vec(ext.B, regB, n, bB.matvec(g.vec())))
+            shifted = f.add(bar_apply(ext.B, regB, n - 1, g))
             got = HC.class_coords(project_cochain(ext, shifted))
             want = tuple(base.matrix.entry(r, j) for r in range(HC.dim))
             if got != want:
@@ -290,16 +289,12 @@ def check_projection_chain_identity(ext, n, trials=20, seed=11):
     """b_C(p f q^{(x)n}) == p b_B(f) q^{(x)(n+1)} on pseudorandom cochains."""
     regB = regular_bimodule(ext.B)
     regC = regular_bimodule(ext.C)
-    bB = bar_differential(ext.B, regB, n)
-    bC = bar_differential(ext.C, regC, n)
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials):
         f = random_cochain(ext.B, regB, n, rng=rng)
-        lhs = Cochain.from_vec(ext.C, regC, n + 1,
-                               bC.matvec(project_cochain(ext, f).vec()))
-        rhs = project_cochain(ext, Cochain.from_vec(ext.B, regB, n + 1,
-                                                    bB.matvec(f.vec())))
+        lhs = bar_apply(ext.C, regC, n, project_cochain(ext, f))
+        rhs = project_cochain(ext, bar_apply(ext.B, regB, n, f))
         if lhs != rhs:
             return {"holds": False, "checked": checked}
         checked += 1
@@ -581,7 +576,7 @@ def check_surjectivity_witness(ext, n, zeta, alpha):
     if zeta.degree != n:
         raise ValueError("witness degree mismatch")
     regC = regular_bimodule(C)
-    if bar_differential(C, regC, n).matvec(zeta.vec()):
+    if not bar_apply(C, regC, n, zeta).is_zero():
         raise ValueError("zeta is not a cocycle")
     d = C.dim
 

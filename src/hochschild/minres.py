@@ -282,12 +282,21 @@ def _hom_differential(resolution, n):
     return Mat(len(tgt), len(src), field, cols)
 
 
+def _partial_resolution(algebra):
+    """build_partial_resolution(algebra), built once per algebra."""
+    res = getattr(algebra, "_partial_resolution", None)
+    if res is None:
+        res = algebra._partial_resolution = build_partial_resolution(algebra)
+    return res
+
+
 def hh_via_resolution(algebra, n, resolution=None):
-    """hh^n(A) for n <= 2 from the partial minimal resolution."""
+    """hh^n(A) for n <= 2 from the partial minimal resolution (built once
+    per algebra unless one is passed)."""
     if n not in (0, 1, 2):
         raise ValueError("the partial resolution reaches degree 2 only")
     res = resolution if resolution is not None else \
-        build_partial_resolution(algebra)
+        _partial_resolution(algebra)
     field = algebra.field
     d_next = _hom_differential(res, n + 1)
     kernel = kernel_basis_sparse(d_next)

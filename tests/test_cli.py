@@ -1,6 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
+
+from hochschild import algfile, cli
+from hochschild.algfile import BUNDLED
+from hochschild.linalg import Rationals, field_from_tag
 
 DATA_DIR = None
 
@@ -166,3 +173,51 @@ def test_verify_paper_single_block():
 def test_verify_paper_unknown_block():
     proc = run_cli("verify-paper", "--only", "nonsense")
     assert proc.returncode == 2
+
+
+class _FractionRationals(Rationals):
+    """Q with every scalar held as a Fraction, integral or not."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, x):
+        return Fraction(x)
+
+    def add(self, a, b):
+        return Fraction(a + b)
+
+    def sub(self, a, b):
+        return Fraction(a - b)
+
+    def mul(self, a, b):
+        return Fraction(a * b)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+    def div(self, a, b):
+        return Fraction(a) / b
+
+    def addmul(self, a, c, b):
+        return Fraction(a + c * b)
+
+
+def _canonical(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    *[["hh", name, "--reps", "--max-degree", "2"] for name in BUNDLED],
+    *[["phi", name, "--degree", "1"] for name in BUNDLED],
+    ["phi", "ex3_5_C", "--degree", "2", "--bimodule", "regular"],
+], ids=" ".join)
+def test_canonical_json_independent_of_scalar_type(argv, capsys, monkeypatch):
+    argv = [argv[0], data_path(argv[1]), *argv[2:]]
+    held_as_ints = _canonical(argv, capsys)
+    frac_q = _FractionRationals()
+    monkeypatch.setattr(algfile, "field_from_tag",
+                        lambda tag: frac_q if tag == "Q" else field_from_tag(tag))
+    held_as_fractions = _canonical(argv, capsys)
+    assert held_as_fractions == held_as_ints

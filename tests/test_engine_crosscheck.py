@@ -7,8 +7,12 @@ are recomputed from the raw differential matrices by rank counting.
 
 import pytest
 
+from hochschild.algebra import build_algebra
+from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import dual_bimodule, regular_bimodule
-from hochschild.cohomology import bar_differential, hh
+from hochschild.cohomology import (
+    Cochain, bar_apply, bar_differential, hh, random_cochain,
+)
 from hochschild.linalg import rank
 
 
@@ -59,3 +63,24 @@ def test_normalized_class_membership_matches_full(corpus):
         assert space.class_is_zero(cochain)
         lead, _, _ = sweep.reduce(dict(shift), None)
         assert lead is None  # sanity: it is a full coboundary too
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return {name: build_algebra(load_bundled(name)[1]) for name in BUNDLED}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bar_apply_matches_matrix(bundled, name, coefficients, n):
+    alg = bundled[name]
+    module = coefficients(alg)
+    matrix = bar_differential(alg, module, n)
+    # sparse random cochains, and one with every column in its support
+    cochains = [random_cochain(alg, module, n, seed=s) for s in range(3)]
+    cochains.append(Cochain.from_vec(alg, module, n, {
+        k: alg.field.of(k % 7 + 1) for k in range(matrix.cols)}))
+    for f in cochains:
+        want = Cochain.from_vec(alg, module, n + 1, matrix.matvec(f.vec()))
+        assert bar_apply(alg, module, n, f) == want

@@ -158,3 +158,35 @@ def test_echelon_subspace_equality():
     c = [{0: Fraction(1)}]
     assert not same_subspace(a, c, QQ)
     assert echelon_basis(a, QQ) == [{0: Fraction(1)}, {1: Fraction(1)}]
+
+
+def test_rationals_integral_results_are_ints():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert type(QQ.of(Fraction(6, 3))) is int
+    assert QQ.of("4/2") == 2 and type(QQ.of("4/2")) is int
+    half = Fraction(1, 2)
+    for got in (QQ.add(half, half), QQ.sub(Fraction(5, 2), half),
+                QQ.mul(half, 4), QQ.addmul(half, half, 1), QQ.div(4, 2),
+                QQ.inv(Fraction(1, 3)), QQ.div(half, half)):
+        assert type(got) is int
+
+
+def test_rationals_division_is_exact():
+    got = QQ.div(3, 2)
+    assert got == Fraction(3, 2)
+    assert type(got) is Fraction
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.of("1/3")) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_rationals_int_and_fraction_agree():
+    # mixed scalars must compare, hash and print alike
+    for k in (-3, 0, 1, 7):
+        assert k == Fraction(k) and hash(k) == hash(Fraction(k))
+        assert QQ.to_str(k) == QQ.to_str(Fraction(k))
+    assert {0: 2} == {0: Fraction(2)}

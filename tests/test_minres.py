@@ -126,3 +126,24 @@ def test_resolution_matches_bar_complex(corpus, resolutions, name):
 def test_degree_guard(corpus, resolutions):
     with pytest.raises(ValueError):
         hh_via_resolution(corpus["triangle_c"], 3, resolutions["triangle_c"])
+
+
+@pytest.mark.parametrize("name", MONOMIAL)
+def test_cached_resolution_gives_identical_hh(corpus, resolutions, name,
+                                             monkeypatch):
+    from hochschild import minres
+    from hochschild.algebra import build_algebra
+    alg = build_algebra(corpus[name].presentation)
+    builds = []
+
+    def counting_build(algebra):
+        builds.append(algebra)
+        return build_partial_resolution(algebra)
+
+    monkeypatch.setattr(minres, "build_partial_resolution", counting_build)
+    first = [hh_via_resolution(alg, n) for n in (0, 1, 2)]
+    again = [hh_via_resolution(alg, n) for n in (0, 1, 2)]
+    assert builds == [alg]
+    fresh = [hh_via_resolution(corpus[name], n, resolutions[name])
+             for n in (0, 1, 2)]
+    assert first == again == fresh
