@@ -10,7 +10,9 @@ import random
 from dataclasses import dataclass
 
 from .algebra import center_basis
-from .linalg import Mat, Sweep, axpy, kernel_basis_sparse, quotient_data, rank
+from .linalg import (
+    Mat, SubspaceCoords, axpy, kernel_basis_sparse, quotient_data, rank,
+)
 
 
 class Bimodule:
@@ -120,31 +122,68 @@ class Bimodule:
             self._check_product()
 
     def _check_product(self):
+        """Associativity, left and right module morphism, and balance over
+        the algebra, on every basis triple.
+
+        Both sides of each identity are summed from the nonzero structure
+        constants and action columns only, so the cost follows nnz rather
+        than dim^3; a triple missing from both sides is zero on both.
+        """
         field = self.field
-        for i in range(self.dim):
-            xi = {i: field.one}
-            for j in range(self.dim):
-                xj = {j: field.one}
-                pij = self.multiply(xi, xj)
-                for k in range(self.dim):
-                    xk = {k: field.one}
-                    if self.multiply(pij, xk) != self.multiply(xi, self.multiply(xj, xk)):
-                        raise ValueError("product is not associative")
-        for c in range(self.algebra.dim):
-            lc, rc = self.left[c], self.right[c]
-            for i in range(self.dim):
-                xi = {i: field.one}
-                for j in range(self.dim):
-                    xj = {j: field.one}
-                    if lc.matvec(self.multiply(xi, xj)) != \
-                            self.multiply(lc.matvec(xi), xj):
-                        raise ValueError("product is not a left module morphism")
-                    if rc.matvec(self.multiply(xi, xj)) != \
-                            self.multiply(xi, rc.matvec(xj)):
-                        raise ValueError("product is not a right module morphism")
-                    if self.multiply(rc.matvec(xi), xj) != \
-                            self.multiply(xi, lc.matvec(xj)):
-                        raise ValueError("product is not balanced over the algebra")
+        acts = range(self.algebra.dim)
+        prods = [(key, p) for key, p in sorted(self.product.items()) if p]
+        # l -> [(k, x_l x_k)], [(i, x_i x_l)], [(c, c.x_l)], [(c, x_l.c)]
+        starting, ending, lefts, rights = {}, {}, {}, {}
+        for (i, j), p in prods:
+            starting.setdefault(i, []).append((j, p))
+            ending.setdefault(j, []).append((i, p))
+        for c in acts:
+            for l, col in self.left[c].columns_items():
+                lefts.setdefault(l, []).append((c, col))
+            for l, col in self.right[c].columns_items():
+                rights.setdefault(l, []).append((c, col))
+
+        def spread(table, vec):
+            # {k: sum_l vec_l table[l][k]} without zero vectors
+            out = {}
+            for l, c in vec.items():
+                for k, w in table.get(l, ()):
+                    axpy(field, out.setdefault(k, {}), c, w)
+            return [(k, w) for k, w in out.items() if w]
+
+        def check(lhs, rhs, message):
+            if dict(lhs) != dict(rhs):
+                raise ValueError(message)
+
+        # keys (i, j, k): (x_i x_j) x_k = x_i (x_j x_k)
+        check((((i, j, k), v) for (i, j), p in prods
+               for k, v in spread(starting, p)),
+              (((i, j, k), v) for (j, k), p in prods
+               for i, v in spread(ending, p)),
+              "product is not associative")
+        # keys (c, i, j) from here on
+        # c.(x_i x_j) = (c.x_i) x_j
+        check((((c, i, j), v) for (i, j), p in prods
+               for c, v in spread(lefts, p)),
+              (((c, i, j), v) for c in acts
+               for i, col in self.left[c].columns_items()
+               for j, v in spread(starting, col)),
+              "product is not a left module morphism")
+        # (x_i x_j).c = x_i (x_j.c)
+        check((((c, i, j), v) for (i, j), p in prods
+               for c, v in spread(rights, p)),
+              (((c, i, j), v) for c in acts
+               for j, col in self.right[c].columns_items()
+               for i, v in spread(ending, col)),
+              "product is not a right module morphism")
+        # (x_i.c) x_j = x_i (c.x_j)
+        check((((c, i, j), v) for c in acts
+               for i, col in self.right[c].columns_items()
+               for j, v in spread(starting, col)),
+              (((c, i, j), v) for c in acts
+               for j, col in self.left[c].columns_items()
+               for i, v in spread(ending, col)),
+              "product is not balanced over the algebra")
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
@@ -189,25 +228,6 @@ def dual_bimodule(algebra):
     out = Bimodule(algebra, dim, left, right, labels=labels, product={})
     algebra._dual_bimodule = out
     return out
-
-
-class SubspaceCoords:
-    """Coordinates with respect to a fixed independent family of vectors."""
-
-    def __init__(self, field, vectors):
-        self.field = field
-        self.vectors = vectors
-        self.sweep = Sweep(field)
-        for j, v in enumerate(vectors):
-            lead, _ = self.sweep.insert(dict(v), {j: field.one})
-            if lead is None:
-                raise ValueError("vectors are dependent")
-
-    def coords(self, vec):
-        lead, _, track = self.sweep.reduce(dict(vec), {})
-        if lead is not None:
-            raise ValueError("vector outside the subspace")
-        return {j: self.field.neg(c) for j, c in track.items()}
 
 
 def sub_bimodule(ambient, vectors, labels=None):

@@ -1,15 +1,25 @@
 """Hochschild cohomology hh^n(A, M) from the bar complex.
 
 Cochains in degree n are linear maps A^{(x)n} -> M stored sparsely in the
-tensor-product bases.  Degrees 0 and 1 are computed on the literal bar
-complex.  From degree 2 on, sizes explode ((dim A)^{n+1} * dim M rows),
-so the engine switches to the subcomplex of idempotent-normalized
-cochains: maps vanishing whenever an argument is one of the orthogonal
-idempotents, supported on composable radical tuples with matching value
-blocks.  For a separable span of idempotents that subcomplex is the
-S-relative bar complex and its inclusion is a quasi-isomorphism, so
-dimensions and classes agree; representatives produced there are genuine
-bar cocycles (and are verified to be).
+tensor-product bases.  The bar formula is written once, in `_bar_column`;
+every differential here and in `extcohom` is assembled from it.
+
+`hh` takes kernel modulo image of one complex, on one code path:
+
+* the literal bar complex (`BarComplex`) in degree 0, in degree 1 while
+  dim Hom(A, M) <= FULL_DEGREE1_LIMIT, and whenever the data is not
+  Peirce-graded;
+* otherwise the subcomplex of idempotent-normalized cochains
+  (`NormalizedComplex`): maps vanishing whenever an argument is one of
+  the orthogonal idempotents, supported on composable radical tuples
+  with matching value blocks.  For a separable span of idempotents that
+  subcomplex is the S-relative bar complex and its inclusion is a
+  quasi-isomorphism, so dimensions and classes agree; representatives
+  produced there are genuine bar cocycles (and are verified to be).
+
+Both complexes cache their differentials on the module, so hh^{n+1}
+reuses the matrix hh^n built.  Representatives and class coordinates
+come from `linalg.quotient_basis` and `linalg.SubspaceCoords`.
 
 Everything is deterministic: fixed basis orders, fixed pivot rule, and
 degree-1 representatives are normalized to vanish on idempotents so that
@@ -17,10 +27,12 @@ their cup products stay inside the normalized subcomplex.
 """
 
 import itertools
+import math
 import random
 
 from .linalg import (
-    Mat, Sweep, axpy, echelon_basis, kernel_basis_sparse, scale, solve,
+    Mat, SubspaceCoords, axpy, dense, kernel_basis_sparse, quotient_basis,
+    scale, solve,
 )
 
 BAR_CAP = 2_000_000          # max (dim A)^(n+1) * dim M
@@ -161,12 +173,15 @@ def _factorizations(algebra):
     return fact
 
 
-def _bar_column(algebra, module, n):
+def _bar_column(algebra, module, n, args=None):
     """The column kernel of b^{n+1}, the one place the bar formula lives.
 
     Returns column(t_idx, slots, m): the sparse image, in flat coordinates
     tensor_index * dim M + m, of the cochain sending the tensor t_idx
-    (basis indices slots) to e_m and every other tensor to 0.
+    (basis indices slots) to e_m and every other tensor to 0.  With args
+    (a list of basis indices) the image is restricted to tensors of
+    arguments from args: the normalized and Ext complexes pass the
+    radical indices.
     """
     field = algebra.field
     d = algebra.dim
@@ -176,15 +191,21 @@ def _bar_column(algebra, module, n):
     # signs: (-1)^{p+1} on the contraction at slot p, (-1)^{n+1} on the
     # right action
     fact = _factorizations(algebra)
+    if args is None:
+        args = range(d)
+    else:
+        keep = set(args)
+        fact = {k: [(x, y, c) for x, y, c in lst if x in keep and y in keep]
+                for k, lst in fact.items()}
     neg_fact = {k: [(x, y, neg(c)) for x, y, c in lst]
                 for k, lst in fact.items()}
     contractions = [(d ** (n - 1 - p), neg_fact if p % 2 == 0 else fact)
                     for p in range(n)]
     # per value index m: (key offset, column) of the nonzero actions on e_m
-    lefts = [[(c0 * top * dm, col) for c0 in range(d)
+    lefts = [[(c0 * top * dm, col) for c0 in args
               if (col := module.left[c0].column(m))] for m in range(dm)]
     rights = [[(cn * dm, {k: neg(v) for k, v in col.items()}
-                if n % 2 == 0 else col) for cn in range(d)
+                if n % 2 == 0 else col) for cn in args
                if (col := module.right[cn].column(m))] for m in range(dm)]
 
     def column(t_idx, slots, m):
@@ -255,8 +276,35 @@ def bar_apply(algebra, module, n, f):
     return Cochain.from_vec(algebra, module, n + 1, out)
 
 
+def _subcomplex_differential(algebra, module, n, basis, locate, rows):
+    """b^{n+1} on a subcomplex of cochains with radical arguments.
+
+    basis lists the subcomplex's basis in degree n as pairs (chain, m):
+    the cochain sending the tensor of the radical indices in chain to
+    e_m.  locate(chain, m) gives the row of a degree-(n+1) pair, or None
+    for a pair outside the subcomplex, which raises AssertionError.
+    """
+    dm = module.dim
+    tensors = Cochain(algebra, module, n + 1)  # for its index helpers
+    column = _bar_column(algebra, module, n, args=algebra.radical_indices)
+    cols = {}
+    for j, (chain, m) in enumerate(basis):
+        col = {}
+        for key, v in column(tensors.encode(chain), chain, m).items():
+            t, m_out = divmod(key, dm)
+            chain_out = tensors.decode(t)
+            k = locate(chain_out, m_out)
+            if k is None:
+                raise AssertionError(f"differential left the subcomplex at "
+                                     f"{chain_out}, {m_out}")
+            col[k] = v
+        if col:
+            cols[j] = col
+    return Mat(rows, len(basis), algebra.field, cols)
+
+
 # ---------------------------------------------------------------------------
-# the idempotent-normalized subcomplex
+# the two complexes hh works on
 
 
 class NormalizedComplex:
@@ -269,6 +317,8 @@ class NormalizedComplex:
     (certified on the algebra), so the formula closes.
     """
 
+    backend = "normalized"
+
     def __init__(self, algebra, module):
         if not algebra.is_peirce_graded() or not module.is_graded():
             raise ValueError("normalized complex needs Peirce-graded data")
@@ -276,7 +326,6 @@ class NormalizedComplex:
             raise ValueError("radical products leave the graded complement")
         self.algebra = algebra
         self.module = module
-        self.field = algebra.field
         self.r = list(algebra.radical_indices)
         self.src = {i: algebra.peirce[i][0] for i in self.r}
         self.tgt = {i: algebra.peirce[i][1] for i in self.r}
@@ -340,60 +389,12 @@ class NormalizedComplex:
     def differential(self, n):
         """Matrix N^n -> N^{n+1} of the restricted bar differential."""
         got = self._diff.get(n)
-        if got is not None:
-            return got
-        field = self.field
-        module = self.module
-        flat_n, _ = self.basis(n)
-        _, pos_out = self.basis(n + 1)
-        fact = _factorizations(self.algebra)
-        rset = set(self.r)
-        minus_one = field.of(-1)
-        cols = {}
-        for src_idx, (chain, m) in enumerate(flat_n):
-            col = {}
-
-            def put(chain_out, m_out, v):
-                key = pos_out.get((chain_out, m_out))
-                if key is None:
-                    raise AssertionError(
-                        f"normalized differential left its block at "
-                        f"{chain_out}, {m_out}")
-                w = field.add(col.get(key, field.zero), v)
-                if w:
-                    col[key] = w
-                elif key in col:
-                    del col[key]
-
-            head = self.src[chain[0]] if chain else None
-            mvec = {m: field.one}
-            # w_0 . f(...)
-            for w0 in self.r:
-                if chain and self.tgt[w0] != head:
-                    continue
-                for m2, v in module.left[w0].matvec(mvec).items():
-                    put((w0,) + chain, m2, v)
-            # contractions inside the chain
-            for p in range(len(chain)):
-                sign = field.one if (p + 1) % 2 == 0 else minus_one
-                for (x, y, c) in fact.get(chain[p], ()):
-                    if x not in rset or y not in rset:
-                        continue
-                    put(chain[:p] + (x, y) + chain[p + 1:], m,
-                        field.mul(sign, c))
-            # f(...) . w_n
-            sign = field.one if (n + 1) % 2 == 0 else minus_one
-            tail = self.tgt[chain[-1]] if chain else None
-            for wn in self.r:
-                if chain and self.src[wn] != tail:
-                    continue
-                for m2, v in module.right[wn].matvec(mvec).items():
-                    put(chain + (wn,), m2, field.mul(sign, v))
-            if col:
-                cols[src_idx] = col
-        out = Mat(self.dim(n + 1), self.dim(n), field, cols)
-        self._diff[n] = out
-        return out
+        if got is None:
+            flat, pos = self.basis(n + 1)
+            got = self._diff[n] = _subcomplex_differential(
+                self.algebra, self.module, n, self.basis(n)[0],
+                lambda chain, m: pos.get((chain, m)), len(flat))
+        return got
 
     def embed(self, n, nvec):
         """A normalized vector as a full Cochain."""
@@ -433,33 +434,71 @@ def _normalized_complex(algebra, module):
     return nc
 
 
+class BarComplex:
+    """The literal bar complex of (A, M), with its differentials cached.
+
+    Callers gate the size first (`hh` checks the cap for the degree it
+    asks for), so the cached builds carry no cap of their own.
+    """
+
+    backend = "bar"
+
+    def __init__(self, algebra, module):
+        self.algebra = algebra
+        self.module = module
+        self._diff = {}
+
+    def differential(self, n):
+        """b^{n+1} as a matrix on flat coordinates, built once."""
+        got = self._diff.get(n)
+        if got is None:
+            got = self._diff[n] = bar_differential(
+                self.algebra, self.module, n, cap=math.inf)
+        return got
+
+    def embed(self, n, vec):
+        return Cochain.from_vec(self.algebra, self.module, n, vec)
+
+    def project(self, cochain):
+        return cochain.vec()
+
+
+def _bar_complex(algebra, module):
+    bc = getattr(module, "_bar_complex", None)
+    if bc is None:
+        bc = module._bar_complex = BarComplex(algebra, module)
+    return bc
+
+
 # ---------------------------------------------------------------------------
 # cohomology spaces
 
 
 class CohomologySpace:
-    """dim, representative cocycles and class-membership machinery for one
-    hh^n(A, M)."""
+    """hh^n as kernel modulo image of one complex (`BarComplex` or
+    `NormalizedComplex`): dim, representative cocycles and class
+    coordinates."""
 
-    def __init__(self, algebra, module, degree, backend, reps_vecs,
-                 coboundary_echelon, to_cochain, from_cochain, cocycle_matrix):
-        self.algebra = algebra
-        self.module = module
+    def __init__(self, complex_, degree):
+        self.complex = complex_
+        self.algebra = algebra = complex_.algebra
+        self.module = module = complex_.module
         self.degree = degree
-        self.backend = backend
-        self._reps_vecs = reps_vecs
-        self._cob = coboundary_echelon
-        self._to_cochain = to_cochain
-        self._from_cochain = from_cochain
-        self._cocycle_matrix = cocycle_matrix
-        field = algebra.field
-        self._sweep = Sweep(field)
-        for row in coboundary_echelon:
-            self._sweep.insert(dict(row), {})
-        for i, v in enumerate(reps_vecs):
-            lead, _ = self._sweep.insert(dict(v), {i: field.one})
-            if lead is None:
-                raise AssertionError("representatives are not independent")
+        self.backend = complex_.backend
+        self._cocycle_matrix = complex_.differential(degree)
+        boundaries = [] if degree == 0 else [
+            c for _, c in complex_.differential(degree - 1).columns_items()]
+        reps, cob = quotient_basis(algebra.field,
+                                   kernel_basis_sparse(self._cocycle_matrix),
+                                   boundaries)
+        if degree == 1 and self.backend == "bar":
+            reps = [_normalize_degree1(algebra, module, r) for r in reps]
+        self._reps_vecs = reps
+        try:
+            self._classes = SubspaceCoords(algebra.field, reps, modulo=cob)
+        except ValueError:
+            raise AssertionError("representatives are not independent") \
+                from None
 
     @property
     def dim(self):
@@ -467,28 +506,32 @@ class CohomologySpace:
 
     @property
     def representatives(self):
-        return [self._to_cochain(v) for v in self._reps_vecs]
+        return [self.representative(i) for i in range(self.dim)]
 
     def representative(self, i):
-        return self._to_cochain(self._reps_vecs[i])
+        return self.complex.embed(self.degree, self._reps_vecs[i])
+
+    def _vec(self, cochain):
+        _check_shape(cochain, self.algebra, self.module, self.degree)
+        vec = self.complex.project(cochain)
+        if vec is None:
+            raise ValueError(
+                "cochain is not idempotent-normalized; reduce it modulo "
+                "coboundaries in the full complex first")
+        return vec
 
     def is_cocycle(self, cochain):
-        vec = self._from_cochain(cochain)
-        return not self._cocycle_matrix.matvec(vec)
+        return not self._cocycle_matrix.matvec(self._vec(cochain))
 
     def class_coords(self, cochain):
         """Coordinates of [cochain] in the representative basis."""
-        field = self.algebra.field
-        vec = self._from_cochain(cochain)
+        vec = self._vec(cochain)
         if self._cocycle_matrix.matvec(vec):
             raise ValueError("not a cocycle")
-        lead, _, track = self._sweep.reduce(dict(vec), {})
-        if lead is not None:
+        found = self._classes.find(vec)
+        if found is None:
             raise AssertionError("cocycle escaped span of classes")
-        out = [field.zero] * self.dim
-        for i, c in track.items():
-            out[i] = field.neg(c)
-        return tuple(out)
+        return dense(found, self.dim, self.algebra.field)
 
     def class_is_zero(self, cochain):
         return all(not c for c in self.class_coords(cochain))
@@ -503,23 +546,6 @@ class CohomologySpace:
     def __repr__(self):
         return (f"CohomologySpace(n={self.degree}, dim={self.dim}, "
                 f"backend={self.backend})")
-
-
-def _select_reps(field, kernel_vecs, cob_echelon):
-    """Echelon-reduce kernel vectors against the coboundary space."""
-    sweep = Sweep(field)
-    for row in cob_echelon:
-        sweep.insert(dict(row))
-    reps = []
-    for z in kernel_vecs:
-        lead, vec, _ = sweep.reduce(dict(z), None)
-        if lead is None:
-            continue
-        inv = field.inv(vec[lead])
-        vec = scale(field, vec, inv)
-        sweep.pivots[lead] = (vec, None)
-        reps.append(vec)
-    return reps
 
 
 def _normalize_degree1(algebra, module, rep_vec):
@@ -553,11 +579,22 @@ def _normalize_degree1(algebra, module, rep_vec):
     if x is None:
         raise AssertionError("1-cocycle cannot be normalized")
     # rep' = rep - b^1(x)
-    b1 = bar_differential(algebra, module, 0)
+    b1 = _bar_complex(algebra, module).differential(0)
     correction = b1.matvec({m: v for m, v in enumerate(x) if v})
     out = dict(rep_vec)
     axpy(field, out, field.of(-1), correction)
     return out
+
+
+def _complex_for(algebra, module, n):
+    """The complex hh^n is computed on (see the module docstring)."""
+    full_size = (algebra.dim ** n) * module.dim
+    if n == 0 or (n == 1 and full_size <= FULL_DEGREE1_LIMIT):
+        return _bar_complex(algebra, module)
+    try:
+        return _normalized_complex(algebra, module)
+    except ValueError:
+        return _bar_complex(algebra, module)
 
 
 def hh(algebra, module, n, cap=BAR_CAP):
@@ -569,61 +606,8 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
-    field = algebra.field
-    full_size = (algebra.dim ** n) * module.dim
-    use_full = n == 0 or (n == 1 and full_size <= FULL_DEGREE1_LIMIT)
-    if not use_full:
-        try:
-            nc = _normalized_complex(algebra, module)
-        except ValueError:
-            nc = None
-        if nc is None:
-            use_full = True  # small enough or fail in bar_differential's cap
-
-    if use_full:
-        bn1 = bar_differential(algebra, module, n, cap=cap)
-        kernel = kernel_basis_sparse(bn1)
-        if n == 0:
-            cob = []
-        else:
-            bn = bar_differential(algebra, module, n - 1, cap=cap)
-            cob = echelon_basis(list(dict(c) for _, c in bn.columns_items()),
-                                field)
-        reps = _select_reps(field, kernel, cob)
-        if n == 1:
-            reps = [_normalize_degree1(algebra, module, r) for r in reps]
-
-        def to_cochain(vec):
-            return Cochain.from_vec(algebra, module, n, vec)
-
-        def from_cochain(c):
-            _check_shape(c, algebra, module, n)
-            return c.vec()
-
-        space = CohomologySpace(algebra, module, n, "bar", reps, cob,
-                                to_cochain, from_cochain, bn1)
-    else:
-        dn1 = nc.differential(n)
-        kernel = kernel_basis_sparse(dn1)
-        dn = nc.differential(n - 1)
-        cob = echelon_basis(list(dict(c) for _, c in dn.columns_items()), field)
-        reps = _select_reps(field, kernel, cob)
-
-        def to_cochain(vec):
-            return nc.embed(n, vec)
-
-        def from_cochain(c):
-            _check_shape(c, algebra, module, n)
-            vec = nc.project(c)
-            if vec is None:
-                raise ValueError(
-                    "cochain is not idempotent-normalized; reduce it modulo "
-                    "coboundaries in the full complex first")
-            return vec
-
-        space = CohomologySpace(algebra, module, n, "normalized", reps, cob,
-                                to_cochain, from_cochain, dn1)
-    cache[(n, cap)] = space
+    space = cache[(n, cap)] = CohomologySpace(
+        _complex_for(algebra, module, n), n)
     return space
 
 
@@ -704,7 +688,7 @@ def inner_normalized_span(algebra, module):
         if col:
             cols[m] = col
     diag = kernel_basis_sparse(Mat(algebra.dim * dm, dm, field, cols))
-    b1 = bar_differential(algebra, module, 0)
+    b1 = _bar_complex(algebra, module).differential(0)
     out = []
     for x in diag:
         v = b1.matvec(x)
@@ -721,16 +705,10 @@ class DerivationCohomology:
         self.module = module
         field = algebra.field
         self.derivations = der0_basis(algebra, module)
-        inner = inner_normalized_span(algebra, module)
-        self._cob = echelon_basis(inner, field)
-        reps = _select_reps(field, [d.vec() for d in self.derivations],
-                            self._cob)
-        self._reps_vecs = reps
-        self._sweep = Sweep(field)
-        for row in self._cob:
-            self._sweep.insert(dict(row), {})
-        for i, v in enumerate(reps):
-            self._sweep.insert(dict(v), {i: field.one})
+        self._reps_vecs, cob = quotient_basis(
+            field, [d.vec() for d in self.derivations],
+            inner_normalized_span(algebra, module))
+        self._classes = SubspaceCoords(field, self._reps_vecs, modulo=cob)
 
     @property
     def dim(self):
@@ -742,14 +720,10 @@ class DerivationCohomology:
                 for v in self._reps_vecs]
 
     def class_coords(self, cochain):
-        field = self.algebra.field
-        lead, _, track = self._sweep.reduce(dict(cochain.vec()), {})
-        if lead is not None:
+        found = self._classes.find(cochain.vec())
+        if found is None:
             raise ValueError("not a normalized derivation class")
-        out = [field.zero] * self.dim
-        for i, c in track.items():
-            out[i] = field.neg(c)
-        return tuple(out)
+        return dense(found, self.dim, self.algebra.field)
 
 
 def hh1_via_derivations(algebra, module):

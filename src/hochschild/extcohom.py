@@ -1,7 +1,11 @@
 """The bimodules E_m = Ext^m_C(DC, C) and the derivation action on them.
 
-E_m is computed from the complex Hom_k(DC (x) C^{(x)m}, C) whose
-differential is
+E_m is hh^m(C, Hom_k(DC, C)), and Hom_k(DC, C) = C (x)_k C with C acting
+on the left factor from the left and on the right factor from the right
+(`_ext_coefficients`).  Its complex is therefore the normalized bar
+complex of C with those coefficients: the bar formula of
+`cohomology._bar_column`, restricted to radical arguments, on the basis
+(u, chain, v) of g_u (x) chain -> b_v.  Written out, the differential is
 
     dth(f (x) a_0 (x) ... (x) a_m) = th(f.a_0 (x) a_1 ...)
         + sum_i (-1)^i th(f (x) ... a_{i-1} a_i ...)
@@ -18,16 +22,18 @@ which is a chain map, hence descends to E_m; for the trivial extension
 B = C |x E_m the induced endomorphism witnesses the surjectivity of the
 degree-1 projection morphism.
 
-As in the Hochschild engine, the working complex is the normalized one
-(cochains killed by idempotent arguments); ambient full-space evaluators
-are kept for cross-checks on small inputs.
+`ambient_differential_apply` evaluates the displayed formula on the full,
+unnormalized space by its own loops.  It is kept on purpose as the
+independent reference the normalized differential is checked against.
 """
 
 import random
 
 from .bimodule import Bimodule
-from .cohomology import CapExceeded, is_derivation
-from .linalg import Mat, Sweep, echelon_basis, kernel_basis_sparse, scale
+from .cohomology import CapExceeded, _subcomplex_differential, is_derivation
+from .linalg import (
+    Mat, SubspaceCoords, axpy, kernel_basis_sparse, quotient_basis,
+)
 
 EXT_DEGREE_CAP = 3
 EXT_SIZE_CAP = 2_000_000  # (dim C)^(m+2)
@@ -53,7 +59,6 @@ class ExtComplex:
         if not C.is_peirce_graded() or not C.radical_complement_closed():
             raise ValueError("Ext complex needs a Peirce-graded algebra")
         self.C = C
-        self.field = C.field
         self.r = list(C.radical_indices)
         self.src = {i: C.peirce[i][0] for i in self.r}
         self.tgt = {i: C.peirce[i][1] for i in self.r}
@@ -99,59 +104,18 @@ class ExtComplex:
         return len(self.basis(m)[0])
 
     def differential(self, m):
+        """The bar differential with coefficients in C (x)_k C on the
+        (u, chain, v) bases of degrees m and m + 1."""
         got = self._diff.get(m)
-        if got is not None:
-            return got
-        field = self.field
-        C = self.C
-        flat, _ = self.basis(m)
-        _, pos_out = self.basis(m + 1)
-        rset = set(self.r)
-        from .cohomology import _factorizations
-        fact = _factorizations(C)
-        minus_one = field.of(-1)
-        cols = {}
-        for col_idx, (u, chain, v) in enumerate(flat):
-            col = {}
-
-            def put(key, value):
-                k = pos_out.get(key)
-                if k is None:
-                    return
-                w = field.add(col.get(k, field.zero), value)
-                if w:
-                    col[k] = w
-                elif k in col:
-                    del col[k]
-
-            # th(f.a_0 (x) ...): a_0 radical, f.a_0 hitting g_u
-            for a0 in self.r:
-                prod = C.structure.get((a0, u))
-                if not prod:
-                    continue
-                for u2, c in prod.items():
-                    put((u2, (a0,) + chain, v), c)
-            # inner contractions of the chain
-            for p in range(m):
-                sign = field.one if (p + 1) % 2 == 0 else minus_one
-                for (x, y, c) in fact.get(chain[p], ()):
-                    if x in rset and y in rset:
-                        put((u, chain[:p] + (x, y) + chain[p + 1:], v),
-                            field.mul(sign, c))
-            # th(...) . a_m
-            sign = field.one if (m + 1) % 2 == 0 else minus_one
-            tail = self.tgt[chain[-1]] if chain else self.all_src[u]
-            for z in self.by_src.get(tail, ()):
-                prod = C.structure.get((v, z))
-                if not prod:
-                    continue
-                for v2, c in prod.items():
-                    put((u, chain + (z,), v2), field.mul(sign, c))
-            if col:
-                cols[col_idx] = col
-        out = Mat(self.dim(m + 1), self.dim(m), field, cols)
-        self._diff[m] = out
-        return out
+        if got is None:
+            d = self.C.dim
+            flat, pos = self.basis(m + 1)
+            got = self._diff[m] = _subcomplex_differential(
+                self.C, _ext_coefficients(self.C), m,
+                [(chain, u * d + v) for u, chain, v in self.basis(m)[0]],
+                lambda chain, uv: pos.get((uv // d, chain, uv % d)),
+                len(flat))
+        return got
 
     # -- ambient coordinates ---------------------------------------------------
 
@@ -174,6 +138,24 @@ class ExtComplex:
         return out
 
 
+def _ext_coefficients(C):
+    """C (x)_k C as a C-bimodule, basis u * dim C + v, built once per C."""
+    got = getattr(C, "_ext_coefficients", None)
+    if got is None:
+        d, field = C.dim, C.field
+        left = [Mat(d * d, d * d, field, {
+            u * d + v: {u2 * d + v: c for u2, c in col.items()}
+            for u, col in C.left_mult(a).items() for v in range(d)})
+            for a in range(d)]
+        right = [Mat(d * d, d * d, field, {
+            u * d + v: {u * d + v2: c for v2, c in col.items()}
+            for v, col in C.right_mult(a).items() for u in range(d)})
+            for a in range(d)]
+        got = C._ext_coefficients = Bimodule(C, d * d, left, right,
+                                             check=False)
+    return got
+
+
 def _ext_complex(C):
     got = getattr(C, "_ext_complex", None)
     if got is None:
@@ -185,18 +167,12 @@ def _ext_complex(C):
 class ExtBimodule(Bimodule):
     """E_m as a concrete bimodule, with its quotient bookkeeping attached."""
 
-    def __init__(self, C, m, complex_, reps, cob_echelon, left, right, labels):
+    def __init__(self, C, m, complex_, reps, classes, left, right, labels):
         self.ext_degree = m
         self.complex = complex_
         self._reps = reps
-        self._cob = cob_echelon
+        self._classes = classes
         super().__init__(C, len(reps), left, right, labels=labels, product={})
-        field = C.field
-        self._class_sweep = Sweep(field)
-        for row in cob_echelon:
-            self._class_sweep.insert(dict(row), {})
-        for k, rep in enumerate(reps):
-            self._class_sweep.insert(dict(rep), {k: field.one})
 
     def representatives(self):
         """Normalized cocycle vectors representing the chosen basis."""
@@ -207,19 +183,13 @@ class ExtBimodule(Bimodule):
                 for r in self._reps]
 
     def class_coords(self, nvec):
-        field = self.algebra.field
         diff = self.complex.differential(self.ext_degree)
         if diff.matvec(nvec):
             raise ValueError("not a cocycle of the Ext complex")
-        lead, _, track = self._class_sweep.reduce(dict(nvec), {})
-        if lead is not None:
+        found = self._classes.find(nvec)
+        if found is None:
             raise AssertionError("cocycle escaped the class span")
-        out = {}
-        for k, c in track.items():
-            w = field.neg(c)
-            if w:
-                out[k] = w
-        return out
+        return found
 
 
 def ext_dual_bimodule(C, m):
@@ -234,25 +204,10 @@ def ext_dual_bimodule(C, m):
     field = C.field
     nc = _ext_complex(C)
     d_m = nc.differential(m)
-    kernel = kernel_basis_sparse(d_m)
-    if m == 0:
-        cob = []
-    else:
-        d_prev = nc.differential(m - 1)
-        cob = echelon_basis([dict(c) for _, c in d_prev.columns_items()], field)
-    # echelon-reduce the kernel against the coboundaries, as in hh()
-    sweep = Sweep(field)
-    for row in cob:
-        sweep.insert(dict(row))
-    reps = []
-    for z in kernel:
-        lead, vec, _ = sweep.reduce(dict(z), None)
-        if lead is None:
-            continue
-        inv = field.inv(vec[lead])
-        vec = scale(field, vec, inv)
-        sweep.pivots[lead] = (vec, None)
-        reps.append(vec)
+    boundaries = [] if m == 0 else [
+        c for _, c in nc.differential(m - 1).columns_items()]
+    reps, cob = quotient_basis(field, kernel_basis_sparse(d_m), boundaries)
+    classes = SubspaceCoords(field, reps, modulo=cob)
 
     flat, pos = nc.basis(m)
     dim = len(reps)
@@ -261,48 +216,26 @@ def ext_dual_bimodule(C, m):
         out = {}
         for k, coeff in nvec.items():
             u, chain, v = flat[k]
-            if side == "left":
-                prod = C.structure.get((c, v))
-                if prod:
-                    for v2, w in prod.items():
-                        key = pos.get((u, chain, v2))
-                        if key is not None:
-                            cur = out.get(key, field.zero)
-                            nv = field.add(cur, field.mul(coeff, w))
-                            if nv:
-                                out[key] = nv
-                            elif key in out:
-                                del out[key]
-            else:
-                prod = C.structure.get((u, c))
-                if prod:
-                    for u2, w in prod.items():
-                        key = pos.get((u2, chain, v))
-                        if key is not None:
-                            cur = out.get(key, field.zero)
-                            nv = field.add(cur, field.mul(coeff, w))
-                            if nv:
-                                out[key] = nv
-                            elif key in out:
-                                del out[key]
+            if side == "left":  # c.th = c th(-)
+                image = {pos[(u, chain, v2)]: w
+                         for v2, w in C.structure.get((c, v), {}).items()}
+            else:  # th.c = th(c.f (x) -)
+                image = {pos[(u2, chain, v)]: w
+                         for u2, w in C.structure.get((u, c), {}).items()}
+            axpy(field, out, coeff, image)
         return out
 
     lcols = {c: {} for c in range(C.dim)}
     rcols = {c: {} for c in range(C.dim)}
-    sweep_cls = Sweep(field)
-    for row in cob:
-        sweep_cls.insert(dict(row), {})
-    for k, rep in enumerate(reps):
-        sweep_cls.insert(dict(rep), {k: field.one})
 
     def class_coords(nvec):
         if d_m.matvec(nvec):
             raise ValueError("action image is not a cocycle: "
                              "the actions do not descend")
-        lead, _, track = sweep_cls.reduce(dict(nvec), {})
-        if lead is not None:
+        found = classes.find(nvec)
+        if found is None:
             raise AssertionError("cocycle escaped the class span")
-        return {k: field.neg(c) for k, c in track.items() if c}
+        return found
 
     for c in range(C.dim):
         for k, rep in enumerate(reps):
@@ -317,7 +250,7 @@ def ext_dual_bimodule(C, m):
     right = [Mat(dim, dim, field, {k: col for k, col in rcols[c].items() if col})
              for c in range(C.dim)]
     labels = [f"ext{m}_{k}" for k in range(dim)]
-    out = ExtBimodule(C, m, nc, reps, cob, left, right, labels)
+    out = ExtBimodule(C, m, nc, reps, classes, left, right, labels)
     cache[m] = out
     return out
 
@@ -379,9 +312,12 @@ class DerivationAction:
         col = {}
 
         def put(key, value):
-            k = pos.get(key)
-            if k is None or not value:
+            if not value:
                 return
+            k = pos.get(key)
+            if k is None:
+                raise AssertionError(
+                    f"derivation action left the Ext basis at {key}")
             w = field.add(col.get(k, field.zero), value)
             if w:
                 col[k] = w

@@ -456,6 +456,55 @@ def echelon_basis(vectors, field):
     return _back_reduce(sweep)
 
 
+def quotient_basis(field, cycles, boundaries):
+    """Representatives of span(cycles) modulo span(boundaries).
+
+    Each cycle in turn is reduced against the boundaries' RREF and the
+    representatives kept so far; a survivor is scaled to lead 1 and kept.
+    Returns (reps, boundary_rref).
+    """
+    boundary_rref = echelon_basis(boundaries, field)
+    sweep = Sweep(field)
+    for row in boundary_rref:
+        sweep.insert(dict(row))
+    reps = []
+    for z in cycles:
+        lead, _ = sweep.insert(dict(z))
+        if lead is not None:
+            reps.append(sweep.pivots[lead][0])
+    return reps, boundary_rref
+
+
+class SubspaceCoords:
+    """Coordinates with respect to a fixed independent family of vectors,
+    modulo the span of an echelon list (empty by default)."""
+
+    def __init__(self, field, vectors, modulo=()):
+        self.field = field
+        self.vectors = vectors
+        self.sweep = Sweep(field)
+        for row in modulo:
+            self.sweep.insert(dict(row), {})
+        for j, v in enumerate(vectors):
+            lead, _ = self.sweep.insert(dict(v), {j: field.one})
+            if lead is None:
+                raise ValueError("vectors are dependent")
+
+    def find(self, vec):
+        """{j: c} with vec = sum c_j vectors[j] modulo the span, or None."""
+        lead, _, track = self.sweep.reduce(dict(vec), {})
+        if lead is not None:
+            return None
+        neg = self.field.neg
+        return {j: neg(c) for j, c in track.items()}
+
+    def coords(self, vec):
+        out = self.find(vec)
+        if out is None:
+            raise ValueError("vector outside the subspace")
+        return out
+
+
 def reduce_mod(vec, echelon, field):
     """Normal form of a sparse vector modulo an RREF list."""
     vec = dict(vec)

@@ -14,7 +14,7 @@ route to hh^0..hh^2 used to cross-check the cochain engine.
 from dataclasses import dataclass
 
 from .algebra import system_of_relations
-from .linalg import Mat, echelon_basis, kernel_basis_sparse, rank
+from .linalg import Mat, kernel_basis_sparse, quotient_basis, rank
 
 
 class NotMonomial(ValueError):
@@ -129,7 +129,9 @@ class PartialResolution:
                     for bj, cv in vj.items():
                         key = pos.get((y_idx, bi, bj))
                         if key is None:
-                            continue
+                            raise AssertionError(
+                                f"d^{n} left the basis of P^{n - 1} at "
+                                f"{(y_idx, bi, bj)}")
                         w = field.add(col.get(key, field.zero),
                                       field.mul(field.mul(cu, cv), coeff))
                         if w:
@@ -270,7 +272,9 @@ def _hom_differential(resolution, n):
                 for m2, c in val.items():
                     key = tgt_pos.get((x_idx, m2))
                     if key is None:
-                        continue
+                        raise AssertionError(
+                            f"Hom(d^{n}, A) left the Hom blocks at "
+                            f"{(x_idx, m2)}")
                     w = field.add(col.get(key, field.zero),
                                   field.mul(coeff, c))
                     if w:
@@ -297,28 +301,11 @@ def hh_via_resolution(algebra, n, resolution=None):
         raise ValueError("the partial resolution reaches degree 2 only")
     res = resolution if resolution is not None else \
         _partial_resolution(algebra)
-    field = algebra.field
-    d_next = _hom_differential(res, n + 1)
-    kernel = kernel_basis_sparse(d_next)
-    if n == 0:
-        cob = []
-    else:
-        d_prev = _hom_differential(res, n)
-        cob = echelon_basis([dict(c) for _, c in d_prev.columns_items()],
-                            field)
-    from .linalg import Sweep, scale
-    sweep = Sweep(field)
-    for row in cob:
-        sweep.insert(dict(row))
-    reps = []
-    for z in kernel:
-        lead, vec, _ = sweep.reduce(dict(z), None)
-        if lead is None:
-            continue
-        inv = field.inv(vec[lead])
-        vec = scale(field, vec, inv)
-        sweep.pivots[lead] = (vec, None)
-        reps.append(vec)
+    boundaries = [] if n == 0 else [
+        c for _, c in _hom_differential(res, n).columns_items()]
+    reps, _ = quotient_basis(
+        algebra.field, kernel_basis_sparse(_hom_differential(res, n + 1)),
+        boundaries)
     chain_list = {0: res.chains.vertices, 1: res.chains.arrows,
                   2: res.chains.relations, 3: res.chains.overlaps}[n]
     blocks = [(chain_list[s_idx], m) for (s_idx, m) in _hom_blocks(res, n)]

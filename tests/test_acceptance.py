@@ -4,6 +4,7 @@ Each test prints a single pass/fail line; the underlying computations are
 shared through a session-scoped run of the verification blocks.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import sys
 import pytest
 
 from hochschild.verification import run_blocks
+
+VERIFY_PAPER_SHA256 = \
+    "a98ae6c1dcfb68b38919809266c1f5237b0c7bebd2da09d0d1c02c337b737442"
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +145,6 @@ def test_criterion_8_determinism():
     body = json.loads(runs[0])
     assert body["results"]["pass"] is True
     assert body["timing"] is None
+    # The canonical output itself.  A deliberate change of the output must
+    # update this hash and record the change in CHANGES.md.
+    assert hashlib.sha256(runs[0]).hexdigest() == VERIFY_PAPER_SHA256

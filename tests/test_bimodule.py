@@ -2,7 +2,7 @@ import pytest
 
 from hochschild.algebra import algebra_morphism
 from hochschild.bimodule import (
-    bimodules_isomorphic, dual_bimodule, hom_bimodule,
+    Bimodule, bimodules_isomorphic, dual_bimodule, hom_bimodule,
     is_symmetric_over_center, pullback_bimodule, regular_bimodule,
     sub_bimodule, tensor_over, zero_bimodule,
 )
@@ -174,3 +174,18 @@ def test_sub_bimodule_rejects_non_closed(nakayama_b):
 
 def test_peirce_tags(kernel_bimodule):
     assert kernel_bimodule.is_graded()
+
+
+@pytest.mark.parametrize("name", ["nakayama_c", "kite_b", "square"])
+def test_corrupted_product_is_refused(corpus, name):
+    alg = corpus[name]
+    reg = regular_bimodule(alg)
+    Bimodule(alg, alg.dim, reg.left, reg.right, product=alg.structure)
+    # double the constants of one product x_i x_j at a time
+    for key, prod in sorted(alg.structure.items()):
+        if not prod:
+            continue
+        product = dict(alg.structure)
+        product[key] = {k: alg.field.add(c, c) for k, c in prod.items()}
+        with pytest.raises(ValueError, match="product is not"):
+            Bimodule(alg, alg.dim, reg.left, reg.right, product=product)

@@ -10,9 +10,12 @@ import pytest
 from hochschild.algebra import build_algebra
 from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import dual_bimodule, regular_bimodule
+from hochschild import cohomology
 from hochschild.cohomology import (
-    Cochain, bar_apply, bar_differential, hh, random_cochain,
+    Cochain, _normalized_complex, _subcomplex_differential, bar_apply,
+    bar_differential, hh, hh1_via_derivations, random_cochain,
 )
+from hochschild.extcohom import _ext_complex, ambient_differential_apply
 from hochschild.linalg import rank
 
 
@@ -84,3 +87,61 @@ def test_bar_apply_matches_matrix(bundled, name, coefficients, n):
     for f in cochains:
         want = Cochain.from_vec(alg, module, n + 1, matrix.matvec(f.vec()))
         assert bar_apply(alg, module, n, f) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_normalized_differential_matches_bar_apply(bundled, name,
+                                                   coefficients, n):
+    # every column of the normalized differential is b^{n+1} of its basis
+    # cochain, computed on the full bar complex
+    alg = bundled[name]
+    module = coefficients(alg)
+    nc = _normalized_complex(alg, module)
+    matrix = nc.differential(n)
+    for k in range(nc.dim(n)):
+        basis_cochain = nc.embed(n, {k: alg.field.one})
+        assert nc.embed(n + 1, matrix.column(k)) == \
+            bar_apply(alg, module, n, basis_cochain)
+
+
+def test_subcomplex_differential_refuses_terms_outside_its_basis(bundled):
+    alg = bundled["square"]
+    reg = regular_bimodule(alg)
+    nc = _normalized_complex(alg, reg)
+    assert not nc.differential(0).is_zero()
+    with pytest.raises(AssertionError, match="left the subcomplex"):
+        _subcomplex_differential(alg, reg, 0, nc.basis(0)[0],
+                                 lambda chain, m: None, nc.dim(1))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ext_differential_matches_ambient_reference(bundled, name, m):
+    C = bundled[name]
+    ec = _ext_complex(C)
+    matrix = ec.differential(m)
+    for k in range(ec.dim(m)):
+        basis_vec = ec.embed_ambient(m, {k: C.field.one})
+        assert ec.embed_ambient(m + 1, matrix.column(k)) == \
+            ambient_differential_apply(C, m, basis_vec)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bar_matrices_are_built_once(monkeypatch, name):
+    # hh^0..hh^2 and the derivation route share the module's bar complex
+    alg = build_algebra(load_bundled(name)[1])
+    reg = regular_bimodule(alg)
+    builds = []
+
+    def counted(algebra, module, n, **kwargs):
+        builds.append((id(module), n))
+        return bar_differential(algebra, module, n, **kwargs)
+
+    monkeypatch.setattr(cohomology, "bar_differential", counted)
+    for n in range(3):
+        hh(alg, reg, n)
+    hh1_via_derivations(alg, reg)
+    assert builds
+    assert len(builds) == len(set(builds))

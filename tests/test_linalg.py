@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hochschild.linalg import (
-    QQ, Mat, PrimeField, echelon_basis, kernel_basis, quotient_data, rank,
-    same_subspace, solve,
+    QQ, Mat, PrimeField, SubspaceCoords, echelon_basis, kernel_basis,
+    quotient_basis, quotient_data, rank, same_subspace, solve,
 )
 
 
@@ -190,3 +190,39 @@ def test_rationals_int_and_fraction_agree():
         assert k == Fraction(k) and hash(k) == hash(Fraction(k))
         assert QQ.to_str(k) == QQ.to_str(Fraction(k))
     assert {0: 2} == {0: Fraction(2)}
+
+
+def test_quotient_basis_modulo_boundaries():
+    # e0 survives; e0 + e1 is e0 modulo e1; 2e1 + 2e2 leaves e2
+    cycles = [{0: 1}, {0: 1, 1: 1}, {1: 2, 2: 2}]
+    reps, rref = quotient_basis(QQ, cycles, [{1: 3}])
+    assert rref == [{1: 1}]
+    assert reps == [{0: 1}, {2: 1}]
+
+
+def test_quotient_basis_without_boundaries_keeps_independent_cycles():
+    f5 = PrimeField(5)
+    reps, rref = quotient_basis(f5, [{0: 2, 1: 1}, {0: 4, 1: 2}, {1: 3}], [])
+    assert rref == []
+    assert reps == [{0: 1, 1: 3}, {1: 1}]
+
+
+def test_quotient_basis_everything_a_boundary():
+    reps, rref = quotient_basis(QQ, [{0: 1, 1: -1}], [{0: 1}, {1: 1}])
+    assert reps == []
+    assert rref == [{0: 1}, {1: 1}]
+
+
+def test_subspace_coords_modulo():
+    coords = SubspaceCoords(QQ, [{0: 1, 1: 1}, {2: 2}], modulo=[{1: 1}])
+    # 2(e0 + e1) + 3 e1 + 1/2 (2 e2)
+    assert coords.coords({0: 2, 1: 5, 2: 1}) == {0: 2, 1: Fraction(1, 2)}
+    assert coords.coords({1: 7}) == {}
+    assert coords.find({3: 1}) is None
+    with pytest.raises(ValueError, match="outside the subspace"):
+        coords.coords({3: 1})
+
+
+def test_subspace_coords_dependent_modulo_subspace():
+    with pytest.raises(ValueError, match="dependent"):
+        SubspaceCoords(QQ, [{0: 1, 1: 1}, {0: 2}], modulo=[{1: 1}])
