@@ -460,12 +460,11 @@ def system_of_relations(presentation, cap=DEFAULT_CAP):
     for piece in pieces:
         sweep = Sweep(field)
         for row in top_ech:
-            sweep.insert(dict(row))
+            sweep.insert(row)
         for rel in presentation.relations:
             if rel.endpoints() != piece:
                 continue
-            lead, _ = sweep.insert(dict(ideal.path_sum_vector(rel)))
-            if lead is not None:
+            if sweep.insert(ideal.path_sum_vector(rel)) is not None:
                 chosen.append(rel)
     return chosen
 

@@ -53,12 +53,17 @@ def parse_algebra_file(data, expect_field=None):
     if expect_field is not None and field_tag != expect_field:
         raise AlgebraFileError(
             f"file is over {field_tag!r} but {expect_field!r} was requested")
+    if not isinstance(field_tag, str):
+        raise AlgebraFileError(f"field tag must be a string, not {field_tag!r}")
     field = field_from_tag(field_tag)
     try:
         quiver = Quiver(vertices, [(a["name"], a["from"], a["to"])
                                    for a in arrows])
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFileError(f"bad quiver data: {exc}")
+    if not isinstance(relations, list) \
+            or not all(isinstance(text, str) for text in relations):
+        raise AlgebraFileError("relations must be a list of strings")
     rels = [parse_relation(text, quiver, field) for text in relations]
     return Presentation(quiver, field, rels)
 

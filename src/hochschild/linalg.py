@@ -8,11 +8,21 @@ ints when integral and `fractions.Fraction` otherwise (the two compare and
 hash alike, and print alike through `str`); over GF(p) they are ints in
 ``[0, p)``.
 
+Elimination (`Sweep`) is fraction-free: over Q a vector entering it has its
+denominators cleared, pivots are primitive integer vectors whose leads are
+left as they are, and reduction cross-multiplies, so the loop runs on plain
+ints.  Over GF(p) the same sweep keeps lead-1 pivots.  Every result that
+leaves this module (kernel vectors, RREF rows, representatives,
+coordinates, solutions) is divided once on the way out, through `Fraction`
+over Q, and is equal in value and scalar type to what lead-1 elimination
+gives.
+
 Pivoting is deterministic: smallest column index first, then smallest row
 index.  Repeated calls on equal inputs give identical output.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatch(ValueError):
@@ -38,7 +48,7 @@ class Rationals:
         """Coerce an int, Fraction or 'a/b' string."""
         if type(x) is int:
             return x
-        return _normal(Fraction(x))
+        return _normal(x if type(x) is Fraction else Fraction(x))
 
     def add(self, a, b):
         return _normal(a + b)
@@ -67,6 +77,54 @@ class Rationals:
 
     def to_str(self, a):
         return str(a)
+
+    # -- elimination ring of `Sweep`: the integers --
+
+    def integral(self, vec, track):
+        """Copies of vec and track, both times the one factor that clears
+        their denominators, with int entries."""
+        entries = [*vec.values(), *track.values()] if track else vec.values()
+        for v in entries:
+            if type(v) is not int:
+                d = lcm(*[v.denominator for v in entries])
+                return (_times(vec, d),
+                        None if track is None else _times(track, d))
+        return dict(vec), None if track is None else dict(track)
+
+    @staticmethod
+    def combine(dst, m, c, src):
+        """dst <- m*dst - c*src in place, dropping zeros."""
+        if m != 1:
+            for k in dst:
+                dst[k] *= m
+        get = dst.get
+        for k, v in src.items():
+            w = get(k, 0) - c * v
+            if w:
+                dst[k] = w
+            else:
+                del dst[k]
+
+    @staticmethod
+    def primitive(lead, vec, track):
+        """vec and track divided by the gcd of all their entries, signed
+        so that the lead is positive."""
+        g = gcd(*vec.values(), *track.values()) if track \
+            else gcd(*vec.values())
+        if vec[lead] < 0:
+            g = -g
+        if g == 1:
+            return vec, track
+        return ({k: v // g for k, v in vec.items()},
+                track and {k: v // g for k, v in track.items()})
+
+    def normalized(self, vec, d):
+        """vec / d as field scalars: the one division on the way out."""
+        of = self.of
+        if d == 1:
+            return {k: of(v) for k, v in vec.items()}
+        return {k: of(v // d if v % d == 0 else Fraction(v, d))
+                for k, v in vec.items()}
 
     def __repr__(self):
         return "QQ"
@@ -141,6 +199,35 @@ class PrimeField:
     def to_str(self, a):
         return str(a % self.p)
 
+    # -- elimination ring of `Sweep`: the field itself, lead-1 pivots --
+
+    def integral(self, vec, track):
+        return dict(vec), None if track is None else dict(track)
+
+    def combine(self, dst, m, c, src):
+        """dst <- dst - c*src in place, dropping zeros; m is 1, because
+        every pivot has lead 1."""
+        p = self.p
+        get = dst.get
+        for k, v in src.items():
+            w = (get(k, 0) - c * v) % p
+            if w:
+                dst[k] = w
+            else:
+                del dst[k]
+
+    def primitive(self, lead, vec, track):
+        """vec and track scaled to lead 1."""
+        a = vec[lead]
+        if a == 1:
+            return vec, track
+        inv = self.inv(a)
+        return scale(self, vec, inv), track and scale(self, track, inv)
+
+    def normalized(self, vec, d):
+        d %= self.p
+        return dict(vec) if d == 1 else scale(self, vec, self.inv(d))
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -188,6 +275,11 @@ def axpy(field, dst, c, src):
 def scale(field, vec, c):
     mul = field.mul
     return {k: mul(c, v) for k, v in vec.items()}
+
+
+def _times(vec, d):
+    """An int-valued copy of vec times d, d a common denominator."""
+    return {k: v.numerator * (d // v.denominator) for k, v in vec.items()}
 
 
 def dense(vec, n, field):
@@ -341,6 +433,11 @@ class Mat:
 # ---------------------------------------------------------------------------
 # elimination
 
+# track key of the vector being solved for in `find` and `solve`; the keys
+# of real tracks are column or vector indices, never negative
+_QUERY = -1
+
+
 class Sweep:
     """Incremental echelon of sparse vectors with combination tracking.
 
@@ -348,37 +445,95 @@ class Sweep:
     against existing pivots until its lead is fresh or it vanishes.  The
     pivot set after feeding columns left to right is exactly the RREF
     pivot-column set, which is what makes kernel output canonical.
+
+    The sweep is fraction-free.  A vector entering it is scaled, track
+    included, into the field's elimination ring (`field.integral`: over Q
+    its denominators are cleared, so every scalar inside is an int).  A
+    pivot keeps its lead as it is and is only made primitive when adopted
+    (`field.primitive`: over Q the content of vector and track together is
+    divided out; over GF(p) the lead is scaled to 1).  Reducing against a
+    pivot p with lead L cross-multiplies,
+
+        vec <- (p[L]/g) vec - (vec[L]/g) p,    g = gcd(vec[L], p[L]),
+
+    and does the same to the track, so every vector met is a nonzero
+    multiple of the one lead-1 pivots would give: the same leads are met
+    and the same entries vanish.  What leaves the sweep is divided once
+    (`field.normalized`), which makes the public results equal, in value,
+    scalar type and key order, to those of lead-1 elimination.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivots = {}  # lead index -> (vector, track)
+        self.pivots = {}  # lead index -> (primitive vector, track)
 
     def reduce(self, vec, track=None):
+        """(lead, vec, track): copies of vec and track in the elimination
+        ring, reduced until the lead is fresh (lead None: vec vanished)."""
         field = self.field
+        combine = field.combine
         pivots = self.pivots
+        vec, track = field.integral(vec, track)
         while vec:
             lead = min(vec)
             hit = pivots.get(lead)
             if hit is None:
                 return lead, vec, track
-            c = field.neg(vec[lead])
-            axpy(field, vec, c, hit[0])
-            if track is not None and hit[1]:
-                axpy(field, track, c, hit[1])
+            pvec, ptrack = hit
+            a = vec[lead]
+            b = pvec[lead]
+            g = gcd(a, b)
+            m = b // g
+            c = a // g
+            combine(vec, m, c, pvec)
+            if track is not None:
+                combine(track, m, c, ptrack or {})
         return None, vec, track
 
+    def adopt(self, lead, vec, track=None):
+        """Adopt a reduced vector (from `reduce`) as the pivot at lead."""
+        self.pivots[lead] = self.field.primitive(lead, vec, track)
+
     def insert(self, vec, track=None):
-        """Reduce and adopt as a new pivot; returns lead or None if dependent."""
+        """Reduce and adopt as a new pivot; returns the lead, or None if
+        vec is dependent."""
         lead, vec, track = self.reduce(vec, track)
-        if lead is None:
-            return None, track
-        inv = self.field.inv(vec[lead])
-        vec = scale(self.field, vec, inv)
-        if track is not None:
-            track = scale(self.field, track, inv)
-        self.pivots[lead] = (vec, track)
-        return lead, track
+        if lead is not None:
+            self.adopt(lead, vec, track)
+        return lead
+
+    def row(self, lead):
+        """The pivot vector at lead, scaled to lead 1."""
+        vec = self.pivots[lead][0]
+        return self.field.normalized(vec, vec[lead])
+
+    def solution(self, vec):
+        """{key: c} with vec = sum of c times the vector inserted with
+        track {key: 1} (modulo those inserted with an empty track), or None
+        if vec is outside the span."""
+        lead, _, track = self.reduce(vec, {_QUERY: self.field.one})
+        if lead is not None:
+            return None
+        # 0 = track[_QUERY] * vec + sum of track[key] * vector[key]
+        return self.field.normalized(track, -track.pop(_QUERY))
+
+    def rref(self):
+        """[(lead, row)], leads ascending: the reduced row echelon basis of
+        the span, each row primitive and zero at every other lead.  The
+        back reduction cross-multiplies too; rows are not normalized."""
+        field = self.field
+        combine = field.combine
+        reduced = {}
+        for lead in sorted(self.pivots, reverse=True):
+            vec = dict(self.pivots[lead][0])
+            for other, ovec in reduced.items():
+                a = vec.get(other)
+                if a is not None:
+                    b = ovec[other]
+                    g = gcd(a, b)
+                    combine(vec, b // g, a // g, ovec)
+            reduced[lead] = field.primitive(lead, vec, None)[0]
+        return sorted(reduced.items())
 
     @property
     def rank(self):
@@ -391,29 +546,27 @@ def rank(m):
     for j in range(m.cols):
         col = m.column(j)
         if col:
-            sweep.insert(dict(col))
+            sweep.insert(col)
     return sweep.rank
 
 
 def kernel_basis_sparse(m):
     """Right null space basis as sparse dicts, RREF-canonical order.
 
-    The track of a column that sweeps to zero is a kernel vector with
-    coefficient 1 at that (free) column and RREF coefficients elsewhere.
+    The track of a column that sweeps to zero is a multiple of the kernel
+    vector with coefficient 1 at that (free) column and RREF coefficients
+    elsewhere; dividing by its entry at the free column gives that vector.
     """
-    sweep = Sweep(m.field)
-    one = m.field.one
+    field = m.field
+    sweep = Sweep(field)
+    one = field.one
     out = []
     for j in range(m.cols):
-        col = dict(m.column(j))
-        track = {j: one}
-        lead, vec, track = sweep.reduce(col, track)
+        lead, vec, track = sweep.reduce(m.column(j), {j: one})
         if lead is None:
-            out.append(track)
+            out.append(field.normalized(track, track[j]))
         else:
-            inv = m.field.inv(vec[lead])
-            sweep.pivots[lead] = (scale(m.field, vec, inv),
-                                  scale(m.field, track, inv))
+            sweep.adopt(lead, vec, track)
     return out
 
 
@@ -422,38 +575,13 @@ def kernel_basis(m):
     return [dense(v, m.cols, m.field) for v in kernel_basis_sparse(m)]
 
 
-def image_echelon(m):
-    """Canonical echelon basis (sparse) of the column space."""
-    sweep = Sweep(m.field)
-    for j in range(m.cols):
-        col = m.column(j)
-        if col:
-            sweep.insert(dict(col))
-    return _back_reduce(sweep)
-
-
-def _back_reduce(sweep):
-    """Turn forward-echelon pivots into fully reduced (RREF) rows."""
-    field = sweep.field
-    leads = sorted(sweep.pivots)
-    reduced = {}
-    for lead in reversed(leads):
-        vec = dict(sweep.pivots[lead][0])
-        for other, ovec in reduced.items():
-            c = vec.get(other)
-            if c is not None:
-                axpy(field, vec, field.neg(c), ovec)
-        reduced[lead] = vec
-    return [reduced[lead] for lead in leads]
-
-
 def echelon_basis(vectors, field):
     """Canonical RREF basis of the span of sparse vectors."""
     sweep = Sweep(field)
     for v in vectors:
         if v:
-            sweep.insert(dict(v))
-    return _back_reduce(sweep)
+            sweep.insert(v)
+    return [field.normalized(row, row[lead]) for lead, row in sweep.rref()]
 
 
 def quotient_basis(field, cycles, boundaries):
@@ -466,12 +594,12 @@ def quotient_basis(field, cycles, boundaries):
     boundary_rref = echelon_basis(boundaries, field)
     sweep = Sweep(field)
     for row in boundary_rref:
-        sweep.insert(dict(row))
+        sweep.insert(row)
     reps = []
     for z in cycles:
-        lead, _ = sweep.insert(dict(z))
+        lead = sweep.insert(z)
         if lead is not None:
-            reps.append(sweep.pivots[lead][0])
+            reps.append(sweep.row(lead))
     return reps, boundary_rref
 
 
@@ -484,19 +612,14 @@ class SubspaceCoords:
         self.vectors = vectors
         self.sweep = Sweep(field)
         for row in modulo:
-            self.sweep.insert(dict(row), {})
+            self.sweep.insert(row, {})
         for j, v in enumerate(vectors):
-            lead, _ = self.sweep.insert(dict(v), {j: field.one})
-            if lead is None:
+            if self.sweep.insert(v, {j: field.one}) is None:
                 raise ValueError("vectors are dependent")
 
     def find(self, vec):
         """{j: c} with vec = sum c_j vectors[j] modulo the span, or None."""
-        lead, _, track = self.sweep.reduce(dict(vec), {})
-        if lead is not None:
-            return None
-        neg = self.field.neg
-        return {j: neg(c) for j, c in track.items()}
+        return self.sweep.solution(vec)
 
     def coords(self, vec):
         out = self.find(vec)
@@ -520,7 +643,7 @@ def solve(m, b):
     """Some x with m*x = b, or None.  b is a dense sequence or sparse dict."""
     field = m.field
     if isinstance(b, dict):
-        bvec = dict(b)
+        bvec = b
     else:
         if len(b) != m.rows:
             raise ValueError("shape mismatch in solve")
@@ -528,15 +651,12 @@ def solve(m, b):
     sweep = Sweep(field)
     one = field.one
     for j in range(m.cols):
-        col = dict(m.column(j))
+        col = m.column(j)
         if col:
             sweep.insert(col, {j: one})
         # an identically zero column can never be a pivot; skip
-    lead, _, track = sweep.reduce(bvec, {})
-    if lead is not None:
-        return None
-    x = {j: field.neg(c) for j, c in track.items()}
-    return dense(x, m.cols, field)
+    x = sweep.solution(bvec)
+    return None if x is None else dense(x, m.cols, field)
 
 
 class QuotientData:

@@ -90,6 +90,16 @@ class PartialResolution:
     summands: dict   # n -> [(source idempotent, target idempotent)]
     terms: dict      # n -> [per generator: list of (y_index, u, v, coeff)]
 
+    def __post_init__(self):
+        self._hom = {}   # n -> Hom(d^n, A)
+
+    def hom_differential(self, n):
+        """Hom(P^{n-1}, A) -> Hom(P^n, A), built once per n."""
+        got = self._hom.get(n)
+        if got is None:
+            got = self._hom[n] = _hom_differential(self, n)
+        return got
+
     def summand_dims(self, n):
         A = self.algebra
         out = []
@@ -302,9 +312,9 @@ def hh_via_resolution(algebra, n, resolution=None):
     res = resolution if resolution is not None else \
         _partial_resolution(algebra)
     boundaries = [] if n == 0 else [
-        c for _, c in _hom_differential(res, n).columns_items()]
+        c for _, c in res.hom_differential(n).columns_items()]
     reps, _ = quotient_basis(
-        algebra.field, kernel_basis_sparse(_hom_differential(res, n + 1)),
+        algebra.field, kernel_basis_sparse(res.hom_differential(n + 1)),
         boundaries)
     chain_list = {0: res.chains.vertices, 1: res.chains.arrows,
                   2: res.chains.relations, 3: res.chains.overlaps}[n]
@@ -316,7 +326,7 @@ def hom_complex_ranks(resolution):
     """Kernel and image dimensions of the Hom-complex differentials."""
     out = {}
     for n in (1, 2, 3):
-        d = _hom_differential(resolution, n)
-        out[n] = {"cols": d.cols, "rank": rank(d),
-                  "kernel": d.cols - rank(d)}
+        d = resolution.hom_differential(n)
+        r = rank(d)
+        out[n] = {"cols": d.cols, "rank": r, "kernel": d.cols - r}
     return out

@@ -309,7 +309,11 @@ def _parse_term(tokens, i, quiver, field):
             i += 1
             if i >= len(tokens) or not tokens[i].isdigit():
                 raise RelationSyntaxError("bad fraction coefficient")
-            coeff = field.div(field.of(num), field.of(int(tokens[i])))
+            den = field.of(int(tokens[i]))
+            if not den:
+                raise RelationSyntaxError(
+                    f"zero denominator in coefficient {num}/{tokens[i]}")
+            coeff = field.div(field.of(num), den)
             i += 1
         else:
             coeff = field.of(num)

@@ -1,9 +1,48 @@
-"""Shared corpus: the six bundled algebras, built once per session."""
+"""Shared corpus: the six bundled algebras, built once per session; the
+all-Fraction Q field; the hypothesis profile of the suite."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hochschild.algebra import build_algebra
+from hochschild.linalg import Rationals
 from hochschild.quiver import Presentation, Quiver, parse_relation
+
+# Property tests draw the same examples on every run, and a fixed number
+# of them, so the suite stays deterministic and its wall time steady.
+settings.register_profile("suite", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("suite")
+
+
+class FractionRationals(Rationals):
+    """Q with every scalar held as a Fraction, integral or not."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, x):
+        return Fraction(x)
+
+    def add(self, a, b):
+        return Fraction(a + b)
+
+    def sub(self, a, b):
+        return Fraction(a - b)
+
+    def mul(self, a, b):
+        return Fraction(a * b)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+    def div(self, a, b):
+        return Fraction(a) / b
+
+    def addmul(self, a, c, b):
+        return Fraction(a + c * b)
 
 
 def nakayama_c_presentation():

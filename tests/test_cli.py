@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from hochschild import algfile, cli
 from hochschild.algfile import BUNDLED
-from hochschild.linalg import Rationals, field_from_tag
+from hochschild.linalg import field_from_tag
+
+from conftest import FractionRationals
 
 DATA_DIR = None
 
@@ -141,6 +142,26 @@ def test_bad_relation_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def _square_with(**changes):
+    with open(data_path("square")) as fh:
+        return dict(json.load(fh), **changes)
+
+
+@pytest.mark.parametrize("data", [
+    _square_with(field=7),
+    _square_with(field=None),
+    _square_with(relations=["a*c", 5]),
+    _square_with(relations=["a*c", None]),
+    _square_with(relations=["2/0*a*c"]),
+], ids=["field 7", "field null", "relation 5", "relation null",
+        "zero denominator"])
+def test_malformed_algebra_file_exits_2(tmp_path, capsys, data):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert cli.main(["hh", str(f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exits_2():
     proc = run_cli("hh", data_path("ex3_5_C"), "--max-degree", "3",
                    "--cap", "100")
@@ -175,34 +196,6 @@ def test_verify_paper_unknown_block():
     assert proc.returncode == 2
 
 
-class _FractionRationals(Rationals):
-    """Q with every scalar held as a Fraction, integral or not."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def of(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return Fraction(a + b)
-
-    def sub(self, a, b):
-        return Fraction(a - b)
-
-    def mul(self, a, b):
-        return Fraction(a * b)
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def addmul(self, a, c, b):
-        return Fraction(a + c * b)
-
-
 def _canonical(argv, capsys):
     assert cli.main(argv) == 0
     return capsys.readouterr().out
@@ -216,7 +209,7 @@ def _canonical(argv, capsys):
 def test_canonical_json_independent_of_scalar_type(argv, capsys, monkeypatch):
     argv = [argv[0], data_path(argv[1]), *argv[2:]]
     held_as_ints = _canonical(argv, capsys)
-    frac_q = _FractionRationals()
+    frac_q = FractionRationals()
     monkeypatch.setattr(algfile, "field_from_tag",
                         lambda tag: frac_q if tag == "Q" else field_from_tag(tag))
     held_as_fractions = _canonical(argv, capsys)

@@ -8,7 +8,7 @@ are recomputed from the raw differential matrices by rank counting.
 import pytest
 
 from hochschild.algebra import build_algebra
-from hochschild.algfile import BUNDLED, load_bundled
+from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
 from hochschild.bimodule import dual_bimodule, regular_bimodule
 from hochschild import cohomology
 from hochschild.cohomology import (
@@ -145,3 +145,24 @@ def test_bar_matrices_are_built_once(monkeypatch, name):
     hh1_via_derivations(alg, reg)
     assert builds
     assert len(builds) == len(set(builds))
+
+
+def _over(name, tag):
+    data = dict(load_bundled(name)[0], field=tag)
+    return build_algebra(parse_algebra_file(data))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_dims_agree_across_fields(name):
+    # Q eliminates with primitive integer pivots, GF(p) with lead-1
+    # pivots: for a large prime the dims agree, and over GF(2) they can
+    # only grow
+    fields = {}
+    for tag in ("Q", "Fp:10007", "Fp:2"):
+        alg = _over(name, tag)
+        fields[tag] = [[hh(alg, module, n).dim for n in range(3)]
+                       for module in (regular_bimodule(alg),
+                                      dual_bimodule(alg))]
+    assert fields["Fp:10007"] == fields["Q"]
+    for small, large in zip(fields["Fp:2"], fields["Q"]):
+        assert all(s >= q for s, q in zip(small, large))

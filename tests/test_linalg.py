@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hochschild.linalg import (
     QQ, Mat, PrimeField, SubspaceCoords, echelon_basis, kernel_basis,
-    quotient_basis, quotient_data, rank, same_subspace, solve,
+    kernel_basis_sparse, quotient_basis, quotient_data, rank, same_subspace,
+    solve,
 )
+
+from conftest import FractionRationals
 
 
 def mat(rows):
@@ -226,3 +230,232 @@ def test_subspace_coords_modulo():
 def test_subspace_coords_dependent_modulo_subspace():
     with pytest.raises(ValueError, match="dependent"):
         SubspaceCoords(QQ, [{0: 1, 1: 1}, {0: 2}], modulo=[{1: 1}])
+
+
+# -- a dense Gauss-Jordan oracle that shares no code with linalg ------------
+
+P = 10007
+FIELDS = {"QQ": QQ, "all-Fraction Q": FractionRationals(),
+          "GF(10007)": PrimeField(P)}
+
+
+class _Arith:
+    """Scalars of the oracle: Fractions over Q, ints mod P over GF(P)."""
+
+    def __init__(self, name):
+        self.modular = name == "GF(10007)"
+
+    def of(self, x):
+        x = Fraction(x)
+        if self.modular:
+            return x.numerator * pow(x.denominator, P - 2, P) % P
+        return x
+
+    def mul(self, a, b):
+        return a * b % P if self.modular else a * b
+
+    def sub(self, a, b):
+        return (a - b) % P if self.modular else a - b
+
+    def inv(self, a):
+        return pow(a, P - 2, P) if self.modular else 1 / a
+
+
+def _rref(ar, rows, width):
+    """Gauss-Jordan on dense rows: (reduced nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = ar.inv(rows[r][c])
+        rows[r] = [ar.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [ar.sub(x, ar.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def _sparse(row):
+    return {k: v for k, v in enumerate(row) if v}
+
+
+def _lead_reduce(ar, vec, pivots):
+    """Kill the lowest entry against lead-1 pivots until it is fresh."""
+    while True:
+        lead = next((k for k, v in enumerate(vec) if v), None)
+        if lead is None or lead not in pivots:
+            return lead, vec
+        c = vec[lead]
+        vec = [ar.sub(x, ar.mul(c, y)) for x, y in zip(vec, pivots[lead])]
+
+
+def _oracle_quotient(ar, cycles, boundaries, width):
+    rref, _ = _rref(ar, boundaries, width)
+    pivots = {next(k for k, v in enumerate(r) if v): r for r in rref}
+    reps = []
+    for z in cycles:
+        lead, vec = _lead_reduce(ar, z, pivots)
+        if lead is not None:
+            inv = ar.inv(vec[lead])
+            pivots[lead] = [ar.mul(inv, x) for x in vec]
+            reps.append(_sparse(pivots[lead]))
+    return reps, [_sparse(r) for r in rref]
+
+
+def _oracle_solve(ar, columns, b):
+    """x on the pivot columns with sum x_j columns[j] = b, or None."""
+    n = len(columns)
+    rows = [[col[i] for col in columns] + [b[i]] for i in range(len(b))]
+    rref, pivots = _rref(ar, rows, n + 1)
+    if n in pivots:
+        return None
+    return {c: r[n] for c, r in zip(pivots, rref) if r[n]}
+
+
+def _check_types(field, obj):
+    """QQ holds integral scalars as ints and others as Fractions; the
+    all-Fraction field holds Fractions; GF(p) holds ints in [0, p)."""
+    if obj is None:
+        return
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            _check_types(field, x)
+    elif field is QQ:
+        want = int if obj == int(obj) else Fraction
+        assert type(obj) is want, obj
+    elif isinstance(field, PrimeField):
+        assert type(obj) is int and 0 <= obj < P
+    else:
+        assert type(obj) is Fraction
+
+
+# zeros, small integers, small fractions, and large integers and fractions
+# that make the integers inside the elimination grow
+ENTRY = st.one_of(
+    st.just(0), st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.integers(-10**15, 10**15),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 40)),
+)
+
+
+@st.composite
+def column_lists(draw, height=None):
+    """Columns of one height, with zero and repeated (scaled) columns."""
+    height = draw(st.integers(1, 6)) if height is None else height
+    cols = draw(st.lists(st.lists(ENTRY, min_size=height, max_size=height),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero", "repeat"]))
+        at = draw(st.integers(0, len(cols)))
+        if kind == "zero":
+            cols.insert(at, [0] * height)
+        else:
+            src = cols[draw(st.integers(0, len(cols) - 1))]
+            k = draw(st.sampled_from([1, -1, 2, Fraction(3, 7)]))
+            cols.insert(at, [k * x for x in src])
+    return cols
+
+
+def _vectors(field, cols):
+    return [{i: field.of(x) for i, x in enumerate(c) if field.of(x)}
+            for c in cols]
+
+
+def _oracle_vectors(ar, cols):
+    return [[ar.of(x) for x in c] for c in cols]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@given(cols=column_lists())
+def test_kernel_echelon_rank_match_oracle(name, cols):
+    field, ar = FIELDS[name], _Arith(name)
+    vecs = _vectors(field, cols)
+    m = Mat(len(cols[0]), len(cols), field,
+            {j: v for j, v in enumerate(vecs) if v})
+    dense_cols = _oracle_vectors(ar, cols)
+    rows = [[c[i] for c in dense_cols] for i in range(m.rows)]
+    rref, pivots = _rref(ar, rows, m.cols)
+    kernel = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        vec = {j: ar.of(1)}
+        for c, r in zip(pivots, rref):
+            if r[j]:
+                vec[c] = ar.sub(0, r[j])
+        kernel.append(vec)
+    got = kernel_basis_sparse(m)
+    assert got == kernel
+    _check_types(field, got)
+    assert rank(m) == len(pivots)
+    echelon = echelon_basis(vecs, field)
+    assert echelon == [_sparse(r) for r in _rref(ar, dense_cols, m.rows)[0]]
+    _check_types(field, echelon)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@given(cycles=column_lists(height=5), boundaries=column_lists(height=5))
+def test_quotient_basis_matches_oracle(name, cycles, boundaries):
+    field, ar = FIELDS[name], _Arith(name)
+    got = quotient_basis(field, _vectors(field, cycles),
+                         _vectors(field, boundaries))
+    assert got == _oracle_quotient(ar, _oracle_vectors(ar, cycles),
+                                   _oracle_vectors(ar, boundaries), 5)
+    _check_types(field, got)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@given(vectors=column_lists(height=5), modulo=column_lists(height=5),
+       queries=column_lists(height=5),
+       combo=st.lists(st.integers(-3, 3), min_size=12, max_size=12))
+def test_subspace_coords_match_oracle(name, vectors, modulo, queries, combo):
+    field, ar = FIELDS[name], _Arith(name)
+    # an independent family modulo an RREF list, as the engines build it
+    modulo = echelon_basis(_vectors(field, modulo), field)
+    reps, _ = quotient_basis(field, _vectors(field, vectors), modulo)
+    coords = SubspaceCoords(field, reps, modulo=modulo)
+    family = [[r.get(i, 0) for i in range(5)] for r in reps + modulo]
+    oracle_family = _oracle_vectors(ar, family)
+    # arbitrary queries, and one in the span
+    queries.append([sum(Fraction(c) * v[i] for c, v in zip(combo, family))
+                    for i in range(5)])
+    for q in queries:
+        got = coords.find(_vectors(field, [q])[0])
+        want = _oracle_solve(ar, oracle_family, _oracle_vectors(ar, [q])[0])
+        if want is not None:
+            want = {j: c for j, c in want.items() if j < len(reps)}
+        assert got == want
+        _check_types(field, got)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@given(cols=column_lists(), rhs=st.data())
+def test_solve_matches_oracle(name, cols, rhs):
+    field, ar = FIELDS[name], _Arith(name)
+    height = len(cols[0])
+    m = Mat(height, len(cols), field,
+            {j: v for j, v in enumerate(_vectors(field, cols)) if v})
+    b = rhs.draw(st.one_of(
+        st.lists(ENTRY, min_size=height, max_size=height),
+        st.lists(st.integers(-2, 2), min_size=len(cols),
+                 max_size=len(cols)).map(
+            lambda x: [sum(Fraction(a) * c[i] for a, c in zip(x, cols))
+                       for i in range(height)])))
+    got = solve(m, [field.of(v) for v in b])
+    want = _oracle_solve(ar, _oracle_vectors(ar, cols),
+                         [ar.of(v) for v in b])
+    if want is None:
+        assert got is None
+    else:
+        assert got == tuple(want.get(j, 0) for j in range(len(cols)))
+        _check_types(field, got)

@@ -147,3 +147,24 @@ def test_cached_resolution_gives_identical_hh(corpus, resolutions, name,
     fresh = [hh_via_resolution(corpus[name], n, resolutions[name])
              for n in (0, 1, 2)]
     assert first == again == fresh
+
+
+def test_hom_differentials_are_built_once(monkeypatch):
+    # hh^0..hh^2 need Hom(d^1), Hom(d^2) and Hom(d^3), each once; the
+    # bookkeeping of hom_complex_ranks reuses them
+    from hochschild import minres
+    from hochschild.algebra import build_algebra
+    from hochschild.algfile import load_bundled
+    alg = build_algebra(load_bundled("ex3_5_C")[1])
+    build = minres._hom_differential
+    builds = []
+
+    def counted(resolution, n):
+        builds.append(n)
+        return build(resolution, n)
+
+    monkeypatch.setattr(minres, "_hom_differential", counted)
+    dims = [hh_via_resolution(alg, n).dim for n in (0, 1, 2)]
+    hom_complex_ranks(minres._partial_resolution(alg))
+    assert sorted(builds) == [1, 2, 3]
+    assert dims == [hh(alg, regular_bimodule(alg), n).dim for n in (0, 1, 2)]
