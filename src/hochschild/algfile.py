@@ -103,19 +103,33 @@ def parse_bimodule_file(data, algebra):
         right = data["right"]
     except (KeyError, TypeError) as exc:
         raise AlgebraFileError(f"missing key in bimodule file: {exc}")
-    if len(left) != algebra.dim or len(right) != algebra.dim:
+    if type(dim) is not int or dim < 0:
+        raise AlgebraFileError("bimodule dimension must be a non-negative "
+                               f"integer, not {dim!r}")
+    if not isinstance(left, list) or not isinstance(right, list) \
+            or len(left) != algebra.dim or len(right) != algebra.dim:
         raise AlgebraFileError("need one action matrix per algebra basis vector")
     field = algebra.field
 
     def mat(rows):
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        if not isinstance(rows, list) or len(rows) != dim \
+                or not all(isinstance(r, list) and len(r) == dim
+                           for r in rows):
             raise AlgebraFileError("action matrix has the wrong shape")
-        return Mat.from_rows([[field.of(v) for v in row] for row in rows],
-                             field)
+        try:
+            return Mat.from_rows([[field.of(v) for v in row] for row in rows],
+                                 field)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise AlgebraFileError(f"bad action matrix entry: {exc}")
 
+    labels = data.get("labels")
+    if labels is not None and (
+            not isinstance(labels, list) or len(labels) != dim
+            or not all(isinstance(label, str) for label in labels)):
+        raise AlgebraFileError("labels must be a list of one string per "
+                               "basis vector")
     return Bimodule(algebra, dim, [mat(m) for m in left],
-                    [mat(m) for m in right],
-                    labels=data.get("labels"), product=None)
+                    [mat(m) for m in right], labels=labels, product=None)
 
 
 def load_bimodule_file(path, algebra):

@@ -2,7 +2,10 @@
 
 Cochains in degree n are linear maps A^{(x)n} -> M stored sparsely in the
 tensor-product bases.  The bar formula is written once, in `_bar_column`;
-every differential here and in `extcohom` is assembled from it.
+every differential here is assembled from it.  `extcohom` computes
+E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the `NormalizedComplex`
+with coefficients C (x)_k C, and `extension` checks the surjectivity
+witness with `bar_apply`.
 
 `hh` takes kernel modulo image of one complex, on one code path:
 
@@ -19,7 +22,9 @@ every differential here and in `extcohom` is assembled from it.
 
 Both complexes cache their differentials on the module, so hh^{n+1}
 reuses the matrix hh^n built.  Representatives and class coordinates
-come from `linalg.quotient_basis` and `linalg.SubspaceCoords`.
+come from `linalg.quotient_basis` and `linalg.SubspaceCoords`;
+`CohomologySpace.vector_coords` gives the class of a vector of the
+complex, `class_coords` that of a cochain.
 
 Everything is deterministic: fixed basis orders, fixed pivot rule, and
 degree-1 representatives are normalized to vanish on idempotents so that
@@ -523,14 +528,21 @@ class CohomologySpace:
     def is_cocycle(self, cochain):
         return not self._cocycle_matrix.matvec(self._vec(cochain))
 
-    def class_coords(self, cochain):
-        """Coordinates of [cochain] in the representative basis."""
-        vec = self._vec(cochain)
+    def vector_coords(self, vec):
+        """Sparse class coordinates of a vector of the complex, or None if
+        it is not a cocycle."""
         if self._cocycle_matrix.matvec(vec):
-            raise ValueError("not a cocycle")
+            return None
         found = self._classes.find(vec)
         if found is None:
             raise AssertionError("cocycle escaped span of classes")
+        return found
+
+    def class_coords(self, cochain):
+        """Coordinates of [cochain] in the representative basis."""
+        found = self.vector_coords(self._vec(cochain))
+        if found is None:
+            raise ValueError("not a cocycle")
         return dense(found, self.dim, self.algebra.field)
 
     def class_is_zero(self, cochain):

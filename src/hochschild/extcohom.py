@@ -2,10 +2,11 @@
 
 E_m is hh^m(C, Hom_k(DC, C)), and Hom_k(DC, C) = C (x)_k C with C acting
 on the left factor from the left and on the right factor from the right
-(`_ext_coefficients`).  Its complex is therefore the normalized bar
-complex of C with those coefficients: the bar formula of
-`cohomology._bar_column`, restricted to radical arguments, on the basis
-(u, chain, v) of g_u (x) chain -> b_v.  Written out, the differential is
+(`_ext_coefficients`, basis u * dim C + v, Peirce tag (s(u), t(v))).  Its
+complex is therefore the engine's `NormalizedComplex` of C with those
+coefficients, and E_m is that complex's `CohomologySpace` in degree m:
+the basis vector (chain, u * dim C + v) is g_u (x) chain -> b_v.  Written
+out, the differential is
 
     dth(f (x) a_0 (x) ... (x) a_m) = th(f.a_0 (x) a_1 ...)
         + sum_i (-1)^i th(f (x) ... a_{i-1} a_i ...)
@@ -23,17 +24,19 @@ B = C |x E_m the induced endomorphism witnesses the surjectivity of the
 degree-1 projection morphism.
 
 `ambient_differential_apply` evaluates the displayed formula on the full,
-unnormalized space by its own loops.  It is kept on purpose as the
-independent reference the normalized differential is checked against.
+unnormalized space (coordinates `ambient_index`) by its own loops.  It is
+kept on purpose as the independent reference the normalized differential
+is checked against.
 """
 
 import random
 
 from .bimodule import Bimodule
-from .cohomology import CapExceeded, _subcomplex_differential, is_derivation
-from .linalg import (
-    Mat, SubspaceCoords, axpy, kernel_basis_sparse, quotient_basis,
+from .cohomology import (
+    CapExceeded, CohomologySpace, _factorizations, _normalized_complex,
+    is_derivation,
 )
+from .linalg import Mat, axpy
 
 EXT_DEGREE_CAP = 3
 EXT_SIZE_CAP = 2_000_000  # (dim C)^(m+2)
@@ -45,97 +48,6 @@ def _check_ext_cap(C, m):
     if m > EXT_DEGREE_CAP or C.dim ** (m + 2) > EXT_SIZE_CAP:
         raise CapExceeded(
             f"Ext complex at degree {m} exceeds the configured size guard")
-
-
-class ExtComplex:
-    """Normalized cochains of Hom_k(DC (x) C^{(x)m}, C) for one algebra.
-
-    Basis in degree m: (u, chain, v) with u indexing the dual vector g_u
-    (nonzero against e_{s(u)} on the right), chain a composable radical
-    tuple starting at s(u), and v a basis vector of C e_{end}.
-    """
-
-    def __init__(self, C):
-        if not C.is_peirce_graded() or not C.radical_complement_closed():
-            raise ValueError("Ext complex needs a Peirce-graded algebra")
-        self.C = C
-        self.r = list(C.radical_indices)
-        self.src = {i: C.peirce[i][0] for i in self.r}
-        self.tgt = {i: C.peirce[i][1] for i in self.r}
-        self.by_src = {}
-        for i in self.r:
-            self.by_src.setdefault(self.src[i], []).append(i)
-        self.all_src = {i: C.peirce[i][0] for i in range(C.dim)}
-        self.all_tgt = {i: C.peirce[i][1] for i in range(C.dim)}
-        self.val_by_tgt = {}
-        for i in range(C.dim):
-            self.val_by_tgt.setdefault(self.all_tgt[i], []).append(i)
-        self._basis = {}
-        self._diff = {}
-
-    def chains(self, m, start):
-        if m == 0:
-            return [()]
-        out = []
-        for w in self.by_src.get(start, ()):  # noqa: E501 - chains grown left to right
-            if m == 1:
-                out.append((w,))
-            else:
-                for rest in self.chains(m - 1, self.tgt[w]):
-                    out.append((w,) + rest)
-        return out
-
-    def basis(self, m):
-        got = self._basis.get(m)
-        if got is not None:
-            return got
-        flat, pos = [], {}
-        for u in range(self.C.dim):
-            su = self.all_src[u]
-            for chain in self.chains(m, su):
-                end = self.tgt[chain[-1]] if chain else su
-                for v in self.val_by_tgt.get(end, ()):
-                    pos[(u, chain, v)] = len(flat)
-                    flat.append((u, chain, v))
-        self._basis[m] = (flat, pos)
-        return self._basis[m]
-
-    def dim(self, m):
-        return len(self.basis(m)[0])
-
-    def differential(self, m):
-        """The bar differential with coefficients in C (x)_k C on the
-        (u, chain, v) bases of degrees m and m + 1."""
-        got = self._diff.get(m)
-        if got is None:
-            d = self.C.dim
-            flat, pos = self.basis(m + 1)
-            got = self._diff[m] = _subcomplex_differential(
-                self.C, _ext_coefficients(self.C), m,
-                [(chain, u * d + v) for u, chain, v in self.basis(m)[0]],
-                lambda chain, uv: pos.get((uv // d, chain, uv % d)),
-                len(flat))
-        return got
-
-    # -- ambient coordinates ---------------------------------------------------
-
-    def ambient_dim(self, m):
-        return self.C.dim ** (m + 2)
-
-    def ambient_index(self, u, slots, row):
-        d = self.C.dim
-        idx = u
-        for s in slots:
-            idx = idx * d + s
-        return idx * d + row
-
-    def embed_ambient(self, m, nvec):
-        flat, _ = self.basis(m)
-        out = {}
-        for k, c in nvec.items():
-            u, chain, v = flat[k]
-            out[self.ambient_index(u, chain, v)] = c
-        return out
 
 
 def _ext_coefficients(C):
@@ -156,39 +68,49 @@ def _ext_coefficients(C):
     return got
 
 
-def _ext_complex(C):
-    got = getattr(C, "_ext_complex", None)
-    if got is None:
-        got = ExtComplex(C)
-        C._ext_complex = got
-    return got
+def ambient_dim(C, m):
+    """Dimension of the unnormalized space Hom_k(DC (x) C^{(x)m}, C)."""
+    return C.dim ** (m + 2)
+
+
+def ambient_index(C, u, slots, row):
+    """Ambient coordinate of g_u (x) slots -> b_row, u most significant."""
+    d = C.dim
+    idx = u
+    for s in slots:
+        idx = idx * d + s
+    return idx * d + row
+
+
+def embed_ambient(C, m, nvec):
+    """A vector of the Ext complex in ambient coordinates."""
+    d = C.dim
+    flat, _ = _normalized_complex(C, _ext_coefficients(C)).basis(m)
+    out = {}
+    for k, c in nvec.items():
+        chain, uv = flat[k]
+        u, v = divmod(uv, d)
+        out[ambient_index(C, u, chain, v)] = c
+    return out
 
 
 class ExtBimodule(Bimodule):
-    """E_m as a concrete bimodule, with its quotient bookkeeping attached."""
+    """E_m as a concrete bimodule on the classes of its CohomologySpace."""
 
-    def __init__(self, C, m, complex_, reps, classes, left, right, labels):
-        self.ext_degree = m
-        self.complex = complex_
-        self._reps = reps
-        self._classes = classes
-        super().__init__(C, len(reps), left, right, labels=labels, product={})
+    def __init__(self, space, left, right, labels):
+        self.ext_degree = space.degree
+        self.space = space
+        super().__init__(space.algebra, space.dim, left, right,
+                         labels=labels, product={})
 
     def representatives(self):
         """Normalized cocycle vectors representing the chosen basis."""
-        return [dict(r) for r in self._reps]
-
-    def ambient_representatives(self):
-        return [self.complex.embed_ambient(self.ext_degree, r)
-                for r in self._reps]
+        return [dict(r) for r in self.space._reps_vecs]
 
     def class_coords(self, nvec):
-        diff = self.complex.differential(self.ext_degree)
-        if diff.matvec(nvec):
-            raise ValueError("not a cocycle of the Ext complex")
-        found = self._classes.find(nvec)
+        found = self.space.vector_coords(nvec)
         if found is None:
-            raise AssertionError("cocycle escaped the class span")
+            raise ValueError("not a cocycle of the Ext complex")
         return found
 
 
@@ -202,55 +124,46 @@ def ext_dual_bimodule(C, m):
         return got
     _check_ext_cap(C, m)
     field = C.field
-    nc = _ext_complex(C)
-    d_m = nc.differential(m)
-    boundaries = [] if m == 0 else [
-        c for _, c in nc.differential(m - 1).columns_items()]
-    reps, cob = quotient_basis(field, kernel_basis_sparse(d_m), boundaries)
-    classes = SubspaceCoords(field, reps, modulo=cob)
-
-    flat, pos = nc.basis(m)
-    dim = len(reps)
+    d = C.dim
+    # not hh, which takes the bar complex in degrees 0 and 1
+    space = CohomologySpace(_normalized_complex(C, _ext_coefficients(C)), m)
+    flat, pos = space.complex.basis(m)
 
     def act_vec(nvec, c, side):
         out = {}
         for k, coeff in nvec.items():
-            u, chain, v = flat[k]
+            chain, uv = flat[k]
+            u, v = divmod(uv, d)
             if side == "left":  # c.th = c th(-)
-                image = {pos[(u, chain, v2)]: w
+                image = {pos[(chain, u * d + v2)]: w
                          for v2, w in C.structure.get((c, v), {}).items()}
             else:  # th.c = th(c.f (x) -)
-                image = {pos[(u2, chain, v)]: w
+                image = {pos[(chain, u2 * d + v)]: w
                          for u2, w in C.structure.get((u, c), {}).items()}
             axpy(field, out, coeff, image)
         return out
 
-    lcols = {c: {} for c in range(C.dim)}
-    rcols = {c: {} for c in range(C.dim)}
-
     def class_coords(nvec):
-        if d_m.matvec(nvec):
+        found = space.vector_coords(nvec)
+        if found is None:
             raise ValueError("action image is not a cocycle: "
                              "the actions do not descend")
-        found = classes.find(nvec)
-        if found is None:
-            raise AssertionError("cocycle escaped the class span")
         return found
 
-    for c in range(C.dim):
-        for k, rep in enumerate(reps):
+    lcols = {c: {} for c in range(d)}
+    rcols = {c: {} for c in range(d)}
+    for c in range(d):
+        for k, rep in enumerate(space._reps_vecs):
             img = class_coords(act_vec(rep, c, "left"))
             if img:
                 lcols[c][k] = img
             img = class_coords(act_vec(rep, c, "right"))
             if img:
                 rcols[c][k] = img
-    left = [Mat(dim, dim, field, {k: col for k, col in lcols[c].items() if col})
-            for c in range(C.dim)]
-    right = [Mat(dim, dim, field, {k: col for k, col in rcols[c].items() if col})
-             for c in range(C.dim)]
-    labels = [f"ext{m}_{k}" for k in range(dim)]
-    out = ExtBimodule(C, m, nc, reps, classes, left, right, labels)
+    left = [Mat(space.dim, space.dim, field, lcols[c]) for c in range(d)]
+    right = [Mat(space.dim, space.dim, field, rcols[c]) for c in range(d)]
+    labels = [f"ext{m}_{k}" for k in range(space.dim)]
+    out = ExtBimodule(space, left, right, labels)
     cache[m] = out
     return out
 
@@ -288,9 +201,8 @@ class DerivationAction:
         self.zeta = zeta
         self.values = _derivation_values(C, zeta)
         self.ext = ext if ext is not None else ext_dual_bimodule(C, m)
-        self.complex = self.ext.complex
         field = C.field
-        flat, pos = self.complex.basis(m)
+        flat, pos = self.ext.space.complex.basis(m)
         self._flat, self._pos = flat, pos
         cols = {}
         for idx in range(len(flat)):
@@ -306,9 +218,11 @@ class DerivationAction:
         self.induced = Mat(self.ext.dim, self.ext.dim, field, ind)
 
     def normalized_column(self, idx):
-        field = self.C.field
+        C = self.C
+        field = C.field
         flat, pos = self._flat, self._pos
-        u, chain, v = flat[idx]
+        chain, uv = flat[idx]
+        u, v = divmod(uv, C.dim)
         col = {}
 
         def put(key, value):
@@ -327,20 +241,20 @@ class DerivationAction:
         # sum_j th(f (x) .. z(a_j) ..): z(x) hits chain slot p
         for p in range(self.m):
             target = chain[p]
-            for x in self.complex.r:
+            for x in C.radical_indices:
                 zx = self.values.get(x)
                 if zx and target in zx:
-                    put((u, chain[:p] + (x,) + chain[p + 1:], v), zx[target])
+                    put((chain[:p] + (x,) + chain[p + 1:], uv), zx[target])
         # - th(f o z (x) a): (g_{u'} o z) has g_u coefficient z(u)_{u'}
         zu = self.values.get(u)
         if zu:
             for u2, c in zu.items():
-                put((u2, chain, v), field.neg(c))
+                put((chain, u2 * C.dim + v), field.neg(c))
         # - z(th(f (x) a))
         zv = self.values.get(v)
         if zv:
             for v2, c in zv.items():
-                put((u, chain, v2), field.neg(c))
+                put((chain, u * C.dim + v2), field.neg(c))
         return col
 
     # -- ambient evaluators (full complex, for cross-checks) -------------------
@@ -372,18 +286,18 @@ class DerivationAction:
                 for x in range(d):
                     zx = self.values.get(x)
                     if zx and slots[p] in zx:
-                        add(self.complex.ambient_index(
-                            u, slots[:p] + [x] + slots[p + 1:], v),
+                        add(ambient_index(
+                            C, u, slots[:p] + [x] + slots[p + 1:], v),
                             field.mul(coeff, zx[slots[p]]))
             zu = self.values.get(u)
             if zu:
                 for u2, c in zu.items():
-                    add(self.complex.ambient_index(u2, slots, v),
+                    add(ambient_index(C, u2, slots, v),
                         field.neg(field.mul(coeff, c)))
             zv = self.values.get(v)
             if zv:
                 for v2, c in zv.items():
-                    add(self.complex.ambient_index(u, slots, v2),
+                    add(ambient_index(C, u, slots, v2),
                         field.neg(field.mul(coeff, c)))
         return out
 
@@ -392,7 +306,7 @@ def ambient_differential_apply(C, m, vec):
     """The Ext-complex differential on an ambient sparse vector."""
     field = C.field
     d = C.dim
-    nc = _ext_complex(C)
+    fact = _factorizations(C)
     out = {}
 
     def add(idx, c):
@@ -418,15 +332,14 @@ def ambient_differential_apply(C, m, vec):
             if not prod:
                 continue
             for u2, c in prod.items():
-                add(nc.ambient_index(u2, [b0] + slots, v),
+                add(ambient_index(C, u2, [b0] + slots, v),
                     field.mul(coeff, c))
         # contractions
-        from .cohomology import _factorizations
-        fact = _factorizations(C)
         for p in range(m):
             sign = field.one if (p + 1) % 2 == 0 else minus_one
             for (x, y, c) in fact.get(slots[p], ()):
-                add(nc.ambient_index(u, slots[:p] + [x, y] + slots[p + 1:], v),
+                add(ambient_index(C, u, slots[:p] + [x, y] + slots[p + 1:],
+                                  v),
                     field.mul(field.mul(sign, c), coeff))
         # th(...).b_m
         sign = field.one if (m + 1) % 2 == 0 else minus_one
@@ -435,7 +348,7 @@ def ambient_differential_apply(C, m, vec):
             if not prod:
                 continue
             for v2, c in prod.items():
-                add(nc.ambient_index(u, slots + [bm], v2),
+                add(ambient_index(C, u, slots + [bm], v2),
                     field.mul(field.mul(sign, c), coeff))
     return out
 
@@ -450,8 +363,7 @@ def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
     _check_ext_cap(C, m + 1)
     action_m = DerivationAction(C, m, zeta)
     action_m1 = DerivationAction(C, m + 1, zeta)
-    nc = _ext_complex(C)
-    dim = nc.ambient_dim(m)
+    dim = ambient_dim(C, m)
     checked = 0
     if dim <= ambient_limit:
         field = C.field

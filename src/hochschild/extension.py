@@ -19,7 +19,7 @@ from .cohomology import (
     Cochain, bar_apply, cup, hh, random_cochain,
     random_normalized_cochain, transport,
 )
-from .linalg import Mat, axpy, kernel_basis_sparse, rank
+from .linalg import Mat, axpy, kernel_basis_sparse, rank, scale
 
 
 class SplitExtensionData:
@@ -570,91 +570,55 @@ def check_surjectivity_witness(ext, n, zeta, alpha):
     (n = 1) or as {(p, q): matrix} per component.  All three conditions
     say that the vertical differential of the zero-extended alpha equals
     the cup pairing of the identity with zeta.
+
+    alpha is zero-extended to a degree-n cochain on B with regular
+    coefficients and values in i(E), and the conditions are read off its
+    bar differential at the tuples with one E slot.  There no E.E product
+    arises, and the terms where E would act on E meet alpha on a pure-C
+    tuple, where it is 0, so the bar differential is the vertical one.
+    This reads B in the layout `trivial_extension` and `split_extension`
+    build: C's basis, then E's, with q and i the coordinate inclusions.
+    Any other layout raises ValueError.
     """
-    C, E = ext.C, ext.E
+    C, E, B = ext.C, ext.E, ext.B
     field = C.field
     if zeta.degree != n:
         raise ValueError("witness degree mismatch")
-    regC = regular_bimodule(C)
-    if not bar_apply(C, regC, n, zeta).is_zero():
+    if not bar_apply(C, regular_bimodule(C), n, zeta).is_zero():
         raise ValueError("zeta is not a cocycle")
     d = C.dim
-
-    def alpha_eval(slots):
-        """slots: list of ('C', basis) / ('E', sparse E vector)."""
-        pos = next(k for k, s in enumerate(slots) if s[0] == "E")
+    if any(ext.q.column(j) != {j: field.one} for j in range(d)) \
+            or any(ext.i.column(k) != {d + k: field.one}
+                   for k in range(E.dim)):
+        raise ValueError("the witness check needs B laid out as C's basis "
+                         "then E's, with q and i the coordinate inclusions")
+    values = {}
+    for pos in range(n):
         comp = _alpha_component(alpha, E, n, pos)
-        evec = slots[pos][1]
-        prefix = 0
-        for s in slots[:pos]:
-            prefix = prefix * d + s[1]
-        suffix = 0
-        for s in slots[pos + 1:]:
-            suffix = suffix * d + s[1]
-        out = {}
-        for e, c in evec.items():
-            col = comp.column((prefix * E.dim + e) * (d ** (n - 1 - pos))
-                              + suffix)
-            axpy(field, out, c, col)
-        return out
+        for col, (pre, e, post) in enumerate(itertools.product(
+                itertools.product(range(d), repeat=pos), range(E.dim),
+                itertools.product(range(d), repeat=n - 1 - pos))):
+            values[pre + (d + e,) + post] = ext.i.matvec(comp.column(col))
+    regB = regular_bimodule(B)
+    image = bar_apply(B, regB, n, Cochain.from_values(B, regB, n, values))
 
-    def vertical_value(slots):
-        """Bar differential of the zero-extension of alpha at the tuple."""
-        total = {}
-        # first term: slots[0] . alpha(rest); alpha vanishes on pure-C tuples
-        if slots[0][0] == "C" and any(s[0] == "E" for s in slots[1:]):
-            val = alpha_eval(slots[1:])
-            axpy(field, total, field.one, E.left[slots[0][1]].matvec(val))
-        # contracted terms
-        for j in range(1, len(slots)):
-            sign = field.one if j % 2 == 0 else field.of(-1)
-            a, b = slots[j - 1], slots[j]
-            merged = None
-            if a[0] == "C" and b[0] == "C":
-                prod = C.structure.get((a[1], b[1]), {})
-                for k, c in prod.items():
-                    sub = slots[:j - 1] + [("C", k)] + slots[j + 1:]
-                    if any(s[0] == "E" for s in sub):
-                        axpy(field, total, field.mul(sign, c), alpha_eval(sub))
-                continue
-            if a[0] == "C" and b[0] == "E":
-                merged = ("E", dict(E.left[a[1]].matvec(b[1])))
-            elif a[0] == "E" and b[0] == "C":
-                merged = ("E", dict(E.right[b[1]].matvec(a[1])))
-            else:
-                # two E factors never occur with a single E slot
-                continue
-            sub = slots[:j - 1] + [merged] + slots[j + 1:]
-            axpy(field, total, sign, alpha_eval(sub))
-        # last term: alpha(...) . slots[-1]
-        if slots[-1][0] == "C" and any(s[0] == "E" for s in slots[:-1]):
-            sign = field.one if (len(slots)) % 2 == 0 else field.of(-1)
-            val = alpha_eval(slots[:-1])
-            axpy(field, total, sign, E.right[slots[-1][1]].matvec(val))
-        return total
-
+    sign = field.one if (n + 1) % 2 == 0 else field.of(-1)
     conditions = {"c1": True, "c2": True, "c3": True}
     for theta in range(E.dim):
         evec = {theta: field.one}
         for tup in itertools.product(range(d), repeat=n):
             zeta_val = zeta.value(tup)
             # (C1): theta at the front
-            want = dict(E.right_of(zeta_val).matvec(evec))
-            got = vertical_value([("E", evec)] + [("C", c) for c in tup])
-            if want != got:
+            want = E.right_of(zeta_val).matvec(evec)
+            if image.value((d + theta,) + tup) != ext.i.matvec(want):
                 conditions["c1"] = False
             # (C2): theta at the back, sign (-1)^{n+1}
-            sign = field.one if (n + 1) % 2 == 0 else field.of(-1)
-            want = {k: field.mul(sign, v)
-                    for k, v in E.left_of(zeta_val).matvec(evec).items()}
-            got = vertical_value([("C", c) for c in tup] + [("E", evec)])
-            if want != got:
+            want = scale(field, E.left_of(zeta_val).matvec(evec), sign)
+            if image.value(tup + (d + theta,)) != ext.i.matvec(want):
                 conditions["c2"] = False
             # (C3): theta strictly inside, the value must vanish
             for pos in range(1, n):
-                slots = [("C", c) for c in tup[:pos]] + [("E", evec)] \
-                    + [("C", c) for c in tup[pos:]]
-                if vertical_value(slots):
+                if image.value(tup[:pos] + (d + theta,) + tup[pos:]):
                     conditions["c3"] = False
     conditions["pass"] = all(conditions.values())
     return conditions

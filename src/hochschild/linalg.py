@@ -589,18 +589,21 @@ def quotient_basis(field, cycles, boundaries):
 
     Each cycle in turn is reduced against the boundaries' RREF and the
     representatives kept so far; a survivor is scaled to lead 1 and kept.
-    Returns (reps, boundary_rref).
+    The boundaries' primitive RREF rows become the pivots the cycles meet
+    as they are.  Returns (reps, boundary_rref), the RREF scaled to lead 1.
     """
-    boundary_rref = echelon_basis(boundaries, field)
     sweep = Sweep(field)
-    for row in boundary_rref:
-        sweep.insert(row)
+    for v in boundaries:
+        if v:
+            sweep.insert(v)
+    rref = sweep.rref()
+    sweep.pivots = {lead: (row, None) for lead, row in rref}
     reps = []
     for z in cycles:
         lead = sweep.insert(z)
         if lead is not None:
             reps.append(sweep.row(lead))
-    return reps, boundary_rref
+    return reps, [field.normalized(row, row[lead]) for lead, row in rref]
 
 
 class SubspaceCoords:

@@ -162,6 +162,54 @@ def test_malformed_algebra_file_exits_2(tmp_path, capsys, data):
     assert "error:" in capsys.readouterr().err
 
 
+_ZERO = [["0", "0"], ["0", "0"]]
+
+
+def _ex3_8_bimodule_with(**changes):
+    # zero action matrices of the right shapes over ex3_8_C (dim 7)
+    return dict({"dimension": 2, "left": [_ZERO] * 7, "right": [_ZERO] * 7},
+                **changes)
+
+
+def _first_left(matrix):
+    return _ex3_8_bimodule_with(left=[matrix] + [_ZERO] * 6)
+
+
+@pytest.mark.parametrize("data", [
+    _ex3_8_bimodule_with(left=5, right=5),
+    _ex3_8_bimodule_with(dimension=2.0),
+    _first_left(None),
+    _first_left([5, ["0", "0"]]),
+    _first_left([[None, "0"], ["0", "0"]]),
+    _first_left([[["1"], "0"], ["0", "0"]]),
+    _first_left([["1/0", "0"], ["0", "0"]]),
+], ids=["left 5", "dimension 2.0", "null matrix", "int row", "null entry",
+        "list entry", "zero denominator"])
+def test_malformed_bimodule_file_exits_2(tmp_path, capsys, data):
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(data))
+    assert cli.main(["hh", data_path("ex3_8_C"), "--module",
+                     f"file:{f}"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [5, ["a", "b"], [None]],
+                         ids=["int", "too many", "null"])
+def test_bimodule_file_with_bad_labels_exits_2(tmp_path, capsys, labels):
+    # the regular bimodule of the one-vertex algebra; phi reads the labels
+    alg = tmp_path / "point.json"
+    alg.write_text(json.dumps({
+        "field": "Q", "vertices": ["v"], "arrows": [], "relations": [],
+    }))
+    bim = tmp_path / "bim.json"
+    bim.write_text(json.dumps({
+        "dimension": 1, "left": [[["1"]]], "right": [[["1"]]],
+        "labels": labels,
+    }))
+    assert cli.main(["phi", str(alg), "--bimodule", f"file:{bim}"]) == 2
+    assert "labels" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exits_2():
     proc = run_cli("hh", data_path("ex3_5_C"), "--max-degree", "3",
                    "--cap", "100")

@@ -87,24 +87,27 @@ def test_actions_commute_with_differential_on_basis(triangle_c):
     # well-definedness: each action maps cocycles to cocycles (certified in
     # construction) and commutes with the differential on the whole space
     from hochschild.linalg import Mat
-    nc = ext_dual_bimodule(triangle_c, 2).complex
+    nc = ext_dual_bimodule(triangle_c, 2).space.complex
     d2 = nc.differential(2)
     flat2, pos2 = nc.basis(2)
     flat3, pos3 = nc.basis(3)
     C = triangle_c
     field = C.field
+    d = C.dim
 
     def act_matrix(basis, posmap, c, side):
+        # the basis vector (chain, u*d + v) is g_u (x) chain -> b_v
         cols = {}
-        for k, (u, chain, v) in enumerate(basis):
+        for k, (chain, uv) in enumerate(basis):
+            u, v = divmod(uv, d)
             col = {}
             prod = C.structure.get((c, v)) if side == "left" \
                 else C.structure.get((u, c))
             if not prod:
                 continue
             for w, coeff in prod.items():
-                key = posmap.get((u, chain, w) if side == "left"
-                                 else (w, chain, v))
+                key = posmap.get((chain, u * d + w) if side == "left"
+                                 else (chain, w * d + v))
                 if key is not None:
                     col[key] = coeff
             if col:
@@ -185,6 +188,26 @@ def test_witness_satisfies_conditions_triangle(triangle_c):
         assert report["c1"] and report["c2"] and report["pass"]
 
 
+@pytest.mark.parametrize("name,m,flags", [
+    ("triangle_c", 2, (False, False, True)),
+    ("square", 2, (True, False, True)),
+    ("nakayama_c", 0, (False, False, True)),
+])
+def test_doubled_witness_fails(corpus, name, m, flags):
+    # twice the induced action breaks the conditions wherever it is nonzero;
+    # expected flags as the hand-written vertical differential gave them
+    C = corpus[name]
+    E = ext_dual_bimodule(C, m)
+    ext = trivial_extension(C, E)
+    zeta = hh(C, regular_bimodule(C), 1).representative(0)
+    act = DerivationAction(C, m, zeta, ext=E)
+    assert not act.induced.is_zero()
+    report = check_surjectivity_witness(ext, 1, zeta,
+                                        act.induced.scaled(QQ.of(2)))
+    assert (report["c1"], report["c2"], report["c3"]) == flags
+    assert not report["pass"]
+
+
 @pytest.mark.parametrize("name,m", [
     ("triangle_c", 2), ("kite_c", 2), ("nakayama_c", 1), ("square", 2),
 ])
@@ -232,18 +255,17 @@ def test_degree_cap():
 
 def full_ambient_ext_dim(C, m):
     """Brute-force E_m from the full ambient complex, rank counting only."""
-    from hochschild.extcohom import ambient_differential_apply, _ext_complex
+    from hochschild.extcohom import ambient_differential_apply, ambient_dim
     from hochschild.linalg import Mat, rank
-    nc = _ext_complex(C)
     field = C.field
 
     def matrix(deg):
         cols = {}
-        for idx in range(nc.ambient_dim(deg)):
+        for idx in range(ambient_dim(C, deg)):
             col = ambient_differential_apply(C, deg, {idx: field.one})
             if col:
                 cols[idx] = col
-        return Mat(nc.ambient_dim(deg + 1), nc.ambient_dim(deg), field, cols)
+        return Mat(ambient_dim(C, deg + 1), ambient_dim(C, deg), field, cols)
 
     d_m = matrix(m)
     kernel_dim = d_m.cols - rank(d_m)

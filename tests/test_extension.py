@@ -338,6 +338,38 @@ def test_witness_for_regular_coefficients_degree2(triangle_c):
     assert report["pass"]
 
 
+# expected flags as the hand-written vertical differential gave them
+@pytest.mark.parametrize("name,n,signs,flags", [
+    ("nakayama_c", 1, (1,), (False, False, True)),
+    ("triangle_c", 1, (2,), (False, False, True)),
+    ("triangle_c", 2, (-1, 1), (True, False, False)),
+    ("triangle_c", 2, (2, -1), (False, True, False)),
+    ("nakayama_c", 2, (1, 1), (False, False, True)),
+])
+def test_wrong_witness_fails_its_conditions(corpus, name, n, signs, flags):
+    # -zeta on every component is the witness for B = C |x C; other
+    # multiples break the conditions that read the changed component
+    C = corpus[name]
+    reg = regular_bimodule(C)
+    ext = trivial_extension(C, reg)
+    zeta = hh(C, reg, n).representative(0)
+    mats = [zeta.matrix().scaled(QQ.of(s)) for s in signs]
+    alpha = mats[0] if n == 1 else {(0, 1): mats[0], (1, 0): mats[1]}
+    report = check_surjectivity_witness(ext, n, zeta, alpha)
+    assert (report["c1"], report["c2"], report["c3"]) == flags
+    assert not report["pass"]
+
+
+def test_witness_refuses_a_presented_layout(nak_ext, nakayama_c):
+    # the presented B has i(E) spanned by kernel vectors of p, not by the
+    # basis vectors after C's
+    assert nak_ext.i.column(0) == {4: 1, 3: -1}
+    zeta = hh(nakayama_c, regular_bimodule(nakayama_c), 1).representative(0)
+    with pytest.raises(ValueError, match="laid out"):
+        check_surjectivity_witness(
+            nak_ext, 1, zeta, Mat.zero(nak_ext.E.dim, nak_ext.E.dim, QQ))
+
+
 def test_witness_zero(nakayama_c):
     ext = trivial_extension(nakayama_c, dual_bimodule(nakayama_c))
     zeta = Cochain(nakayama_c, regular_bimodule(nakayama_c), 1)

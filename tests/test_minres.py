@@ -1,11 +1,15 @@
 import pytest
 
+from hochschild.algebra import build_algebra
+from hochschild.algfile import emit_algebra_file, parse_algebra_file
 from hochschild.bimodule import regular_bimodule
 from hochschild.cohomology import hh
 from hochschild.minres import (
     NotMonomial, build_partial_resolution, chain_paths, hh_via_resolution,
     hom_complex_ranks,
 )
+
+from conftest import PRESENTATIONS
 
 MONOMIAL = ["nakayama_c", "kite_c", "triangle_c", "triangle_b", "square"]
 
@@ -168,3 +172,12 @@ def test_hom_differentials_are_built_once(monkeypatch):
     hom_complex_ranks(minres._partial_resolution(alg))
     assert sorted(builds) == [1, 2, 3]
     assert dims == [hh(alg, regular_bimodule(alg), n).dim for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name", MONOMIAL)
+def test_resolution_route_agrees_over_gf2(name):
+    data = dict(emit_algebra_file(PRESENTATIONS[name]()), field="Fp:2")
+    alg = build_algebra(parse_algebra_file(data))
+    reg = regular_bimodule(alg)
+    assert [hh_via_resolution(alg, n).dim for n in range(3)] == \
+        [hh(alg, reg, n).dim for n in range(3)]
