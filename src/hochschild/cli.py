@@ -167,7 +167,8 @@ def build_parser():
                        help="expected field tag; mismatch with the file "
                             "is an error")
         p.add_argument("--cap", type=int, default=BAR_CAP,
-                       help="size cap on bar-complex columns")
+                       help="cap on (dim A)^(n+1) * dim M, the rows of the "
+                            "bar differential b^{n+1} that hh^n needs")
         p.add_argument("--verbose", action="store_true")
 
     p_hh = sub.add_parser("hh", help="cohomology dimensions of an algebra")

@@ -20,11 +20,14 @@ witness with `bar_apply`.
   quasi-isomorphism, so dimensions and classes agree; representatives
   produced there are genuine bar cocycles (and are verified to be).
 
-Both complexes cache their differentials on the module, so hh^{n+1}
-reuses the matrix hh^n built.  Representatives and class coordinates
-come from `linalg.quotient_basis` and `linalg.SubspaceCoords`;
-`CohomologySpace.vector_coords` gives the class of a vector of the
-complex, `class_coords` that of a cochain.
+Both complexes cache their differentials and the ranks of those on the
+module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  A
+`CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
+rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
+basis.  Representatives and class coordinates are built on first use,
+from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and checked
+against that dim; `CohomologySpace.vector_coords` gives the class of a
+vector of the complex, `class_coords` that of a cochain.
 
 Everything is deterministic: fixed basis orders, fixed pivot rule, and
 degree-1 representatives are normalized to vanish on idempotents so that
@@ -37,7 +40,7 @@ import random
 
 from .linalg import (
     Mat, SubspaceCoords, axpy, dense, kernel_basis_sparse, quotient_basis,
-    scale, solve,
+    rank, scale, solve,
 )
 
 BAR_CAP = 2_000_000          # max (dim A)^(n+1) * dim M
@@ -312,7 +315,18 @@ def _subcomplex_differential(algebra, module, n, basis, locate, rows):
 # the two complexes hh works on
 
 
-class NormalizedComplex:
+class _Complex:
+    """What the two complexes share: rank d^n, computed once per degree
+    and cached in ranks (which `CohomologySpace.vectors` also fills)."""
+
+    def rank(self, n):
+        got = self.ranks.get(n)
+        if got is None:
+            got = self.ranks[n] = rank(self.differential(n))
+        return got
+
+
+class NormalizedComplex(_Complex):
     """Cochains vanishing on idempotent arguments, graded by Peirce blocks.
 
     Basis in degree n: (w_1..w_n, m) with w_i radical basis indices forming
@@ -343,6 +357,7 @@ class NormalizedComplex:
         self._chains = {}
         self._index = {}
         self._diff = {}
+        self.ranks = {}
 
     def chains(self, n):
         """Composable radical index tuples of length n, lexicographic."""
@@ -439,7 +454,7 @@ def _normalized_complex(algebra, module):
     return nc
 
 
-class BarComplex:
+class BarComplex(_Complex):
     """The literal bar complex of (A, M), with its differentials cached.
 
     Callers gate the size first (`hh` checks the cap for the degree it
@@ -452,6 +467,7 @@ class BarComplex:
         self.algebra = algebra
         self.module = module
         self._diff = {}
+        self.ranks = {}
 
     def differential(self, n):
         """b^{n+1} as a matrix on flat coordinates, built once."""
@@ -482,39 +498,73 @@ def _bar_complex(algebra, module):
 class CohomologySpace:
     """hh^n as kernel modulo image of one complex (`BarComplex` or
     `NormalizedComplex`): dim, representative cocycles and class
-    coordinates."""
+    coordinates.
+
+    dim is dim C^n - rank d^n - rank d^{n-1}, from the ranks the complex
+    caches.  Representatives and the class-coordinate sweep are built by
+    `vectors` on first use; a space whose dim is all that is read does no
+    kernel or quotient work.
+    """
 
     def __init__(self, complex_, degree):
         self.complex = complex_
-        self.algebra = algebra = complex_.algebra
-        self.module = module = complex_.module
+        self.algebra = complex_.algebra
+        self.module = complex_.module
         self.degree = degree
         self.backend = complex_.backend
+        # built now, so that a subcomplex that does not close raises here
         self._cocycle_matrix = complex_.differential(degree)
-        boundaries = [] if degree == 0 else [
-            c for _, c in complex_.differential(degree - 1).columns_items()]
-        reps, cob = quotient_basis(algebra.field,
-                                   kernel_basis_sparse(self._cocycle_matrix),
-                                   boundaries)
-        if degree == 1 and self.backend == "bar":
-            reps = [_normalize_degree1(algebra, module, r) for r in reps]
-        self._reps_vecs = reps
-        try:
-            self._classes = SubspaceCoords(algebra.field, reps, modulo=cob)
-        except ValueError:
-            raise AssertionError("representatives are not independent") \
-                from None
+        if degree:
+            complex_.differential(degree - 1)
+        self._reps_vecs = None
+        self._classes = None
 
     @property
     def dim(self):
-        return len(self._reps_vecs)
+        n = self.degree
+        ranks = self.complex.rank(n) + (self.complex.rank(n - 1) if n else 0)
+        return self._cocycle_matrix.cols - ranks
+
+    def vectors(self):
+        """The representatives as vectors of the complex.
+
+        The first call builds them and the class-coordinate sweep, and
+        records rank d^n and rank d^{n-1} from that work in the complex's
+        rank cache where they are not there yet.
+        """
+        if self._reps_vecs is not None:
+            return self._reps_vecs
+        n = self.degree
+        field = self.algebra.field
+        cycles = kernel_basis_sparse(self._cocycle_matrix)
+        boundaries = [] if n == 0 else [
+            c for _, c in self.complex.differential(n - 1).columns_items()]
+        reps, cob = quotient_basis(field, cycles, boundaries)
+        ranks = self.complex.ranks
+        ranks.setdefault(n, self._cocycle_matrix.cols - len(cycles))
+        if n:
+            ranks.setdefault(n - 1, len(cob))
+        if len(reps) != self.dim:
+            raise AssertionError(
+                f"hh^{n} on the {self.backend} complex: {len(reps)} "
+                f"representatives but dim {self.dim} from the ranks")
+        if n == 1 and self.backend == "bar":
+            reps = [_normalize_degree1(self.algebra, self.module, r)
+                    for r in reps]
+        try:
+            self._classes = SubspaceCoords(field, reps, modulo=cob)
+        except ValueError:
+            raise AssertionError("representatives are not independent") \
+                from None
+        self._reps_vecs = reps
+        return reps
 
     @property
     def representatives(self):
-        return [self.representative(i) for i in range(self.dim)]
+        return [self.complex.embed(self.degree, r) for r in self.vectors()]
 
     def representative(self, i):
-        return self.complex.embed(self.degree, self._reps_vecs[i])
+        return self.complex.embed(self.degree, self.vectors()[i])
 
     def _vec(self, cochain):
         _check_shape(cochain, self.algebra, self.module, self.degree)
@@ -533,6 +583,7 @@ class CohomologySpace:
         it is not a cocycle."""
         if self._cocycle_matrix.matvec(vec):
             return None
+        self.vectors()
         found = self._classes.find(vec)
         if found is None:
             raise AssertionError("cocycle escaped span of classes")

@@ -105,7 +105,7 @@ class ExtBimodule(Bimodule):
 
     def representatives(self):
         """Normalized cocycle vectors representing the chosen basis."""
-        return [dict(r) for r in self.space._reps_vecs]
+        return [dict(r) for r in self.space.vectors()]
 
     def class_coords(self, nvec):
         found = self.space.vector_coords(nvec)
@@ -153,7 +153,7 @@ def ext_dual_bimodule(C, m):
     lcols = {c: {} for c in range(d)}
     rcols = {c: {} for c in range(d)}
     for c in range(d):
-        for k, rep in enumerate(space._reps_vecs):
+        for k, rep in enumerate(space.vectors()):
             img = class_coords(act_vec(rep, c, "left"))
             if img:
                 lcols[c][k] = img

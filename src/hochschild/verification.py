@@ -7,6 +7,8 @@ skipped silently.  All results are deterministic, so two runs produce
 byte-identical reports.
 """
 
+import os
+
 from .algebra import algebra_morphism, build_algebra
 from .algfile import BUNDLED, input_hash, load_bundled
 from .bimodule import (
@@ -485,8 +487,13 @@ def run_blocks(only=None):
         try:
             checks = BLOCKS[name](suite)
         except Exception as exc:  # a crash is a named failure, not a crash
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # to the frame that raised
+                tb = tb.tb_next
+            where = (f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:"
+                     f"{tb.tb_lineno}")
             checks = [_check(f"block {name} raised {type(exc).__name__}",
-                             False, error=str(exc))]
+                             False, error=f"{where}: {exc}")]
         block_pass = all(c["pass"] for c in checks)
         all_pass = all_pass and block_pass
         blocks.append({"name": name, "pass": block_pass, "checks": checks})

@@ -19,7 +19,7 @@ from hochschild.cohomology import (
 from hochschild.extcohom import (
     _ext_coefficients, ambient_differential_apply, embed_ambient,
 )
-from hochschild.linalg import rank
+from hochschild.linalg import kernel_basis_sparse, rank
 
 
 def full_bar_dim(alg, module, degree):
@@ -183,3 +183,61 @@ def test_routes_agree_over_gf2(name):
                       for n in range(3)]
         assert bar == normalized
         assert hh1_via_derivations(alg, module).dim == bar[1]
+
+
+# -- rank-first dims against the representatives --------------------------
+
+
+def _fresh(name, coefficients):
+    alg = build_algebra(load_bundled(name)[1])
+    return alg, coefficients(alg)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_rank_dim_matches_representatives(name, coefficients, n):
+    # dim is read first, from ranks alone; the representatives built
+    # afterwards must number exactly that, and must not change it
+    alg, module = _fresh(name, coefficients)
+    space = hh(alg, module, n)
+    before = space.dim
+    reps = space.representatives
+    assert len(reps) == before == space.dim
+    assert all(space.is_cocycle(r) for r in reps)
+
+
+@pytest.mark.parametrize("n,backend", [(1, "bar"), (2, "normalized")])
+@pytest.mark.parametrize("degree_of_rank", ["n", "n-1"])
+def test_corrupted_rank_is_caught(n, backend, degree_of_rank):
+    alg, module = _fresh("ex3_5_B", regular_bimodule)
+    space = hh(alg, module, n)
+    assert space.backend == backend
+    k = n if degree_of_rank == "n" else n - 1
+    space.complex.rank(k)
+    space.complex.ranks[k] += 1
+    with pytest.raises(AssertionError, match=rf"hh\^{n} on the {backend}"):
+        space.representatives
+
+
+def test_dims_do_no_kernel_work(monkeypatch):
+    # .dim reads cached ranks; the kernel sweep runs once per space, on
+    # the first request for representatives
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel_basis_sparse(m)
+
+    monkeypatch.setattr(cohomology, "kernel_basis_sparse", counted)
+    alg, module = _fresh("ex3_8_C", regular_bimodule)
+    spaces = [hh(alg, module, n) for n in range(5)]
+    dims = [space.dim for space in spaces]
+    assert not calls
+    for space in spaces:
+        before = len(calls)
+        assert len(space.representatives) == space.dim
+        assert len(calls) == before + 1
+        space.representatives
+        assert len(calls) == before + 1
+    assert dims == [space.dim for space in spaces]

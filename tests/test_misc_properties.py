@@ -133,3 +133,22 @@ def test_corrupted_bundle_fails_with_named_checks(monkeypatch):
     failing = [c["name"] for b in report["blocks"] for c in b["checks"]
                if not c["pass"]]
     assert failing
+
+
+def _fail_deep(suite):
+    raise ZeroDivisionError("no pivot")
+
+
+def test_raising_block_names_where_it_raised(monkeypatch):
+    # the error names the innermost frame, so a crash deep in the library
+    # points at the line that raised, not at the block
+    import hochschild.verification as verification
+    line = _fail_deep.__code__.co_firstlineno + 1
+    monkeypatch.setitem(verification.BLOCKS, "ex3_5",
+                        lambda suite: _fail_deep(suite))
+    report = verification.run_blocks(only="ex3_5")
+    assert report["pass"] is False
+    (block,) = report["blocks"]
+    (check,) = block["checks"]
+    assert check["name"] == "block ex3_5 raised ZeroDivisionError"
+    assert check["error"] == f"test_misc_properties.py:{line}: no pivot"
