@@ -28,6 +28,13 @@ class UsageError(ValueError):
     pass
 
 
+def degree(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative degree {n}")
+    return n
+
+
 def _emit(report):
     sys.stdout.write(json.dumps(report, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -175,7 +182,7 @@ def build_parser():
     p_hh.add_argument("file")
     p_hh.add_argument("--module", default="regular",
                       help="regular | dual | ext:m | file:path")
-    p_hh.add_argument("--max-degree", type=int, default=2)
+    p_hh.add_argument("--max-degree", type=degree, default=2)
     p_hh.add_argument("--reps", action="store_true",
                       help="include representative cocycles")
     common(p_hh)
@@ -186,7 +193,7 @@ def build_parser():
     p_phi.add_argument("file")
     p_phi.add_argument("--bimodule", default="dual",
                        help="regular | dual | ext:m | file:path")
-    p_phi.add_argument("--degree", type=int, default=1)
+    p_phi.add_argument("--degree", type=degree, default=1)
     common(p_phi)
     p_phi.set_defaults(func=cmd_phi)
 

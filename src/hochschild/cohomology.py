@@ -20,6 +20,10 @@ witness with `bar_apply`.
   quasi-isomorphism, so dimensions and classes agree; representatives
   produced there are genuine bar cocycles (and are verified to be).
 
+Both complexes index cochains by the flat bar key tensor_index * dim M +
+m that `_bar_column` emits: it is the bar complex's row, and the
+normalized complex maps it to a row with one dict (`NormalizedComplex`).
+
 Both complexes cache their differentials and the ranks of those on the
 module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  A
 `CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
@@ -284,31 +288,31 @@ def bar_apply(algebra, module, n, f):
     return Cochain.from_vec(algebra, module, n + 1, out)
 
 
-def _subcomplex_differential(algebra, module, n, basis, locate, rows):
+def _subcomplex_differential(algebra, module, n, basis, pos):
     """b^{n+1} on a subcomplex of cochains with radical arguments.
 
     basis lists the subcomplex's basis in degree n as pairs (chain, m):
     the cochain sending the tensor of the radical indices in chain to
-    e_m.  locate(chain, m) gives the row of a degree-(n+1) pair, or None
-    for a pair outside the subcomplex, which raises AssertionError.
+    e_m.  pos maps the flat bar key tensor_index * dim M + m of each
+    degree-(n+1) basis pair to its row; a term at a key outside pos
+    raises AssertionError.
     """
-    dm = module.dim
     tensors = Cochain(algebra, module, n + 1)  # for its index helpers
     column = _bar_column(algebra, module, n, args=algebra.radical_indices)
+    row = pos.get
     cols = {}
     for j, (chain, m) in enumerate(basis):
         col = {}
         for key, v in column(tensors.encode(chain), chain, m).items():
-            t, m_out = divmod(key, dm)
-            chain_out = tensors.decode(t)
-            k = locate(chain_out, m_out)
+            k = row(key)
             if k is None:
+                t, m_out = divmod(key, module.dim)
                 raise AssertionError(f"differential left the subcomplex at "
-                                     f"{chain_out}, {m_out}")
+                                     f"{tensors.decode(t)}, {m_out}")
             col[k] = v
         if col:
             cols[j] = col
-    return Mat(rows, len(basis), algebra.field, cols)
+    return Mat(len(pos), len(basis), algebra.field, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,13 @@ class NormalizedComplex(_Complex):
     e_{source} M e_{target}.  The restricted bar formula is the
     differential; products of radical basis vectors never hit idempotents
     (certified on the algebra), so the formula closes.
+
+    The basis is indexed by its flat bar key tensor_index * dim M + m, the
+    coordinate `_bar_column` emits and `Cochain.vec` uses: `basis(n)` gives
+    the pairs in row order and pos = {flat key: row}.  A key is in pos
+    exactly when its arguments are radical, its chain composable and its
+    value in the right Peirce block, so assembling a differential and
+    projecting a cochain are one lookup per term, with no decoding.
     """
 
     backend = "normalized"
@@ -390,15 +401,18 @@ class NormalizedComplex(_Complex):
         return out
 
     def basis(self, n):
-        """[(chain, m)] plus index maps, cached."""
+        """([(chain, m)] in row order, {flat bar key: row}), cached."""
         got = self._index.get(n)
         if got is not None:
             return got
+        encode = Cochain(self.algebra, self.module, n).encode
+        dm = self.module.dim
         flat = []
         pos = {}
         for chain in self.chains(n):
+            base = encode(chain) * dm
             for m in self.value_indices(chain):
-                pos[(chain, m)] = len(flat)
+                pos[base + m] = len(flat)
                 flat.append((chain, m))
         self._index[n] = (flat, pos)
         return self._index[n]
@@ -410,10 +424,9 @@ class NormalizedComplex(_Complex):
         """Matrix N^n -> N^{n+1} of the restricted bar differential."""
         got = self._diff.get(n)
         if got is None:
-            flat, pos = self.basis(n + 1)
             got = self._diff[n] = _subcomplex_differential(
                 self.algebra, self.module, n, self.basis(n)[0],
-                lambda chain, m: pos.get((chain, m)), len(flat))
+                self.basis(n + 1)[1])
         return got
 
     def embed(self, n, nvec):
@@ -428,21 +441,15 @@ class NormalizedComplex(_Complex):
     def project(self, cochain):
         """N-coordinates of a normalized cochain, or None if not normalized."""
         _, pos = self.basis(cochain.degree)
-        rset = set(self.r)
+        dm = self.module.dim
         out = {}
         for t, col in cochain.data.items():
-            slots = cochain.decode(t)
-            if any(s not in rset for s in slots):
-                return None
-            ok = all(self.tgt[slots[i]] == self.src[slots[i + 1]]
-                     for i in range(len(slots) - 1))
-            if not ok:
-                return None
+            base = t * dm
             for m, v in col.items():
-                key = pos.get((slots, m))
-                if key is None:
+                row = pos.get(base + m)
+                if row is None:
                     return None
-                out[key] = v
+                out[row] = v
         return out
 
 
@@ -662,6 +669,8 @@ def _complex_for(algebra, module, n):
 
 def hh(algebra, module, n, cap=BAR_CAP):
     """The n-th Hochschild cohomology of algebra with coefficients module."""
+    if n < 0:
+        raise ValueError(f"negative degree {n}")
     cache = getattr(module, "_hh_cache", None)
     if cache is None:
         cache = module._hh_cache = {}

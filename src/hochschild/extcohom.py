@@ -128,17 +128,19 @@ def ext_dual_bimodule(C, m):
     # not hh, which takes the bar complex in degrees 0 and 1
     space = CohomologySpace(_normalized_complex(C, _ext_coefficients(C)), m)
     flat, pos = space.complex.basis(m)
+    keys = list(pos)  # flat bar key of each row: pos is filled in row order
 
     def act_vec(nvec, c, side):
         out = {}
         for k, coeff in nvec.items():
-            chain, uv = flat[k]
+            uv = flat[k][1]
             u, v = divmod(uv, d)
+            base = keys[k] - uv  # flat key of (chain, 0)
             if side == "left":  # c.th = c th(-)
-                image = {pos[(chain, u * d + v2)]: w
+                image = {pos[base + u * d + v2]: w
                          for v2, w in C.structure.get((c, v), {}).items()}
             else:  # th.c = th(c.f (x) -)
-                image = {pos[(chain, u2 * d + v)]: w
+                image = {pos[base + u2 * d + v]: w
                          for u2, w in C.structure.get((u, c), {}).items()}
             axpy(field, out, coeff, image)
         return out
@@ -203,10 +205,9 @@ class DerivationAction:
         self.ext = ext if ext is not None else ext_dual_bimodule(C, m)
         field = C.field
         flat, pos = self.ext.space.complex.basis(m)
-        self._flat, self._pos = flat, pos
         cols = {}
-        for idx in range(len(flat)):
-            col = self.normalized_column(idx)
+        for key, idx in pos.items():
+            col = self.normalized_column(flat[idx][0], key, pos)
             if col:
                 cols[idx] = col
         self.normalized_matrix = Mat(len(flat), len(flat), field, cols)
@@ -217,44 +218,47 @@ class DerivationAction:
                 ind[k] = img
         self.induced = Mat(self.ext.dim, self.ext.dim, field, ind)
 
-    def normalized_column(self, idx):
+    def normalized_column(self, chain, key, pos):
+        """al_m of the basis vector (chain, uv) at flat bar key key."""
         C = self.C
         field = C.field
-        flat, pos = self._flat, self._pos
-        chain, uv = flat[idx]
-        u, v = divmod(uv, C.dim)
+        d = C.dim
+        base = key - key % (d * d)  # flat key of (chain, 0)
+        u, v = divmod(key - base, d)
         col = {}
 
-        def put(key, value):
+        def put(at, value):
             if not value:
                 return
-            k = pos.get(key)
+            k = pos.get(at)
             if k is None:
                 raise AssertionError(
-                    f"derivation action left the Ext basis at {key}")
+                    f"derivation action left the Ext basis at flat key {at}")
             w = field.add(col.get(k, field.zero), value)
             if w:
                 col[k] = w
             elif k in col:
                 del col[k]
 
-        # sum_j th(f (x) .. z(a_j) ..): z(x) hits chain slot p
+        # sum_j th(f (x) .. z(a_j) ..): z(x) hits chain slot p, whose
+        # place value in the flat key is d^(m-1-p) * d^2
         for p in range(self.m):
             target = chain[p]
+            span = d ** (self.m + 1 - p)
             for x in C.radical_indices:
                 zx = self.values.get(x)
                 if zx and target in zx:
-                    put((chain[:p] + (x,) + chain[p + 1:], uv), zx[target])
+                    put(key + (x - target) * span, zx[target])
         # - th(f o z (x) a): (g_{u'} o z) has g_u coefficient z(u)_{u'}
         zu = self.values.get(u)
         if zu:
             for u2, c in zu.items():
-                put((chain, u2 * C.dim + v), field.neg(c))
+                put(base + u2 * d + v, field.neg(c))
         # - z(th(f (x) a))
         zv = self.values.get(v)
         if zv:
             for v2, c in zv.items():
-                put((chain, u * C.dim + v2), field.neg(c))
+                put(base + u * d + v2, field.neg(c))
         return col
 
     # -- ambient evaluators (full complex, for cross-checks) -------------------

@@ -255,8 +255,10 @@ def projection_morphism(ext, n, cap=None):
     HB = hh(ext.B, regular_bimodule(ext.B), n, **kwargs)
     HC = hh(ext.C, regular_bimodule(ext.C), n, **kwargs)
     entries = {}
-    for j in range(HB.dim):
-        g = project_cochain(ext, HB.representative(j))
+    # representatives first: building them fills the rank cache that
+    # HB.dim reads, where reading dim first would pay a rank sweep too
+    for j, rep in enumerate(HB.representatives):
+        g = project_cochain(ext, rep)
         for r, v in enumerate(HC.class_coords(g)):
             if v:
                 entries[(r, j)] = v

@@ -132,6 +132,20 @@ def test_relext_rejects_non_triangular():
     assert "triangular" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("phi", "--degree", "-1"),
+    ("hh", "--max-degree", "-1"),
+])
+def test_negative_degree_exits_2(args):
+    command, *flags = args
+    proc = run_cli(command, data_path("square"), *flags)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "negative degree -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 def test_bad_relation_exits_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({

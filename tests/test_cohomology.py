@@ -219,3 +219,10 @@ def test_cap_guard():
         bar_differential(alg, reg, 2, cap=10)
     with pytest.raises(CapExceeded):
         hh(alg, reg, 2, cap=10)
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+def test_negative_degree_is_refused(nakayama_c, coefficients):
+    # hh^n is zero-based; n = -1 used to recurse in NormalizedComplex.chains
+    with pytest.raises(ValueError, match="negative degree -1"):
+        hh(nakayama_c, coefficients(nakayama_c), -1)

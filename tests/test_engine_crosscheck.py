@@ -19,6 +19,7 @@ from hochschild.cohomology import (
 from hochschild.extcohom import (
     _ext_coefficients, ambient_differential_apply, embed_ambient,
 )
+from hochschild.extension import projection_morphism, trivial_extension
 from hochschild.linalg import kernel_basis_sparse, rank
 
 
@@ -110,13 +111,65 @@ def test_normalized_differential_matches_bar_apply(bundled, name,
 
 
 def test_subcomplex_differential_refuses_terms_outside_its_basis(bundled):
+    # drop from the degree-1 index a key that d^0 hits: assembly must stop
+    # there and name the decoded (chain, m) of that key
     alg = bundled["square"]
     reg = regular_bimodule(alg)
     nc = _normalized_complex(alg, reg)
-    assert not nc.differential(0).is_zero()
-    with pytest.raises(AssertionError, match="left the subcomplex"):
-        _subcomplex_differential(alg, reg, 0, nc.basis(0)[0],
-                                 lambda chain, m: None, nc.dim(1))
+    d0 = nc.differential(0)
+    assert not d0.is_zero()
+    flat1, pos1 = nc.basis(1)
+    _, col = next(iter(d0.columns_items()))
+    row = next(iter(col))
+    chain, m = flat1[row]
+    pos = {key: k for key, k in pos1.items() if k != row}
+    assert len(pos) == len(pos1) - 1
+    with pytest.raises(AssertionError,
+                       match=rf"left the subcomplex at \({chain[0]},\), {m}$"):
+        _subcomplex_differential(alg, reg, 0, nc.basis(0)[0], pos)
+
+
+def test_index_is_the_flat_bar_key(bundled):
+    # row k of the normalized basis sits at the bar coordinate of its
+    # basis cochain, so project and embed are mutually inverse
+    alg = bundled["ex3_8_B"]
+    for module in (regular_bimodule(alg), dual_bimodule(alg)):
+        nc = _normalized_complex(alg, module)
+        for n in range(4):
+            flat, pos = nc.basis(n)
+            assert sorted(pos.values()) == list(range(len(flat)))
+            for key, k in pos.items():
+                basis_cochain = nc.embed(n, {k: alg.field.one})
+                assert basis_cochain.vec() == {key: alg.field.one}
+                assert nc.project(basis_cochain) == {k: alg.field.one}
+
+
+@pytest.mark.parametrize("case", ["idempotent argument",
+                                  "non-composable radical pair",
+                                  "value outside its Peirce block"])
+def test_class_coords_refuses_cochains_outside_the_index(bundled, case):
+    # ex3_5_B: e_0 = 0, a0 = 2 (0 -> 1), a1 = 3 (1 -> 0); hh^2 runs on the
+    # normalized complex, whose degree-2 basis has none of these tensors
+    alg = bundled["ex3_5_B"]
+    reg = regular_bimodule(alg)
+    space = hh(alg, reg, 2)
+    assert space.backend == "normalized"
+    nc = space.complex
+    slots, m = {
+        "idempotent argument": ((0, 2), 2),
+        "non-composable radical pair": ((2, 2), 2),
+        "value outside its Peirce block": ((2, 3), 2),
+    }[case]
+    assert (0 in slots) == (case == "idempotent argument")
+    if case != "idempotent argument":
+        assert all(s in nc.r for s in slots)
+        composable = slots in nc.chains(2)
+        assert composable == (case == "value outside its Peirce block")
+    if case == "value outside its Peirce block":
+        assert m not in nc.value_indices(slots)
+    cochain = Cochain.from_values(alg, reg, 2, {slots: {m: alg.field.one}})
+    with pytest.raises(ValueError, match="not idempotent-normalized"):
+        space.class_coords(cochain)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -241,3 +294,21 @@ def test_dims_do_no_kernel_work(monkeypatch):
         space.representatives
         assert len(calls) == before + 1
     assert dims == [space.dim for space in spaces]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", ["ex3_5_C", "ex3_8_C", "square"])
+def test_projection_morphism_reads_no_rank(monkeypatch, name, n):
+    # phi^n builds the representatives of hh^n(B) before it reads any
+    # dim, so both spaces take their dims from the ranks that sweep left
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(cohomology, "rank", counted)
+    alg, dc = _fresh(name, dual_bimodule)
+    phi = projection_morphism(trivial_extension(alg, dc), n)
+    assert phi.source.dim > 0
+    assert not calls
