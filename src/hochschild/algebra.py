@@ -210,20 +210,30 @@ class Algebra:
             if self.multiply_coords(unit, b) != b or \
                self.multiply_coords(b, unit) != b:
                 raise ValueError("unit is not a two-sided identity")
-        # associativity on all basis triples
-        if self.dim <= 32:
-            for i in range(self.dim):
-                bi = {i: field.one}
-                for j in range(self.dim):
-                    ij = self.structure.get((i, j))
-                    for k in range(self.dim):
-                        bk = {k: field.one}
-                        jk = self.structure.get((j, k))
-                        left = self.multiply_coords(ij, bk) if ij else {}
-                        right = self.multiply_coords(bi, jk) if jk else {}
-                        if left != right:
-                            raise ValueError(
-                                f"associativity fails on basis triple {(i, j, k)}")
+        # associativity on all basis triples: (b_i b_j) b_k and b_i (b_j b_k)
+        # both vanish unless b_i b_j or b_j b_k is nonzero, so per middle
+        # factor j only the nonzero products through j are expanded
+        by_left = {}   # i -> [(j, b_i b_j)], nonzero products
+        by_right = {}  # j -> [(i, b_i b_j)]
+        for (i, j), prod in self.structure.items():
+            if prod:
+                by_left.setdefault(i, []).append((j, prod))
+                by_right.setdefault(j, []).append((i, prod))
+        for j in range(self.dim):
+            left = {}   # (i, k) -> (b_i b_j) b_k
+            for i, ij in by_right.get(j, ()):
+                for m, c in ij.items():
+                    for k, mk in by_left.get(m, ()):
+                        axpy(field, left.setdefault((i, k), {}), c, mk)
+            right = {}  # (i, k) -> b_i (b_j b_k)
+            for k, jk in by_left.get(j, ()):
+                for m, c in jk.items():
+                    for i, im in by_right.get(m, ()):
+                        axpy(field, right.setdefault((i, k), {}), c, im)
+            for i, k in sorted(left.keys() | right.keys()):
+                if left.get((i, k), {}) != right.get((i, k), {}):
+                    raise ValueError(
+                        f"associativity fails on basis triple {(i, j, k)}")
         # Peirce tags
         for i, tag in enumerate(self.peirce):
             if tag is None:
@@ -436,14 +446,21 @@ def is_triangular(algebra):
     return algebra.presentation.quiver.is_acyclic()
 
 
-def system_of_relations(presentation, cap=DEFAULT_CAP):
+def system_of_relations(source, cap=DEFAULT_CAP):
     """Deterministic minimal generating set of the relation ideal.
 
-    Lifts a basis of I/(J*I + I*J), J the arrow ideal, preferring the
-    input relations as lifts while they stay independent; works per
-    (source, target) graded piece in vertex order.
+    source is a presentation, or an algebra built from one (which spares
+    building it again; cap is then unused).  Lifts a basis of
+    I/(J*I + I*J), J the arrow ideal, preferring the input relations as
+    lifts while they stay independent; works per (source, target) graded
+    piece in vertex order.
     """
-    algebra = build_algebra(presentation, cap=cap)
+    if isinstance(source, Algebra):
+        algebra, presentation = source, source.presentation
+        if presentation is None:
+            raise ValueError("algebra has no presentation")
+    else:
+        algebra, presentation = build_algebra(source, cap=cap), source
     L = algebra.nilpotency
     ideal = _TruncatedIdeal(presentation, L)
     field = presentation.field

@@ -20,6 +20,14 @@ witness with `bar_apply`.
   quasi-isomorphism, so dimensions and classes agree; representatives
   produced there are genuine bar cocycles (and are verified to be).
 
+That complex holds the representatives, `is_cocycle` and the class
+coordinates, and the space's `backend` names it.  A dim read before the
+representatives exist comes from the normalized complex whenever it
+accepts the data, in degrees 0 and 1 too, so `hh(A, M, n).dim` builds
+no bar matrix on Peirce-graded data; the bar differentials are built on
+first use of the representatives, whose count is then checked against
+the bar ranks and against the normalized ranks already read.
+
 Both complexes index cochains by the flat bar key tensor_index * dim M +
 m that `_bar_column` emits: it is the bar complex's row, and the
 normalized complex maps it to a row with one dict (`NormalizedComplex`).
@@ -29,9 +37,9 @@ module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  A
 `CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
 rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
 basis.  Representatives and class coordinates are built on first use,
-from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and checked
-against that dim; `CohomologySpace.vector_coords` gives the class of a
-vector of the complex, `class_coords` that of a cochain.
+from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and from then
+on dim is their count; `CohomologySpace.vector_coords` gives the class
+of a vector of the complex, `class_coords` that of a cochain.
 
 Everything is deterministic: fixed basis orders, fixed pivot rule, and
 degree-1 representatives are normalized to vanish on idempotents so that
@@ -476,6 +484,9 @@ class BarComplex(_Complex):
         self._diff = {}
         self.ranks = {}
 
+    def dim(self, n):
+        return self.algebra.dim ** n * self.module.dim
+
     def differential(self, n):
         """b^{n+1} as a matrix on flat coordinates, built once."""
         got = self._diff.get(n)
@@ -507,54 +518,81 @@ class CohomologySpace:
     `NormalizedComplex`): dim, representative cocycles and class
     coordinates.
 
-    dim is dim C^n - rank d^n - rank d^{n-1}, from the ranks the complex
-    caches.  Representatives and the class-coordinate sweep are built by
-    `vectors` on first use; a space whose dim is all that is read does no
-    kernel or quotient work.
+    The space lives on complex_: representatives, `is_cocycle` and class
+    coordinates are vectors of it, and `backend` names it.  Until the
+    representatives exist, dim is dim C^n - rank d^n - rank d^{n-1} from
+    the ranks cached by dims_from (default complex_; `hh` passes the
+    normalized complex wherever it accepts the data).  `vectors` builds
+    the representatives and the class-coordinate sweep on first use, and
+    from then on dim is their count.  A space whose dim is all that is
+    read does no kernel or quotient work, and a bar space with normalized
+    dims_from builds no bar matrix for it.
     """
 
-    def __init__(self, complex_, degree):
+    def __init__(self, complex_, degree, dims_from=None):
         self.complex = complex_
         self.algebra = complex_.algebra
         self.module = complex_.module
         self.degree = degree
         self.backend = complex_.backend
-        # built now, so that a subcomplex that does not close raises here
-        self._cocycle_matrix = complex_.differential(degree)
-        if degree:
-            complex_.differential(degree - 1)
+        self._dims_from = complex_ if dims_from is None else dims_from
+        if complex_.backend == "normalized":
+            # built now, so that a subcomplex that does not close raises here
+            complex_.differential(degree)
+            if degree:
+                complex_.differential(degree - 1)
         self._reps_vecs = None
         self._classes = None
 
+    def _rank_dim(self, complex_):
+        n = self.degree
+        ranks = complex_.rank(n) + (complex_.rank(n - 1) if n else 0)
+        return complex_.dim(n) - ranks
+
     @property
     def dim(self):
-        n = self.degree
-        ranks = self.complex.rank(n) + (self.complex.rank(n - 1) if n else 0)
-        return self._cocycle_matrix.cols - ranks
+        if self._reps_vecs is not None:
+            return len(self._reps_vecs)
+        return self._rank_dim(self._dims_from)
+
+    def _cocycle_matrix(self):
+        return self.complex.differential(self.degree)
 
     def vectors(self):
         """The representatives as vectors of the complex.
 
         The first call builds them and the class-coordinate sweep, and
         records rank d^n and rank d^{n-1} from that work in the complex's
-        rank cache where they are not there yet.
+        rank cache where they are not there yet.  Their count is checked
+        against the dim from those ranks and, where dims_from is another
+        complex whose ranks in these degrees are already cached, against
+        the dim from its ranks too.
         """
         if self._reps_vecs is not None:
             return self._reps_vecs
         n = self.degree
         field = self.algebra.field
-        cycles = kernel_basis_sparse(self._cocycle_matrix)
+        cocycles = self._cocycle_matrix()
+        cycles = kernel_basis_sparse(cocycles)
         boundaries = [] if n == 0 else [
             c for _, c in self.complex.differential(n - 1).columns_items()]
         reps, cob = quotient_basis(field, cycles, boundaries)
         ranks = self.complex.ranks
-        ranks.setdefault(n, self._cocycle_matrix.cols - len(cycles))
+        ranks.setdefault(n, cocycles.cols - len(cycles))
         if n:
             ranks.setdefault(n - 1, len(cob))
-        if len(reps) != self.dim:
-            raise AssertionError(
-                f"hh^{n} on the {self.backend} complex: {len(reps)} "
-                f"representatives but dim {self.dim} from the ranks")
+        checks = [self.complex]
+        other = self._dims_from
+        if other is not self.complex and all(
+                k in other.ranks for k in range(max(n - 1, 0), n + 1)):
+            checks.append(other)
+        for source in checks:
+            want = self._rank_dim(source)
+            if len(reps) != want:
+                raise AssertionError(
+                    f"hh^{n} on the {self.backend} complex: {len(reps)} "
+                    f"representatives but dim {want} from the "
+                    f"{source.backend} ranks")
         if n == 1 and self.backend == "bar":
             reps = [_normalize_degree1(self.algebra, self.module, r)
                     for r in reps]
@@ -583,12 +621,12 @@ class CohomologySpace:
         return vec
 
     def is_cocycle(self, cochain):
-        return not self._cocycle_matrix.matvec(self._vec(cochain))
+        return not self._cocycle_matrix().matvec(self._vec(cochain))
 
     def vector_coords(self, vec):
         """Sparse class coordinates of a vector of the complex, or None if
         it is not a cocycle."""
-        if self._cocycle_matrix.matvec(vec):
+        if self._cocycle_matrix().matvec(vec):
             return None
         self.vectors()
         found = self._classes.find(vec)
@@ -656,15 +694,18 @@ def _normalize_degree1(algebra, module, rep_vec):
     return out
 
 
-def _complex_for(algebra, module, n):
-    """The complex hh^n is computed on (see the module docstring)."""
+def _complexes_for(algebra, module, n):
+    """(the complex hh^n lives on, the complex its dim is read from before
+    representatives exist); see the module docstring."""
+    try:
+        nc = _normalized_complex(algebra, module)
+    except ValueError:
+        bc = _bar_complex(algebra, module)
+        return bc, bc
     full_size = (algebra.dim ** n) * module.dim
     if n == 0 or (n == 1 and full_size <= FULL_DEGREE1_LIMIT):
-        return _bar_complex(algebra, module)
-    try:
-        return _normalized_complex(algebra, module)
-    except ValueError:
-        return _bar_complex(algebra, module)
+        return _bar_complex(algebra, module), nc
+    return nc, nc
 
 
 def hh(algebra, module, n, cap=BAR_CAP):
@@ -678,8 +719,8 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
-    space = cache[(n, cap)] = CohomologySpace(
-        _complex_for(algebra, module, n), n)
+    complex_, dims_from = _complexes_for(algebra, module, n)
+    space = cache[(n, cap)] = CohomologySpace(complex_, n, dims_from)
     return space
 
 

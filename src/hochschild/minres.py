@@ -24,7 +24,7 @@ class NotMonomial(ValueError):
 def _monomial_relations(algebra):
     if algebra.presentation is None:
         raise ValueError("resolution needs a presented algebra")
-    rels = system_of_relations(algebra.presentation)
+    rels = system_of_relations(algebra)
     paths = []
     for r in rels:
         if len(r.terms) != 1:

@@ -1,11 +1,14 @@
+import itertools
 import random
+import re
 
 import pytest
 
 from hochschild.algebra import (
-    AdmissibilityError, AlgElement, algebra_morphism, build_algebra,
+    AdmissibilityError, AlgElement, Algebra, algebra_morphism, build_algebra,
     center_basis, is_triangular, system_of_relations,
 )
+from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.linalg import Mat, QQ, rank
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
@@ -140,6 +143,22 @@ def test_redundant_relation_dropped():
     assert len(system_of_relations(pres)) == 1
 
 
+def test_system_of_relations_of_the_algebra(corpus):
+    # the built algebra gives the list its presentation gives
+    algebras = list(corpus.values()) + [
+        build_algebra(load_bundled(name)[1]) for name in BUNDLED]
+    for alg in algebras:
+        assert system_of_relations(alg) == \
+            system_of_relations(alg.presentation)
+
+
+def test_system_of_relations_needs_a_presentation(nakayama_c):
+    bare = Algebra(nakayama_c.field, nakayama_c.labels, nakayama_c.structure,
+                   nakayama_c.idempotents, nakayama_c.peirce)
+    with pytest.raises(ValueError, match="no presentation"):
+        system_of_relations(bare)
+
+
 def test_dimension_independent_of_order():
     for make in PRESENTATIONS.values():
         pres = make()
@@ -193,3 +212,60 @@ def test_alg_element_arithmetic(nakayama_c):
     y = x - nakayama_c.basis_element(2)
     assert y == nakayama_c.basis_element(3).scaled(2)
     assert isinstance(x, AlgElement)
+
+
+# -- associativity check --------------------------------------------------
+
+
+def _linear_a(n):
+    q = Quiver([str(v) for v in range(1, n + 1)],
+               [(f"a{v}", str(v), str(v + 1)) for v in range(1, n)])
+    return build_algebra(Presentation(q, relations=[]))
+
+
+def _failing_triples(alg):
+    """Every basis triple whose two bracketings differ, by brute force."""
+    one = alg.field.one
+    out = []
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        ij = alg.structure.get((i, j))
+        jk = alg.structure.get((j, k))
+        left = alg.multiply_coords(ij, {k: one}) if ij else {}
+        right = alg.multiply_coords({i: one}, jk) if jk else {}
+        if left != right:
+            out.append((i, j, k))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_associativity_failure_names_a_failing_triple(n):
+    # A_4 (dim 10) and A_8 (dim 36): the check runs at every dimension.
+    # One structure constant is raised by one, on the product of the first
+    # two arrows (doubling it) and on random radical pairs; the check
+    # raises exactly when some triple fails, and names one that does.
+    alg = _linear_a(n)
+    assert alg.dim == n * (n + 1) // 2
+    field = alg.field
+    arrow = alg._arrow_indices()
+    first = (arrow["a1"], arrow["a2"])
+    (path,) = alg.structure[first]
+    rng = random.Random(n)
+    corruptions = [(first, path)] + [
+        (tuple(rng.sample(alg.radical_indices, 2)),
+         rng.choice(alg.radical_indices)) for _ in range(8)]
+    raised = 0
+    for key, k in corruptions:
+        structure = {pair: dict(prod) for pair, prod in alg.structure.items()}
+        prod = structure.setdefault(key, {})
+        prod[k] = field.add(prod.get(k, field.zero), field.one)
+        args = (field, alg.labels, structure, alg.idempotents, alg.peirce)
+        failing = _failing_triples(Algebra(*args, check=False))
+        if not failing:
+            Algebra(*args)
+            continue
+        with pytest.raises(ValueError, match="associativity fails") as info:
+            Algebra(*args)
+        triple = tuple(int(x) for x in re.findall(r"\d+", str(info.value)))
+        assert triple in failing
+        raised += 1
+    assert raised >= 2

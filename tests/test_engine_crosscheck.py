@@ -312,3 +312,95 @@ def test_projection_morphism_reads_no_rank(monkeypatch, name, n):
     phi = projection_morphism(trivial_extension(alg, dc), n)
     assert phi.source.dim > 0
     assert not calls
+
+
+# -- dims read first come from the normalized complex ---------------------
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_low_degree_dims_build_no_bar_matrix(monkeypatch, name,
+                                             coefficients, n):
+    # on Peirce-graded data the space stays on the bar complex, but its
+    # dim, read first, is taken from the normalized ranks
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[2])
+        return bar_differential(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "bar_differential", counted)
+    alg, module = _fresh(name, coefficients)
+    space = hh(alg, module, n)
+    assert space.backend == "bar"
+    dim = space.dim
+    assert builds == []
+    assert n in _normalized_complex(alg, module).ranks
+    assert len(space.representatives) == dim
+    assert builds
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_low_degree_dims_agree_across_engines(name, coefficients, n):
+    # the dim read first (normalized ranks), the bar representatives and,
+    # in degree 1, the derivation route
+    alg, module = _fresh(name, coefficients)
+    space = hh(alg, module, n)
+    first = space.dim
+    assert len(space.representatives) == first == space.dim
+    if n == 1:
+        assert hh1_via_derivations(alg, module).dim == first
+
+
+@pytest.mark.parametrize("n,degree_of_rank", [(0, "n"), (1, "n"),
+                                              (1, "n-1")])
+def test_corrupted_normalized_rank_is_caught(n, degree_of_rank):
+    alg, module = _fresh("ex3_5_B", regular_bimodule)
+    space = hh(alg, module, n)
+    assert space.backend == "bar"
+    nc = _normalized_complex(alg, module)
+    k = n if degree_of_rank == "n" else n - 1
+    space.dim
+    nc.ranks[k] += 1
+    with pytest.raises(AssertionError,
+                       match=rf"hh\^{n} on the bar complex: .* from the "
+                             r"normalized ranks"):
+        space.representatives
+
+
+def _twisted_regular(alg):
+    # the regular bimodule conjugated by a change of basis that mixes an
+    # idempotent coordinate with a radical one: no longer Peirce-graded
+    from hochschild.bimodule import Bimodule
+    from hochschild.linalg import Mat
+    reg = regular_bimodule(alg)
+    d = alg.dim
+    field = alg.field
+    radical = alg.radical_indices[0]
+    s = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
+                                       (0, radical): 1})
+    s_inv = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
+                                           (0, radical): -1})
+    return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
+                             for i in range(d)],
+                    [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("name", ["ex3_5_C", "square"])
+def test_refused_data_reads_dims_from_the_bar_complex(name, n):
+    alg = build_algebra(load_bundled(name)[1])
+    twisted = _twisted_regular(alg)
+    assert not twisted.is_graded()
+    with pytest.raises(ValueError, match="Peirce-graded"):
+        _normalized_complex(alg, twisted)
+    space = hh(alg, twisted, n)
+    assert space.backend == "bar"
+    bc = _bar_complex(alg, twisted)
+    assert n not in bc.ranks
+    assert space.dim == hh(alg, regular_bimodule(alg), n).dim
+    assert n in bc.ranks
+    assert len(space.representatives) == space.dim

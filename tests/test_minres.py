@@ -181,3 +181,21 @@ def test_resolution_route_agrees_over_gf2(name):
     reg = regular_bimodule(alg)
     assert [hh_via_resolution(alg, n).dim for n in range(3)] == \
         [hh(alg, reg, n).dim for n in range(3)]
+
+
+@pytest.mark.parametrize("name", MONOMIAL)
+def test_resolution_builds_no_second_algebra(monkeypatch, name):
+    # the minimal relations are read off the algebra itself, so the
+    # resolution route never rebuilds it from its presentation
+    from hochschild import algebra as algebra_module
+    alg = build_algebra(PRESENTATIONS[name]())
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "build_algebra", counted)
+    dims = [hh_via_resolution(alg, n).dim for n in (0, 1, 2)]
+    assert builds == []
+    assert dims == [hh(alg, regular_bimodule(alg), n).dim for n in (0, 1, 2)]
