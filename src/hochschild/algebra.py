@@ -204,11 +204,24 @@ class Algebra:
                 want = {i1: field.one} if i1 == i2 else {}
                 if prod != want:
                     raise ValueError(f"idempotents {n1!r},{n2!r} not orthogonal")
-        unit = self.unit_coords()
+        # the unit is the sum of the idempotents, so 1.b_j and b_j.1 are
+        # sums of structure constants
+        structure = self.structure
+        idem = [idx for _, idx in self.idempotents]
+
+        def unit_times(prods):
+            prods = [p for p in prods if p]
+            if len(prods) == 1:
+                return prods[0]
+            out = {}
+            for p in prods:
+                axpy(field, out, field.one, p)
+            return out
+
         for j in range(self.dim):
             b = {j: field.one}
-            if self.multiply_coords(unit, b) != b or \
-               self.multiply_coords(b, unit) != b:
+            if unit_times(structure.get((e, j)) for e in idem) != b or \
+               unit_times(structure.get((j, e)) for e in idem) != b:
                 raise ValueError("unit is not a two-sided identity")
         # associativity on all basis triples: (b_i b_j) b_k and b_i (b_j b_k)
         # both vanish unless b_i b_j or b_j b_k is nonzero, so per middle
@@ -234,15 +247,19 @@ class Algebra:
                 if left.get((i, k), {}) != right.get((i, k), {}):
                     raise ValueError(
                         f"associativity fails on basis triple {(i, j, k)}")
-        # Peirce tags
+        # Peirce tags: e_x b e_y = b exactly when e_x b = b = b e_y, since
+        # the idempotents are orthogonal and the product associative
+        named = dict(self.idempotents)
         for i, tag in enumerate(self.peirce):
             if tag is None:
                 continue
             x, y = tag
-            ex = self.idempotent(x).coords
-            ey = self.idempotent(y).coords
+            for v in tag:
+                if v not in named:
+                    raise ValueError(f"no idempotent named {v!r}")
             b = {i: field.one}
-            if self.multiply_coords(self.multiply_coords(ex, b), ey) != b:
+            if structure.get((named[x], i)) != b or \
+               structure.get((i, named[y])) != b:
                 raise ValueError(f"bad Peirce tag for basis vector {i}")
 
     def is_peirce_graded(self):
@@ -410,9 +427,13 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
                    for v in sorted(presentation.quiver.vertices)]
     peirce = [(p.source, p.target) for p in basis]
     labels = [p.label() for p in basis]
-    return Algebra(field, labels, structure, idempotents, peirce,
-                   presentation=presentation, basis_paths=basis,
-                   nilpotency=last.L)
+    algebra = Algebra(field, labels, structure, idempotents, peirce,
+                      presentation=presentation, basis_paths=basis,
+                      nilpotency=last.L)
+    # the certified ideal, kept for system_of_relations, which reads it in
+    # lex order
+    algebra._lex_ideal = last if order == "lex" else None
+    return algebra
 
 
 def multiply(a, b):
@@ -461,8 +482,8 @@ def system_of_relations(source, cap=DEFAULT_CAP):
             raise ValueError("algebra has no presentation")
     else:
         algebra, presentation = build_algebra(source, cap=cap), source
-    L = algebra.nilpotency
-    ideal = _TruncatedIdeal(presentation, L)
+    ideal = getattr(algebra, "_lex_ideal", None) or \
+        _TruncatedIdeal(presentation, algebra.nilpotency)
     field = presentation.field
 
     # span of J*I + I*J in the truncated model: padded generators suffice,

@@ -149,13 +149,16 @@ def cmd_relext(args):
 
 def cmd_verify_paper(args):
     start = time.monotonic()
-    body = run_blocks(only=args.only)
+    timings = []
+    body = run_blocks(only=args.only, timings=timings)
     if args.verbose:
-        for block in body["blocks"]:
-            for check in block["checks"]:
+        for block, (name, seconds, check_seconds) in zip(body["blocks"],
+                                                         timings):
+            for check, dt in zip(block["checks"], check_seconds):
                 verdict = "pass" if check["pass"] else "FAIL"
-                print(f"[{verdict}] {block['name']}: {check['name']}",
+                print(f"[{verdict}] {name}: {check['name']} ({dt:.3f}s)",
                       file=sys.stderr)
+            print(f"block {name}: {seconds:.3f}s", file=sys.stderr)
         print(f"elapsed: {time.monotonic() - start:.1f}s", file=sys.stderr)
     command = {"name": "verify-paper", "only": args.only}
     _emit(_report(command, body.pop("input_hash"), body))

@@ -33,7 +33,10 @@ m that `_bar_column` emits: it is the bar complex's row, and the
 normalized complex maps it to a row with one dict (`NormalizedComplex`).
 
 Both complexes cache their differentials and the ranks of those on the
-module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  A
+module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  The
+column kernel of `_bar_column` is cached there too, next to the
+complexes, once per degree and argument set, so the many `bar_apply`
+calls of a verification run set it up once.  A
 `CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
 rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
 basis.  Representatives and class coordinates are built on first use,
@@ -202,7 +205,22 @@ def _bar_column(algebra, module, n, args=None):
     (a list of basis indices) the image is restricted to tensors of
     arguments from args: the normalized and Ext complexes pass the
     radical indices.
+
+    Each kernel is built once per (n, args) and cached on the module, so
+    its signed factorization tables and action lists are set up once per
+    run, not once per `bar_apply`.
     """
+    cache = getattr(module, "_bar_columns", None)
+    if cache is None:
+        cache = module._bar_columns = {}
+    key = (n, None if args is None else tuple(args))
+    column = cache.get(key)
+    if column is None:
+        column = cache[key] = _column_kernel(algebra, module, n, args)
+    return column
+
+
+def _column_kernel(algebra, module, n, args):
     field = algebra.field
     d = algebra.dim
     dm = module.dim
@@ -1007,15 +1025,16 @@ def random_normalized_cochain(algebra, module, n, rng=None, seed=0, density=6):
     return nc.embed(n, out)
 
 
-def transport(cochain, new_algebra, new_module, slot_map, value_map):
+def transport(cochain, new_algebra, new_module, slot_t, value_map):
     """The cochain value_map o f o slot_map^{(x)n} over a new algebra.
 
-    slot_map: Mat (old algebra dim) x (new algebra dim); value_map: Mat
+    slot_t is the transpose of slot_map, a Mat (new algebra dim) x (old
+    algebra dim) whose column s is row s of slot_map, taken once by the
+    caller (`SplitExtensionData` keeps those of p and q); value_map: Mat
     (new module dim) x (old module dim).
     """
     n = cochain.degree
     field = new_algebra.field
-    slot_t = slot_map.transpose()
     out = Cochain(new_algebra, new_module, n)
     for t, col in cochain.data.items():
         slots = cochain.decode(t)

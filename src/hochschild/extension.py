@@ -33,6 +33,9 @@ class SplitExtensionData:
         self.p = p
         self.q = q
         self.i = i
+        # the slot maps of `transport`, transposed once per extension
+        self.p_t = p.transpose()
+        self.q_t = q.transpose()
         self.is_trivial = is_trivial
         self.idempotent_compatible = idempotent_compatible
         self._E_as_B = None
@@ -240,13 +243,13 @@ class ProjectionMatrix:
 
 def project_cochain(ext, f):
     """p o f o q^{(x)n} as a cochain over C with regular coefficients."""
-    return transport(f, ext.C, regular_bimodule(ext.C), ext.q, ext.p)
+    return transport(f, ext.C, regular_bimodule(ext.C), ext.q_t, ext.p)
 
 
 def inflate_cochain(ext, f):
     """f o p^{(x)n} as a cochain over B with coefficients C-via-p."""
     ident = Mat.identity(ext.C.dim, ext.C.field)
-    return transport(f, ext.B, ext.C_as_B_bimodule(), ext.p, ident)
+    return transport(f, ext.B, ext.C_as_B_bimodule(), ext.p_t, ident)
 
 
 def projection_morphism(ext, n, cap=None):
@@ -314,6 +317,9 @@ def check_cup_compatibility(ext, max_total_degree, cap=None):
     HC = {s: hh(ext.C, regC, s, **kwargs)
           for s in range(max_total_degree + 1)}
     pairs = 0
+    # each representative is projected once and reused in every pair
+    reps = {s: HB[s].representatives for s in HB}
+    projected = {s: [project_cochain(ext, f) for f in reps[s]] for s in HB}
     # unit goes to unit
     unit_b = Cochain.from_values(ext.B, regB, 0, {(): ext.B.unit_coords()})
     unit_c = Cochain.from_values(ext.C, regC, 0, {(): ext.C.unit_coords()})
@@ -322,10 +328,10 @@ def check_cup_compatibility(ext, max_total_degree, cap=None):
         return {"holds": False, "pairs": 0, "failed": "unit"}
     for s in range(max_total_degree + 1):
         for t in range(max_total_degree + 1 - s):
-            for f in HB[s].representatives:
-                for g in HB[t].representatives:
+            for f, pf in zip(reps[s], projected[s]):
+                for g, pg in zip(reps[t], projected[t]):
                     lhs = project_cochain(ext, cup(f, g))
-                    rhs = cup(project_cochain(ext, f), project_cochain(ext, g))
+                    rhs = cup(pf, pg)
                     diff = lhs.add(rhs, ext.C.field.of(-1))
                     if not HC[s + t].class_is_zero(diff):
                         return {"holds": False, "pairs": pairs,
@@ -356,7 +362,7 @@ def inflation_retraction(ext, n):
     nu_entries = {}
     ident = Mat.identity(ext.C.dim, field)
     for j in range(HBC.dim):
-        g = transport(HBC.representative(j), ext.C, regC, ext.q, ident)
+        g = transport(HBC.representative(j), ext.C, regC, ext.q_t, ident)
         for r, v in enumerate(HC.class_coords(g)):
             if v:
                 nu_entries[(r, j)] = v

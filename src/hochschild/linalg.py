@@ -50,14 +50,20 @@ class Rationals:
             return x
         return _normal(x if type(x) is Fraction else Fraction(x))
 
+    # add, sub, mul and addmul return an int result as it is; only a
+    # Fraction result goes through _normal
+
     def add(self, a, b):
-        return _normal(a + b)
+        x = a + b
+        return x if type(x) is int else _normal(x)
 
     def sub(self, a, b):
-        return _normal(a - b)
+        x = a - b
+        return x if type(x) is int else _normal(x)
 
     def mul(self, a, b):
-        return _normal(a * b)
+        x = a * b
+        return x if type(x) is int else _normal(x)
 
     def neg(self, a):
         return -a
@@ -73,7 +79,8 @@ class Rationals:
 
     def addmul(self, a, c, b):
         # a + c*b in one call; the elimination hot path.
-        return _normal(a + c * b)
+        x = a + c * b
+        return x if type(x) is int else _normal(x)
 
     def to_str(self, a):
         return str(a)

@@ -8,6 +8,7 @@ byte-identical reports.
 """
 
 import os
+import time
 
 from .algebra import algebra_morphism, build_algebra
 from .algfile import BUNDLED, input_hash, load_bundled
@@ -124,6 +125,7 @@ class Suite:
 def _check(name, ok, **data):
     out = {"name": name, "pass": bool(ok)}
     out.update(data)
+    out["_at"] = time.monotonic()  # when the check was made; run_blocks pops it
     return out
 
 
@@ -477,8 +479,14 @@ def normalize_block_name(name):
     return name.replace(".", "_").replace("-", "_")
 
 
-def run_blocks(only=None):
-    """Run the suite (or one block); returns the canonical report body."""
+def run_blocks(only=None, timings=None):
+    """Run the suite (or one block); returns the canonical report body.
+
+    With a list for timings, one (block name, seconds, [seconds per
+    check]) is appended per block; a check's time is the time since the
+    previous check of its block was made (since the block began, for the
+    first).  The report itself carries no times.
+    """
     suite = Suite()
     names = BLOCK_NAMES
     if only is not None:
@@ -490,6 +498,7 @@ def run_blocks(only=None):
     blocks = []
     all_pass = True
     for name in names:
+        start = time.monotonic()
         try:
             checks = BLOCKS[name](suite)
         except Exception as exc:  # a crash is a named failure, not a crash
@@ -500,6 +509,15 @@ def run_blocks(only=None):
                      f"{tb.tb_lineno}")
             checks = [_check(f"block {name} raised {type(exc).__name__}",
                              False, error=f"{where}: {exc}")]
+        seconds = time.monotonic() - start
+        check_seconds = []
+        prev = start
+        for check in checks:
+            at = check.pop("_at", prev)
+            check_seconds.append(at - prev)
+            prev = at
+        if timings is not None:
+            timings.append((name, seconds, check_seconds))
         block_pass = all(c["pass"] for c in checks)
         all_pass = all_pass and block_pass
         blocks.append({"name": name, "pass": block_pass, "checks": checks})

@@ -1,13 +1,15 @@
 """Shared corpus: the six bundled algebras, built once per session; the
-all-Fraction Q field; the hypothesis profile of the suite."""
+presented split extension of the Nakayama pair; the all-Fraction Q field;
+the hypothesis profile of the suite."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from hochschild.algebra import build_algebra
-from hochschild.linalg import Rationals
+from hochschild.algebra import algebra_morphism, build_algebra
+from hochschild.extension import extension_from_maps
+from hochschild.linalg import QQ, Rationals
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
 # Property tests draw the same examples on every run, and a fixed number
@@ -45,22 +47,40 @@ class FractionRationals(Rationals):
         return Fraction(a + c * b)
 
 
-def nakayama_c_presentation():
+def nakayama_c_presentation(field=QQ):
     q = Quiver(["0", "1"], [("alpha0", "0", "1"), ("alpha1", "1", "0")])
-    rels = [parse_relation(s, q) for s in ("alpha0*alpha1", "alpha1*alpha0")]
-    return Presentation(q, relations=rels)
+    rels = [parse_relation(s, q, field)
+            for s in ("alpha0*alpha1", "alpha1*alpha0")]
+    return Presentation(q, field, rels)
 
 
-def nakayama_b_presentation():
+def nakayama_b_presentation(field=QQ):
     q = Quiver(["0", "1"], [
         ("a0", "0", "1"), ("abar1", "0", "1"),
         ("a1", "1", "0"), ("abar0", "1", "0"),
     ])
-    rels = [parse_relation(s, q) for s in (
+    rels = [parse_relation(s, q, field) for s in (
         "a0*a1", "a1*a0", "abar0*abar1", "abar1*abar0",
         "a0*abar0 - abar1*a1", "a1*abar1 - abar0*a0",
     )]
-    return Presentation(q, relations=rels)
+    return Presentation(q, field, rels)
+
+
+def presented_nakayama_extension(c, b):
+    """The split extension of the Nakayama algebra c by ker p inside b
+    (the bundled ex3_5 pair), given by explicit algebra maps p and q."""
+    cq, bq = c.presentation.quiver, b.presentation.quiver
+    p = algebra_morphism(b, c, {
+        "a0": c.element_from_path(cq.path("alpha0")),
+        "a1": c.element_from_path(cq.path("alpha1")),
+        "abar0": c.element_from_path(cq.path("alpha1")),
+        "abar1": c.element_from_path(cq.path("alpha0")).scaled(-1),
+    })
+    q = algebra_morphism(c, b, {
+        "alpha0": b.element_from_path(bq.path("a0")),
+        "alpha1": b.element_from_path(bq.path("a1")),
+    })
+    return extension_from_maps(c, b, p, q)
 
 
 def kite_c_presentation():

@@ -152,6 +152,25 @@ def test_system_of_relations_of_the_algebra(corpus):
             system_of_relations(alg.presentation)
 
 
+def test_system_of_relations_reuses_the_certified_ideal(monkeypatch):
+    # a lex-built algebra carries the ideal build_algebra certified; a
+    # revlex-built one is rebuilt in lex order, and gives the same list
+    import hochschild.algebra as algebra_module
+    real = algebra_module._TruncatedIdeal
+    built = []
+    for make in PRESENTATIONS.values():
+        pres = make()
+        lex, revlex = build_algebra(pres), build_algebra(pres, order="revlex")
+        built.clear()
+        monkeypatch.setattr(algebra_module, "_TruncatedIdeal",
+                            lambda *args: built.append(args[1]) or real(*args))
+        got = system_of_relations(lex)
+        assert built == []
+        assert system_of_relations(revlex) == got
+        assert built == [revlex.nilpotency]
+        monkeypatch.undo()
+
+
 def test_system_of_relations_needs_a_presentation(nakayama_c):
     bare = Algebra(nakayama_c.field, nakayama_c.labels, nakayama_c.structure,
                    nakayama_c.idempotents, nakayama_c.peirce)
@@ -269,3 +288,94 @@ def test_associativity_failure_names_a_failing_triple(n):
         assert triple in failing
         raised += 1
     assert raised >= 2
+
+
+# -- unit and Peirce checks ------------------------------------------------
+
+
+def _unit_fails(alg):
+    """The unit check by brute force, with full products."""
+    unit = alg.unit_coords()
+    for j in range(alg.dim):
+        b = {j: alg.field.one}
+        if alg.multiply_coords(unit, b) != b or \
+           alg.multiply_coords(b, unit) != b:
+            return True
+    return False
+
+
+@pytest.fixture(scope="module", params=["ex3_8_B", "A_8"])
+def axiom_algebra(request):
+    """A bundled algebra, and a generated one of dim 36."""
+    if request.param == "A_8":
+        return _linear_a(8)
+    return build_algebra(load_bundled(request.param)[1])
+
+
+def test_corrupted_unit_raises(axiom_algebra):
+    # On ex3_8_B and A_8 (dim 36), on either side, a unit product e.b_j is
+    # scaled, given an extra term, or dropped: the unit check raises.  It
+    # is moved to another idempotent, or split over two that cancel: the
+    # unit still acts as one (it is their sum), so another check raises.
+    # Each case is decided by the brute-force unit check.
+    alg = axiom_algebra
+    field = alg.field
+    one = field.one
+    idem = [idx for _, idx in alg.idempotents]
+    rng = random.Random(alg.dim)
+    raised = 0
+    for trial in range(10):
+        j = rng.choice(alg.radical_indices)
+        left = trial % 2 == 0
+
+        def key(idx):
+            return (idx, j) if left else (j, idx)
+
+        (e,) = [e for e in idem if alg.structure.get(key(e))]
+        other = next(f for f in idem if f != e)
+        k = rng.choice([i for i in alg.radical_indices if i != j])
+        structure = {pair: dict(prod) for pair, prod in alg.structure.items()}
+        kind = trial // 2
+        if kind == 0:
+            structure[key(e)][j] = field.add(one, one)
+        elif kind == 1:
+            structure[key(e)][k] = one
+        elif kind == 2:
+            del structure[key(e)]
+        elif kind == 3:
+            structure[key(other)] = structure.pop(key(e))
+        else:
+            structure[key(e)][k] = one
+            structure[key(other)] = {k: field.neg(one)}
+        args = (field, alg.labels, structure, alg.idempotents, alg.peirce)
+        if _unit_fails(Algebra(*args, check=False)):
+            with pytest.raises(ValueError,
+                               match="unit is not a two-sided identity"):
+                Algebra(*args)
+            raised += 1
+        else:
+            with pytest.raises(ValueError) as info:
+                Algebra(*args)
+            assert "unit" not in str(info.value)
+    assert raised == 6
+
+
+def test_wrong_peirce_tag_raises(axiom_algebra):
+    # every other tag on the same pair of vertices, and an unknown vertex
+    alg = axiom_algebra
+    for i in alg.radical_indices:
+        x, y = alg.peirce[i]
+        for tag in ((y, x), (x, x), (y, y)):
+            if tag == (x, y):
+                continue
+            peirce = list(alg.peirce)
+            peirce[i] = tag
+            with pytest.raises(ValueError,
+                               match=f"bad Peirce tag for basis vector {i}$"):
+                Algebra(alg.field, alg.labels, alg.structure,
+                        alg.idempotents, peirce)
+        peirce = list(alg.peirce)
+        peirce[i] = (x, "nowhere")
+        with pytest.raises(ValueError, match="no idempotent named 'nowhere'"):
+            Algebra(alg.field, alg.labels, alg.structure, alg.idempotents,
+                    peirce)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -251,6 +253,25 @@ def test_verify_paper_single_block():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert [b["name"] for b in report["results"]["blocks"]] == ["ex3_5"]
+
+
+def test_verify_paper_verbose_times_every_block():
+    # block and check times go to stderr; stdout is the canonical report
+    from test_acceptance import VERIFY_PAPER_SHA256
+    from hochschild.verification import BLOCK_NAMES
+    proc = subprocess.run(
+        [sys.executable, "-m", "hochschild.cli", "verify-paper", "--verbose"],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_PAPER_SHA256
+    assert json.loads(proc.stdout)["timing"] is None
+    stderr = proc.stderr.decode()
+    blocks = re.findall(r"^block (\w+): \d+\.\d{3}s$", stderr, re.M)
+    assert blocks == BLOCK_NAMES
+    checks = re.findall(r"^\[(?:pass|FAIL)\] (\w+): .* \(\d+\.\d{3}s\)$",
+                        stderr, re.M)
+    report = json.loads(proc.stdout)["results"]["blocks"]
+    assert checks == [b["name"] for b in report for _ in b["checks"]]
 
 
 def test_verify_paper_unknown_block():

@@ -1,13 +1,24 @@
+import itertools
+import random
+
 import pytest
 
+import hochschild.cohomology as cohomology
 from hochschild.algebra import build_algebra
 from hochschild.bimodule import dual_bimodule, regular_bimodule
 from hochschild.cohomology import (
-    CapExceeded, Cochain, bar_differential, bracket1, class_equal, cup,
-    der0_basis, derivation_from_arrow_values, hh, hh1_via_derivations,
-    is_derivation, random_cochain,
+    CapExceeded, Cochain, _bar_column, bar_apply, bar_differential, bracket1,
+    class_equal, cup, der0_basis, derivation_from_arrow_values, hh,
+    hh1_via_derivations, is_derivation, random_cochain, transport,
 )
+from hochschild.extension import inflate_cochain, project_cochain
+from hochschild.linalg import Mat, PrimeField, QQ, axpy
 from hochschild.quiver import Presentation, Quiver
+
+from conftest import (
+    nakayama_b_presentation, nakayama_c_presentation,
+    presented_nakayama_extension, triangle_b_presentation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +237,116 @@ def test_negative_degree_is_refused(nakayama_c, coefficients):
     # hh^n is zero-based; n = -1 used to recurse in NormalizedComplex.chains
     with pytest.raises(ValueError, match="negative degree -1"):
         hh(nakayama_c, coefficients(nakayama_c), -1)
+
+
+# -- the column kernel ------------------------------------------------------
+
+
+def test_bar_column_one_kernel_per_key(monkeypatch):
+    # a fresh algebra, so no kernel is cached on its module yet
+    alg = build_algebra(triangle_b_presentation())
+    reg = regular_bimodule(alg)
+    builds = []
+    real = cohomology._column_kernel
+    monkeypatch.setattr(cohomology, "_column_kernel",
+                        lambda *args: builds.append(args) or real(*args))
+    full = _bar_column(alg, reg, 2)
+    radical = _bar_column(alg, reg, 2, args=alg.radical_indices)
+    assert full is not radical
+    assert _bar_column(alg, reg, 2) is full
+    assert _bar_column(alg, reg, 2, args=list(alg.radical_indices)) is radical
+    assert len(builds) == 2
+    # on radical tuples the radical kernel is the full one restricted to
+    # radical arguments, and the restriction drops terms
+    rad = set(alg.radical_indices)
+    image = Cochain(alg, reg, 3)
+    dropped = False
+    for t_idx, slots in enumerate(itertools.product(range(alg.dim), repeat=2)):
+        if not rad.issuperset(slots):
+            continue
+        for m in range(reg.dim):
+            whole = full(t_idx, slots, m)
+            kept = {k: v for k, v in whole.items()
+                    if rad.issuperset(image.decode(k // reg.dim))}
+            assert radical(t_idx, slots, m) == kept
+            dropped = dropped or kept != whole
+    assert dropped
+
+
+def test_bar_column_empty_argument_set_is_its_own_key():
+    # a semisimple algebra has no radical indices: the kernel restricted
+    # to them is zero, and must not be the full kernel
+    alg = build_algebra(Presentation(Quiver(["pt"], []), relations=[]))
+    reg = regular_bimodule(alg)
+    assert alg.radical_indices == []
+    assert _bar_column(alg, reg, 1)(0, (0,), 0) == {0: 1}
+    assert _bar_column(alg, reg, 1, args=[])(0, (0,), 0) == {}
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+def test_bar_apply_matches_the_matrix(triangle_b, coefficients):
+    module = coefficients(triangle_b)
+    for n in range(3):
+        matrix = bar_differential(triangle_b, module, n)
+        for seed in range(4):
+            f = random_cochain(triangle_b, module, n, seed=seed)
+            assert bar_apply(triangle_b, module, n, f).vec() == \
+                matrix.matvec(f.vec())
+
+
+# -- transport --------------------------------------------------------------
+
+
+def _evaluated(f, new_algebra, new_module, slot_map, value_map):
+    """value_map o f o slot_map^{(x)n}, evaluated on every basis tensor of
+    the new algebra by expanding f multilinearly."""
+    field = new_algebra.field
+    values = {}
+    for args in itertools.product(range(new_algebra.dim), repeat=f.degree):
+        acc = {}
+        for terms in itertools.product(*(slot_map.column(u).items()
+                                         for u in args)):
+            coeff = field.one
+            for _, c in terms:
+                coeff = field.mul(coeff, c)
+            axpy(field, acc, coeff, f.value(tuple(s for s, _ in terms)))
+        values[args] = value_map.matvec(acc)
+    return Cochain.from_values(new_algebra, new_module, f.degree, values)
+
+
+def _random_map(rows, cols, field, rng):
+    entries = {(r, c): rng.randint(-3, 3) for r in range(rows)
+               for c in range(cols) if rng.random() < 0.3}
+    return Mat.from_entries(rows, cols, field, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_transport_matches_evaluation(field, n):
+    # the presented ex3_5 extension: q and p come from algebra maps, and p
+    # sends a basis vector to minus one
+    ext = presented_nakayama_extension(
+        build_algebra(nakayama_c_presentation(field)),
+        build_algebra(nakayama_b_presentation(field)))
+    C, B = ext.C, ext.B
+    regB, regC = regular_bimodule(B), regular_bimodule(C)
+    CasB = ext.C_as_B_bimodule()
+    rng = random.Random(n)
+    f = random_cochain(B, regB, n, rng=rng, density=12)
+    g = random_cochain(C, regC, n, rng=rng)
+    # projection: p o f o q^{(x)n}
+    want = _evaluated(f, C, regC, ext.q, ext.p)
+    assert not want.is_zero()
+    assert transport(f, C, regC, ext.q_t, ext.p) == want
+    assert project_cochain(ext, f) == want
+    # inflation: g o p^{(x)n}
+    ident = Mat.identity(C.dim, field)
+    want = _evaluated(g, B, CasB, ext.p, ident)
+    assert not want.is_zero()
+    assert transport(g, B, CasB, ext.p_t, ident) == want
+    assert inflate_cochain(ext, g) == want
+    # a slot map and a value map that come from no algebra map
+    slot = _random_map(B.dim, C.dim, field, rng)
+    value = _random_map(C.dim, B.dim, field, rng)
+    assert transport(f, C, regC, slot.transpose(), value) == \
+        _evaluated(f, C, regC, slot, value)

@@ -1,10 +1,12 @@
 import pytest
 
-from hochschild.algebra import algebra_morphism
+from hochschild.algebra import algebra_morphism, build_algebra
 from hochschild.bimodule import (
     dual_bimodule, hom_bimodule, regular_bimodule, zero_bimodule,
 )
-from hochschild.cohomology import Cochain, bar_differential, bracket1, hh
+from hochschild.cohomology import (
+    Cochain, bar_differential, bracket1, hh, random_cochain,
+)
 from hochschild.extension import (
     check_cup_compatibility, check_derivation_splitting, check_growth_bound,
     check_kernel_sequence, check_projection_chain_identity,
@@ -17,23 +19,16 @@ from hochschild.linalg import Mat, QQ, same_subspace
 
 from hochschild.cohomology import derivation_from_arrow_values
 
+from conftest import (
+    nakayama_b_presentation, nakayama_c_presentation,
+    presented_nakayama_extension,
+)
+
 
 @pytest.fixture(scope="module")
 def nak_ext(nakayama_b, nakayama_c):
     """The presented split extension with the explicit p and q."""
-    c, b = nakayama_c, nakayama_b
-    cq, bq = c.presentation.quiver, b.presentation.quiver
-    p = algebra_morphism(b, c, {
-        "a0": c.element_from_path(cq.path("alpha0")),
-        "a1": c.element_from_path(cq.path("alpha1")),
-        "abar0": c.element_from_path(cq.path("alpha1")),
-        "abar1": c.element_from_path(cq.path("alpha0")).scaled(-1),
-    })
-    q = algebra_morphism(c, b, {
-        "alpha0": b.element_from_path(bq.path("a0")),
-        "alpha1": b.element_from_path(bq.path("a1")),
-    })
-    return extension_from_maps(c, b, p, q)
+    return presented_nakayama_extension(nakayama_c, nakayama_b)
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +207,60 @@ def test_chain_identity_random(nak_ext, n):
 
 
 def test_cup_compatibility_bound2(nak_ext):
-    report = check_cup_compatibility(nak_ext, 2)
-    assert report["holds"]
-    assert report["pairs"] > 0
+    assert check_cup_compatibility(nak_ext, 2) == {"holds": True, "pairs": 85}
+
+
+@pytest.mark.parametrize("bound,pairs", [(0, 9), (1, 33), (3, 181)])
+def test_cup_compatibility_pair_count(nak_ext, bound, pairs):
+    # every class pair within the bound is checked, with each
+    # representative projected once: the counts of projecting per pair
+    assert check_cup_compatibility(nak_ext, bound) == {"holds": True,
+                                                       "pairs": pairs}
+
+
+def test_setups_are_made_once_per_run(monkeypatch):
+    # Exact counts, equal on two fresh builds: a change that sets up a
+    # column kernel per bar_apply, or transposes a slot map per
+    # projection, fails here.
+    import hochschild.cohomology as cohomology
+
+    real_kernel, real_column = cohomology._column_kernel, cohomology._bar_column
+    real_transpose = Mat.transpose
+
+    def counts():
+        ext = presented_nakayama_extension(
+            build_algebra(nakayama_c_presentation()),
+            build_algebra(nakayama_b_presentation()))
+        builds, keys = [], set()
+        transposes = []
+
+        def column(algebra, module, n, args=None):
+            keys.add((id(module), n, None if args is None else tuple(args)))
+            return real_column(algebra, module, n, args)
+
+        def kernel(*args):
+            builds.append(args)
+            return real_kernel(*args)
+
+        def transpose(self):
+            transposes.append(self)
+            return real_transpose(self)
+
+        monkeypatch.setattr(cohomology, "_bar_column", column)
+        monkeypatch.setattr(cohomology, "_column_kernel", kernel)
+        for n in (0, 1, 2):
+            assert check_projection_chain_identity(ext, n, trials=5)["holds"]
+        monkeypatch.setattr(Mat, "transpose", transpose)
+        regB = regular_bimodule(ext.B)
+        for n in (0, 1, 2, 3):
+            project_cochain(ext, random_cochain(ext.B, regB, n, seed=n))
+        monkeypatch.undo()
+        return len(builds), len(keys), len(transposes)
+
+    first = counts()
+    # b_B and b_C in degrees 0, 1 and 2
+    assert first == (6, 6, 0)
+    assert counts() == first
 
 
 def test_inflation_retraction_degree0(nak_ext):

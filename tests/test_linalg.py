@@ -196,6 +196,27 @@ def test_rationals_int_and_fraction_agree():
     assert {0: 2} == {0: Fraction(2)}
 
 
+# Q scalars as the field holds them: ints, and Fractions only when not
+# integral; halves make integral sums and products of Fractions
+Q_SCALAR = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10**20, 10**20),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]),
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.integers(1, 60)).map(QQ.of),
+)
+
+
+@given(a=Q_SCALAR, b=Q_SCALAR, c=Q_SCALAR)
+def test_rationals_arithmetic_matches_fraction(a, b, c):
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    for got, want in ((QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+                      (QQ.mul(a, b), fa * fb),
+                      (QQ.addmul(a, c, b), fa + fc * fb)):
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_quotient_basis_modulo_boundaries():
     # e0 survives; e0 + e1 is e0 modulo e1; 2e1 + 2e2 leaves e2
     cycles = [{0: 1}, {0: 1, 1: 1}, {1: 2, 2: 2}]
