@@ -7,26 +7,26 @@ E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the `NormalizedComplex`
 with coefficients C (x)_k C, and `extension` checks the surjectivity
 witness with `bar_apply`.
 
-`hh` takes kernel modulo image of one complex, on one code path:
+`hh` takes kernel modulo image of one complex per space, in every degree:
 
-* the literal bar complex (`BarComplex`) in degree 0, in degree 1 while
-  dim Hom(A, M) <= FULL_DEGREE1_LIMIT, and whenever the data is not
-  Peirce-graded;
-* otherwise the subcomplex of idempotent-normalized cochains
-  (`NormalizedComplex`): maps vanishing whenever an argument is one of
-  the orthogonal idempotents, supported on composable radical tuples
-  with matching value blocks.  For a separable span of idempotents that
-  subcomplex is the S-relative bar complex and its inclusion is a
-  quasi-isomorphism, so dimensions and classes agree; representatives
-  produced there are genuine bar cocycles (and are verified to be).
+* the subcomplex of idempotent-normalized cochains (`NormalizedComplex`)
+  wherever it accepts the data: maps vanishing whenever an argument is
+  one of the orthogonal idempotents, supported on composable radical
+  tuples with matching value blocks.  For a separable span of
+  idempotents that subcomplex is the S-relative bar complex and its
+  inclusion is a quasi-isomorphism, so dimensions and classes agree;
+  representatives produced there are genuine bar cocycles;
+* the literal bar complex (`BarComplex`) when it refuses the data (not
+  Peirce-graded).
 
-That complex holds the representatives, `is_cocycle` and the class
-coordinates, and the space's `backend` names it.  A dim read before the
-representatives exist comes from the normalized complex whenever it
-accepts the data, in degrees 0 and 1 too, so `hh(A, M, n).dim` builds
-no bar matrix on Peirce-graded data; the bar differentials are built on
-first use of the representatives, whose count is then checked against
-the bar ranks and against the normalized ranks already read.
+That complex holds the dims, the representatives, `is_cocycle` and the
+class coordinates, and the space's `backend` names it, so on
+Peirce-graded data `hh` builds no bar matrix in any degree.  A cochain
+given in degree 0 or 1 need not be normalized: a cocycle outside the
+normalized complex is first moved into it by a coboundary
+(`_normalize_degree1`; in degree 0 every cocycle already lies in the
+diagonal blocks), and `bar_apply` tells a non-cocycle.  From degree 2 on
+a cochain outside it is refused.
 
 Both complexes index cochains by the flat bar key tensor_index * dim M +
 m that `_bar_column` emits: it is the bar complex's row, and the
@@ -44,9 +44,7 @@ from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and from then
 on dim is their count; `CohomologySpace.vector_coords` gives the class
 of a vector of the complex, `class_coords` that of a cochain.
 
-Everything is deterministic: fixed basis orders, fixed pivot rule, and
-degree-1 representatives are normalized to vanish on idempotents so that
-their cup products stay inside the normalized subcomplex.
+Everything is deterministic: fixed basis orders and a fixed pivot rule.
 """
 
 import itertools
@@ -59,7 +57,6 @@ from .linalg import (
 )
 
 BAR_CAP = 2_000_000          # max (dim A)^(n+1) * dim M
-FULL_DEGREE1_LIMIT = 4096    # full bar complex at degree 1 while dim Hom(A,M) fits
 
 
 class CapExceeded(ValueError):
@@ -536,24 +533,23 @@ class CohomologySpace:
     `NormalizedComplex`): dim, representative cocycles and class
     coordinates.
 
-    The space lives on complex_: representatives, `is_cocycle` and class
-    coordinates are vectors of it, and `backend` names it.  Until the
-    representatives exist, dim is dim C^n - rank d^n - rank d^{n-1} from
-    the ranks cached by dims_from (default complex_; `hh` passes the
-    normalized complex wherever it accepts the data).  `vectors` builds
-    the representatives and the class-coordinate sweep on first use, and
-    from then on dim is their count.  A space whose dim is all that is
-    read does no kernel or quotient work, and a bar space with normalized
-    dims_from builds no bar matrix for it.
+    The space lives on complex_: its dim, representatives, `is_cocycle`
+    and class coordinates all come from that complex, and `backend`
+    names it.  Until the representatives exist, dim is dim C^n -
+    rank d^n - rank d^{n-1} from the complex's cached ranks.  `vectors`
+    builds the representatives and the class-coordinate sweep on first
+    use, and from then on dim is their count.  A space whose dim is all
+    that is read does no kernel or quotient work.  In degrees 0 and 1,
+    `is_cocycle` and `class_coords` also take a cochain outside a
+    normalized complex; from degree 2 on they refuse it.
     """
 
-    def __init__(self, complex_, degree, dims_from=None):
+    def __init__(self, complex_, degree):
         self.complex = complex_
         self.algebra = complex_.algebra
         self.module = complex_.module
         self.degree = degree
         self.backend = complex_.backend
-        self._dims_from = complex_ if dims_from is None else dims_from
         if complex_.backend == "normalized":
             # built now, so that a subcomplex that does not close raises here
             complex_.differential(degree)
@@ -562,16 +558,16 @@ class CohomologySpace:
         self._reps_vecs = None
         self._classes = None
 
-    def _rank_dim(self, complex_):
+    def _rank_dim(self):
         n = self.degree
-        ranks = complex_.rank(n) + (complex_.rank(n - 1) if n else 0)
-        return complex_.dim(n) - ranks
+        ranks = self.complex.rank(n) + (self.complex.rank(n - 1) if n else 0)
+        return self.complex.dim(n) - ranks
 
     @property
     def dim(self):
         if self._reps_vecs is not None:
             return len(self._reps_vecs)
-        return self._rank_dim(self._dims_from)
+        return self._rank_dim()
 
     def _cocycle_matrix(self):
         return self.complex.differential(self.degree)
@@ -582,9 +578,7 @@ class CohomologySpace:
         The first call builds them and the class-coordinate sweep, and
         records rank d^n and rank d^{n-1} from that work in the complex's
         rank cache where they are not there yet.  Their count is checked
-        against the dim from those ranks and, where dims_from is another
-        complex whose ranks in these degrees are already cached, against
-        the dim from its ranks too.
+        against the dim from those ranks.
         """
         if self._reps_vecs is not None:
             return self._reps_vecs
@@ -599,21 +593,11 @@ class CohomologySpace:
         ranks.setdefault(n, cocycles.cols - len(cycles))
         if n:
             ranks.setdefault(n - 1, len(cob))
-        checks = [self.complex]
-        other = self._dims_from
-        if other is not self.complex and all(
-                k in other.ranks for k in range(max(n - 1, 0), n + 1)):
-            checks.append(other)
-        for source in checks:
-            want = self._rank_dim(source)
-            if len(reps) != want:
-                raise AssertionError(
-                    f"hh^{n} on the {self.backend} complex: {len(reps)} "
-                    f"representatives but dim {want} from the "
-                    f"{source.backend} ranks")
-        if n == 1 and self.backend == "bar":
-            reps = [_normalize_degree1(self.algebra, self.module, r)
-                    for r in reps]
+        want = self._rank_dim()
+        if len(reps) != want:
+            raise AssertionError(
+                f"hh^{n} on the {self.backend} complex: {len(reps)} "
+                f"representatives but dim {want} from its ranks")
         try:
             self._classes = SubspaceCoords(field, reps, modulo=cob)
         except ValueError:
@@ -630,16 +614,30 @@ class CohomologySpace:
         return self.complex.embed(self.degree, self.vectors()[i])
 
     def _vec(self, cochain):
+        """The cochain as a vector of the complex, or None for a degree-0
+        or degree-1 cochain that is outside it and not a cocycle."""
         _check_shape(cochain, self.algebra, self.module, self.degree)
         vec = self.complex.project(cochain)
-        if vec is None:
+        if vec is not None:
+            return vec
+        if self.degree > 1:
             raise ValueError(
                 "cochain is not idempotent-normalized; reduce it modulo "
                 "coboundaries in the full complex first")
+        if not bar_apply(self.algebra, self.module, self.degree,
+                         cochain).is_zero():
+            return None
+        if self.degree == 1:
+            cochain = _normalize_degree1(self.algebra, self.module, cochain)
+        vec = self.complex.project(cochain)
+        if vec is None:
+            raise AssertionError(
+                f"a {self.degree}-cocycle escaped the normalized complex")
         return vec
 
     def is_cocycle(self, cochain):
-        return not self._cocycle_matrix().matvec(self._vec(cochain))
+        vec = self._vec(cochain)
+        return vec is not None and not self._cocycle_matrix().matvec(vec)
 
     def vector_coords(self, vec):
         """Sparse class coordinates of a vector of the complex, or None if
@@ -654,7 +652,8 @@ class CohomologySpace:
 
     def class_coords(self, cochain):
         """Coordinates of [cochain] in the representative basis."""
-        found = self.vector_coords(self._vec(cochain))
+        vec = self._vec(cochain)
+        found = None if vec is None else self.vector_coords(vec)
         if found is None:
             raise ValueError("not a cocycle")
         return dense(found, self.dim, self.algebra.field)
@@ -674,14 +673,18 @@ class CohomologySpace:
                 f"backend={self.backend})")
 
 
-def _normalize_degree1(algebra, module, rep_vec):
-    """Subtract a coboundary so the 1-cocycle vanishes on idempotents."""
+def _normalize_degree1(algebra, module, cocycle):
+    """The 1-cocycle minus a coboundary b^1(x), vanishing on idempotents.
+
+    On Peirce-graded data a 1-cocycle that vanishes on the idempotents
+    lies in the normalized complex.
+    """
     field = algebra.field
     dm = module.dim
     idem = [idx for _, idx in algebra.idempotents]
-    if all(not any(rep_vec.get(e * dm + m) for m in range(dm)) for e in idem):
-        return rep_vec
-    # want x in M with (L_e - R_e) x = rep(e) for every idempotent e;
+    if all(not cocycle.value((e,)) for e in idem):
+        return cocycle
+    # want x in M with (L_e - R_e) x = cocycle(e) for every idempotent e;
     # equation rows are indexed e*dm + m2
     cols = {}
     for e in idem:
@@ -695,35 +698,24 @@ def _normalize_degree1(algebra, module, rep_vec):
                 col[e * dm + m2] = v
     b = {}
     for e in idem:
-        for m in range(dm):
-            v = rep_vec.get(e * dm + m)
-            if v:
-                b[e * dm + m] = v
+        for m, v in cocycle.value((e,)).items():
+            b[e * dm + m] = v
     m_rows = algebra.dim * dm  # generous bound; rows indexed e*dm+m
     matrix = Mat(m_rows, dm, field, {m: c for m, c in cols.items() if c})
     x = solve(matrix, b)
     if x is None:
         raise AssertionError("1-cocycle cannot be normalized")
-    # rep' = rep - b^1(x)
-    b1 = _bar_complex(algebra, module).differential(0)
-    correction = b1.matvec({m: v for m, v in enumerate(x) if v})
-    out = dict(rep_vec)
-    axpy(field, out, field.of(-1), correction)
-    return out
+    x = Cochain.from_vec(algebra, module, 0, dict(enumerate(x)))
+    return cocycle.add(bar_apply(algebra, module, 0, x), field.of(-1))
 
 
-def _complexes_for(algebra, module, n):
-    """(the complex hh^n lives on, the complex its dim is read from before
-    representatives exist); see the module docstring."""
+def _complex_for(algebra, module):
+    """The normalized complex, or the bar complex where the data is not
+    Peirce-graded; see the module docstring."""
     try:
-        nc = _normalized_complex(algebra, module)
+        return _normalized_complex(algebra, module)
     except ValueError:
-        bc = _bar_complex(algebra, module)
-        return bc, bc
-    full_size = (algebra.dim ** n) * module.dim
-    if n == 0 or (n == 1 and full_size <= FULL_DEGREE1_LIMIT):
-        return _bar_complex(algebra, module), nc
-    return nc, nc
+        return _bar_complex(algebra, module)
 
 
 def hh(algebra, module, n, cap=BAR_CAP):
@@ -737,8 +729,7 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
-    complex_, dims_from = _complexes_for(algebra, module, n)
-    space = cache[(n, cap)] = CohomologySpace(complex_, n, dims_from)
+    space = cache[(n, cap)] = CohomologySpace(_complex_for(algebra, module), n)
     return space
 
 

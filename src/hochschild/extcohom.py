@@ -125,7 +125,7 @@ def ext_dual_bimodule(C, m):
     _check_ext_cap(C, m)
     field = C.field
     d = C.dim
-    # not hh, which takes the bar complex in degrees 0 and 1
+    # not hh: the Ext complex is gated by _check_ext_cap, not the bar cap
     space = CohomologySpace(_normalized_complex(C, _ext_coefficients(C)), m)
     flat, pos = space.complex.basis(m)
     keys = list(pos)  # flat bar key of each row: pos is filled in row order

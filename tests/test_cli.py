@@ -274,6 +274,23 @@ def test_verify_paper_verbose_times_every_block():
     assert checks == [b["name"] for b in report for _ in b["checks"]]
 
 
+HH_REPS_EX3_5_B_DUAL_SHA256 = (
+    "e1849704044a707226623b9ecbe734f25f16f9843475628d38e9edccbc666dc8")
+
+
+def test_hh_reps_stdout_is_pinned():
+    # the representatives are canonical output: a change of their basis
+    # must update this hash deliberately and say so in CHANGES.md
+    proc = subprocess.run(
+        [sys.executable, "-m", "hochschild.cli", "hh", data_path("ex3_5_B"),
+         "--module", "dual", "--max-degree", "2", "--reps"],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        HH_REPS_EX3_5_B_DUAL_SHA256
+    assert json.loads(proc.stdout)["results"]["dims"] == [3, 4, 6]
+
+
 def test_verify_paper_unknown_block():
     proc = run_cli("verify-paper", "--only", "nonsense")
     assert proc.returncode == 2

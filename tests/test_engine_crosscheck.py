@@ -1,8 +1,9 @@
 """The normalized-subcomplex engine against the literal full bar complex.
 
 For small algebras the full tensor-space kernel is affordable, so the
-degree-2/3 dimensions (where the engine switches to normalized cochains)
-are recomputed from the raw differential matrices by rank counting.
+dimensions the engine reads off normalized cochains (in every degree, on
+Peirce-graded data) are recomputed from the raw differential matrices by
+rank counting.
 """
 
 import pytest
@@ -260,16 +261,25 @@ def test_rank_dim_matches_representatives(name, coefficients, n):
     assert all(space.is_cocycle(r) for r in reps)
 
 
-@pytest.mark.parametrize("n,backend", [(1, "bar"), (2, "normalized")])
-@pytest.mark.parametrize("degree_of_rank", ["n", "n-1"])
-def test_corrupted_rank_is_caught(n, backend, degree_of_rank):
-    alg, module = _fresh("ex3_5_B", regular_bimodule)
+@pytest.mark.parametrize("n,degree_of_rank", [(0, "n"), (1, "n"),
+                                              (1, "n-1"), (2, "n"),
+                                              (2, "n-1")])
+@pytest.mark.parametrize("data,backend", [("regular", "normalized"),
+                                          ("twisted", "bar")])
+def test_corrupted_rank_is_caught(n, degree_of_rank, data, backend):
+    # the representative count is checked against the ranks of the
+    # space's own complex: normalized on Peirce-graded data, bar on data
+    # it refuses
+    alg = build_algebra(load_bundled("ex3_5_B")[1])
+    module = (regular_bimodule if data == "regular" else _twisted_regular)(alg)
     space = hh(alg, module, n)
     assert space.backend == backend
     k = n if degree_of_rank == "n" else n - 1
     space.complex.rank(k)
     space.complex.ranks[k] += 1
-    with pytest.raises(AssertionError, match=rf"hh\^{n} on the {backend}"):
+    with pytest.raises(AssertionError,
+                       match=rf"hh\^{n} on the {backend} complex: .* from "
+                             r"its ranks"):
         space.representatives
 
 
@@ -314,16 +324,17 @@ def test_projection_morphism_reads_no_rank(monkeypatch, name, n):
     assert not calls
 
 
-# -- dims read first come from the normalized complex ---------------------
+# -- one complex per space: normalized in every degree ---------------------
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_low_degree_dims_build_no_bar_matrix(monkeypatch, name,
                                              coefficients, n):
-    # on Peirce-graded data the space stays on the bar complex, but its
-    # dim, read first, is taken from the normalized ranks
+    # on Peirce-graded data the space lives on the normalized complex in
+    # every degree: neither its dim nor its representatives build a bar
+    # matrix
     builds = []
 
     def counted(*args, **kwargs):
@@ -333,42 +344,94 @@ def test_low_degree_dims_build_no_bar_matrix(monkeypatch, name,
     monkeypatch.setattr(cohomology, "bar_differential", counted)
     alg, module = _fresh(name, coefficients)
     space = hh(alg, module, n)
-    assert space.backend == "bar"
+    assert space.backend == "normalized"
+    assert space.complex is _normalized_complex(alg, module)
     dim = space.dim
-    assert builds == []
-    assert n in _normalized_complex(alg, module).ranks
+    assert n in space.complex.ranks
     assert len(space.representatives) == dim
-    assert builds
+    assert builds == []
 
 
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_low_degree_dims_agree_across_engines(name, coefficients, n):
-    # the dim read first (normalized ranks), the bar representatives and,
-    # in degree 1, the derivation route
+    # the dim read first (normalized ranks), the normalized
+    # representatives, the literal bar complex and, in degree 1, the
+    # derivation route
     alg, module = _fresh(name, coefficients)
     space = hh(alg, module, n)
     first = space.dim
     assert len(space.representatives) == first == space.dim
+    bar = CohomologySpace(_bar_complex(alg, module), n)
+    assert bar.dim == first == len(bar.representatives)
     if n == 1:
         assert hh1_via_derivations(alg, module).dim == first
 
 
-@pytest.mark.parametrize("n,degree_of_rank", [(0, "n"), (1, "n"),
-                                              (1, "n-1")])
-def test_corrupted_normalized_rank_is_caught(n, degree_of_rank):
-    alg, module = _fresh("ex3_5_B", regular_bimodule)
+def _off_diagonal_cochain(alg, module):
+    # a degree-0 cochain (an element of M) with a component in every
+    # off-diagonal Peirce block of M, so that b^1 of it is not normalized
+    field = alg.field
+    vec = {m: field.of(m % 3 + 1) for m, (s, t) in enumerate(module.peirce)
+           if s != t}
+    assert vec
+    return Cochain.from_vec(alg, module, 0, vec)
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", ["ex3_5_B", "ex3_8_C", "ex5_9_C", "square"])
+def test_degree1_classes_ignore_non_normalized_coboundaries(name,
+                                                            coefficients):
+    # a representative plus b^1(x), with x off the diagonal blocks, leaves
+    # the normalized complex; class_coords moves it back by a coboundary
+    # and reads the representative's class
+    alg, module = _fresh(name, coefficients)
+    space = hh(alg, module, 1)
+    assert space.backend == "normalized"
+    shift = bar_apply(alg, module, 0, _off_diagonal_cochain(alg, module))
+    assert space.complex.project(shift) is None
+    assert space.class_is_zero(shift)
+    for j, rep in enumerate(space.representatives):
+        shifted = rep.add(shift)
+        assert space.complex.project(shifted) is None
+        assert space.is_cocycle(shifted)
+        assert space.class_coords(shifted) == space.class_coords(rep)
+        assert space.class_coords(rep)[j] == alg.field.one
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name", ["ex3_5_B", "square"])
+def test_low_degree_non_cocycles_outside_the_complex(name, coefficients, n):
+    alg, module = _fresh(name, coefficients)
     space = hh(alg, module, n)
-    assert space.backend == "bar"
-    nc = _normalized_complex(alg, module)
-    k = n if degree_of_rank == "n" else n - 1
-    space.dim
-    nc.ranks[k] += 1
-    with pytest.raises(AssertionError,
-                       match=rf"hh\^{n} on the bar complex: .* from the "
-                             r"normalized ranks"):
-        space.representatives
+    if n == 0:
+        # an element of an off-diagonal block does not commute with the
+        # idempotents
+        cochains = [_off_diagonal_cochain(alg, module)]
+    else:
+        cochains = [random_cochain(alg, module, 1, seed=s) for s in range(4)]
+    for f in cochains:
+        assert space.complex.project(f) is None
+        assert not bar_apply(alg, module, n, f).is_zero()
+        assert not space.is_cocycle(f)
+        with pytest.raises(ValueError, match="^not a cocycle$"):
+            space.class_coords(f)
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+def test_degree2_refuses_non_normalized_cocycles(coefficients):
+    # from degree 2 on a cochain outside the normalized complex is
+    # refused, even a coboundary
+    alg, module = _fresh("ex3_5_B", coefficients)
+    space = hh(alg, module, 2)
+    f = bar_apply(alg, module, 1, random_cochain(alg, module, 1, seed=3))
+    assert space.complex.project(f) is None
+    assert bar_apply(alg, module, 2, f).is_zero()
+    for method in (space.class_coords, space.is_cocycle):
+        with pytest.raises(ValueError, match="not idempotent-normalized"):
+            method(f)
 
 
 def _twisted_regular(alg):

@@ -1,11 +1,13 @@
 import pytest
 
+from hochschild import extension
 from hochschild.algebra import algebra_morphism, build_algebra
 from hochschild.bimodule import (
     dual_bimodule, hom_bimodule, regular_bimodule, zero_bimodule,
 )
 from hochschild.cohomology import (
-    Cochain, bar_differential, bracket1, hh, random_cochain,
+    Cochain, _normalized_complex, bar_apply, bar_differential, bracket1, hh,
+    random_cochain,
 )
 from hochschild.extension import (
     check_cup_compatibility, check_derivation_splitting, check_growth_bound,
@@ -184,6 +186,30 @@ def test_phi1_not_surjective_for_loop_extension(kite_ext):
 def test_phi_representative_independence(nak_ext, kite_ext):
     assert projection_respects_representatives(nak_ext, 1, trials=3)
     assert projection_respects_representatives(kite_ext, 1, trials=3)
+
+
+def test_phi1_independence_perturbs_off_the_normalized_complex(
+        monkeypatch, nak_ext):
+    # in degree 1 each representative is perturbed by b^1 of an arbitrary
+    # degree-0 cochain, not a normalized one, so the check covers class
+    # coordinates of cochains outside the complex hh^1 lives on
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(random_cochain(*args, **kwargs))
+        return drawn[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("degree-1 perturbation drawn normalized")
+
+    monkeypatch.setattr(extension, "random_cochain", counted)
+    monkeypatch.setattr(extension, "random_normalized_cochain", refused)
+    assert projection_respects_representatives(nak_ext, 1, trials=3)
+    B = nak_ext.B
+    regB = regular_bimodule(B)
+    nc = _normalized_complex(B, regB)
+    assert drawn
+    assert any(nc.project(bar_apply(B, regB, 0, g)) is None for g in drawn)
 
 
 def test_phi0_report_fields(nak_ext):
