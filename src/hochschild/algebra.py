@@ -177,12 +177,6 @@ class Algebra:
             out = out * self.basis_element(idx)
         return out
 
-    def element_from_path_sum(self, ps):
-        out = AlgElement(self, {})
-        for p, c in ps.terms.items():
-            out = out + self.element_from_path(p).scaled(c)
-        return out
-
     def _arrow_indices(self):
         idx = getattr(self, "_arrow_idx", None)
         if idx is None:

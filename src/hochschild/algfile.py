@@ -20,7 +20,6 @@ import hashlib
 import json
 from importlib import resources
 
-from .algebra import build_algebra
 from .bimodule import Bimodule
 from .linalg import Mat, field_from_tag
 from .quiver import Presentation, Quiver, parse_relation
@@ -137,10 +136,3 @@ def load_bimodule_file(path, algebra):
         data = json.load(fh)
     return parse_bimodule_file(data, algebra)
 
-
-def build_from_file(path=None, name=None, expect_field=None):
-    if (path is None) == (name is None):
-        raise ValueError("give exactly one of path or bundled name")
-    data, pres = load_algebra_file(path, expect_field=expect_field) \
-        if path is not None else load_bundled(name)
-    return data, pres, build_algebra(pres)

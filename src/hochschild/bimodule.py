@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .algebra import center_basis
 from .linalg import (
-    Mat, SubspaceCoords, axpy, kernel_basis_sparse, quotient_data, rank,
+    Mat, SubspaceCoords, axpy, echelon_basis, kernel_basis_sparse,
+    quotient_data, rank,
 )
 
 
@@ -51,12 +52,6 @@ class Bimodule:
         for i, c in coords.items():
             out = out.add(self.right[i], c)
         return out
-
-    def act_left(self, i, vec):
-        return self.left[i].matvec(vec)
-
-    def act_right(self, i, vec):
-        return self.right[i].matvec(vec)
 
     def multiply(self, a, b):
         if self.product is None:
@@ -267,6 +262,35 @@ def sub_bimodule(ambient, vectors, labels=None):
                     product=product)
 
 
+def peirce_regrade(module):
+    """A Peirce-graded twin of module, with the coordinate maps to and
+    from it.
+
+    The idempotents are orthogonal and sum to 1, so the module is the
+    direct sum of its blocks e_x M e_y.  The twin's basis is, block after
+    block in idempotent order, the echelon basis of the image of
+    left[e_x] right[e_y], so it is deterministic.  Returns (twin, S, T)
+    with S the coordinate map module -> twin and T its inverse; a graded
+    module comes back as it is, with S = T = None.
+    """
+    if module.is_graded():
+        return module, None, None
+    field = module.field
+    idems = [xi for _, xi in module.algebra.idempotents]
+    vectors = []
+    for x in idems:
+        for y in idems:
+            block = module.left[x].matmul(module.right[y])
+            vectors += echelon_basis([c for _, c in block.columns_items()],
+                                     field)
+    coords = SubspaceCoords(field, vectors)
+    dim = module.dim
+    to_twin = Mat(dim, dim, field, {m: coords.coords({m: field.one})
+                                    for m in range(dim)})
+    from_twin = Mat(dim, dim, field, dict(enumerate(vectors)))
+    return sub_bimodule(module, vectors), to_twin, from_twin
+
+
 def pullback_bimodule(src_algebra, morphism, bimod, check=True):
     """View a bimodule over the target of an algebra morphism as one over
     the source (actions through the morphism matrix)."""
@@ -396,10 +420,6 @@ def hom_bimodule(e, f):
             entries[(r, s)] = v
         out.append(Mat.from_entries(f.dim, e.dim, field, entries))
     return out
-
-
-def end_dimension(e):
-    return len(hom_bimodule(e, e))
 
 
 def is_symmetric_over_center(e):

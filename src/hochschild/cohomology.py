@@ -1,42 +1,41 @@
-"""Hochschild cohomology hh^n(A, M) from the bar complex.
+"""Hochschild cohomology hh^n(A, M) on the idempotent-normalized complex.
 
 Cochains in degree n are linear maps A^{(x)n} -> M stored sparsely in the
-tensor-product bases.  The bar formula is written once, in `_bar_column`;
-every differential here is assembled from it.  `extcohom` computes
-E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the `NormalizedComplex`
-with coefficients C (x)_k C, and `extension` checks the surjectivity
-witness with `bar_apply`.
+tensor-product bases.  The bar formula is written once, in `_bar_column`:
+`bar_differential` and `bar_apply` evaluate it on the literal bar
+complex, the reference for b o b = 0, inner derivations, the
+surjectivity witness (`extension`) and the tests, and every
+`NormalizedComplex` restricts it to radical arguments.  `extcohom`
+computes E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the
+`NormalizedComplex` with coefficients C (x)_k C.
 
-`hh` takes kernel modulo image of one complex per space, in every degree:
-
-* the subcomplex of idempotent-normalized cochains (`NormalizedComplex`)
-  wherever it accepts the data: maps vanishing whenever an argument is
-  one of the orthogonal idempotents, supported on composable radical
-  tuples with matching value blocks.  For a separable span of
-  idempotents that subcomplex is the S-relative bar complex and its
-  inclusion is a quasi-isomorphism, so dimensions and classes agree;
-  representatives produced there are genuine bar cocycles;
-* the literal bar complex (`BarComplex`) when it refuses the data (not
-  Peirce-graded).
+`hh` takes kernel modulo image of one complex per space, in every degree
+and on every input: the subcomplex of idempotent-normalized cochains,
+maps vanishing whenever an argument is one of the orthogonal
+idempotents, supported on composable radical tuples with matching value
+blocks.  For a separable span of idempotents that subcomplex is the
+S-relative bar complex and its inclusion is a quasi-isomorphism, so
+dimensions and classes agree, and its representatives are genuine bar
+cocycles.  The algebra must be Peirce-graded with radical products off
+the idempotents, or `NormalizedComplex` raises ValueError.  The module
+need not be: the complex is assembled on its graded twin
+(`bimodule.peirce_regrade`), and its cochains go in and come out in the
+module's own basis.
 
 That complex holds the dims, the representatives, `is_cocycle` and the
-class coordinates, and the space's `backend` names it, so on
-Peirce-graded data `hh` builds no bar matrix in any degree.  A cochain
-given in degree 0 or 1 need not be normalized: a cocycle outside the
-normalized complex is first moved into it by a coboundary
-(`_normalize_degree1`; in degree 0 every cocycle already lies in the
-diagonal blocks), and `bar_apply` tells a non-cocycle.  From degree 2 on
-a cochain outside it is refused.
+class coordinates, so `hh` builds no bar matrix in any degree.  A
+cochain given in degree 0 or 1 need not be normalized: a cocycle outside
+the complex is first moved into it by a coboundary (`_normalize_degree1`,
+one sweep of its system per module; in degree 0 every cocycle already
+lies in the diagonal blocks), and `bar_apply` tells a non-cocycle.  From
+degree 2 on a cochain outside it is refused.
 
-Both complexes index cochains by the flat bar key tensor_index * dim M +
-m that `_bar_column` emits: it is the bar complex's row, and the
-normalized complex maps it to a row with one dict (`NormalizedComplex`).
-
-Both complexes cache their differentials and the ranks of those on the
-module, so hh^{n+1} reuses the matrix and the rank hh^n needed.  The
-column kernel of `_bar_column` is cached there too, next to the
-complexes, once per degree and argument set, so the many `bar_apply`
-calls of a verification run set it up once.  A
+The complex indexes cochains by the flat bar key tensor_index * dim M + m
+that `_bar_column` emits, mapped to a row with one dict.  It caches its
+differentials and their ranks on the module, so hh^{n+1} reuses the
+matrix and the rank hh^n needed.  The column kernel of `_bar_column` is
+cached there too, once per degree and argument set, so the many
+`bar_apply` calls of a verification run set it up once.  A
 `CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
 rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
 basis.  Representatives and class coordinates are built on first use,
@@ -48,12 +47,12 @@ Everything is deterministic: fixed basis orders and a fixed pivot rule.
 """
 
 import itertools
-import math
 import random
 
+from .bimodule import peirce_regrade, regular_bimodule
 from .linalg import (
-    Mat, SubspaceCoords, axpy, dense, kernel_basis_sparse, quotient_basis,
-    rank, scale, solve,
+    Mat, SubspaceCoords, Sweep, axpy, dense, kernel_basis_sparse,
+    quotient_basis, rank, scale,
 )
 
 BAR_CAP = 2_000_000          # max (dim A)^(n+1) * dim M
@@ -339,46 +338,42 @@ def _subcomplex_differential(algebra, module, n, basis, pos):
 
 
 # ---------------------------------------------------------------------------
-# the two complexes hh works on
+# the complex hh works on
 
 
-class _Complex:
-    """What the two complexes share: rank d^n, computed once per degree
-    and cached in ranks (which `CohomologySpace.vectors` also fills)."""
-
-    def rank(self, n):
-        got = self.ranks.get(n)
-        if got is None:
-            got = self.ranks[n] = rank(self.differential(n))
-        return got
-
-
-class NormalizedComplex(_Complex):
+class NormalizedComplex:
     """Cochains vanishing on idempotent arguments, graded by Peirce blocks.
 
     Basis in degree n: (w_1..w_n, m) with w_i radical basis indices forming
-    a composable chain and m an M-basis vector in the block
-    e_{source} M e_{target}.  The restricted bar formula is the
-    differential; products of radical basis vectors never hit idempotents
-    (certified on the algebra), so the formula closes.
+    a composable chain and m a basis vector of the graded twin M' of the
+    module (`peirce_regrade`) in the block e_{source} M' e_{target}.  The
+    restricted bar formula on M' is the differential; products of radical
+    basis vectors never hit idempotents (certified on the algebra), so the
+    formula closes.  A module that is Peirce-graded is its own twin;
+    otherwise `embed` and `project` carry values through the coordinate
+    maps, so cochains in and out are in the module's own basis.
 
     The basis is indexed by its flat bar key tensor_index * dim M + m, the
     coordinate `_bar_column` emits and `Cochain.vec` uses: `basis(n)` gives
     the pairs in row order and pos = {flat key: row}.  A key is in pos
     exactly when its arguments are radical, its chain composable and its
     value in the right Peirce block, so assembling a differential and
-    projecting a cochain are one lookup per term, with no decoding.
+    projecting a cochain of a graded module are one lookup per term, with
+    no decoding.  rank d^n is computed once per degree and cached in ranks,
+    which `CohomologySpace.vectors` also fills.
     """
 
-    backend = "normalized"
-
     def __init__(self, algebra, module):
-        if not algebra.is_peirce_graded() or not module.is_graded():
-            raise ValueError("normalized complex needs Peirce-graded data")
+        if not algebra.is_peirce_graded():
+            raise ValueError("hh needs a Peirce-graded algebra: every basis "
+                             "vector in one block e_x A e_y")
         if not algebra.radical_complement_closed():
-            raise ValueError("radical products leave the graded complement")
+            raise ValueError("hh needs radical products that stay in the "
+                             "radical: a product of two non-idempotent basis "
+                             "vectors hits an idempotent")
         self.algebra = algebra
         self.module = module
+        self.graded, self.to_graded, self.from_graded = peirce_regrade(module)
         self.r = list(algebra.radical_indices)
         self.src = {i: algebra.peirce[i][0] for i in self.r}
         self.tgt = {i: algebra.peirce[i][1] for i in self.r}
@@ -386,7 +381,7 @@ class NormalizedComplex(_Complex):
         for i in self.r:
             self.by_src.setdefault(self.src[i], []).append(i)
         self.m_blocks = {}
-        for m, tag in enumerate(module.peirce):
+        for m, tag in enumerate(self.graded.peirce):
             self.m_blocks.setdefault(tag, []).append(m)
         self._chains = {}
         self._index = {}
@@ -418,7 +413,7 @@ class NormalizedComplex(_Complex):
             return self.m_blocks.get(tag, [])
         # degree 0: all diagonal blocks, in basis order
         out = []
-        for m, tag in enumerate(self.module.peirce):
+        for m, tag in enumerate(self.graded.peirce):
             if tag[0] == tag[1]:
                 out.append(m)
         return out
@@ -428,8 +423,8 @@ class NormalizedComplex(_Complex):
         got = self._index.get(n)
         if got is not None:
             return got
-        encode = Cochain(self.algebra, self.module, n).encode
-        dm = self.module.dim
+        encode = Cochain(self.algebra, self.graded, n).encode
+        dm = self.graded.dim
         flat = []
         pos = {}
         for chain in self.chains(n):
@@ -448,25 +443,37 @@ class NormalizedComplex(_Complex):
         got = self._diff.get(n)
         if got is None:
             got = self._diff[n] = _subcomplex_differential(
-                self.algebra, self.module, n, self.basis(n)[0],
+                self.algebra, self.graded, n, self.basis(n)[0],
                 self.basis(n + 1)[1])
         return got
 
+    def rank(self, n):
+        got = self.ranks.get(n)
+        if got is None:
+            got = self.ranks[n] = rank(self.differential(n))
+        return got
+
     def embed(self, n, nvec):
-        """A normalized vector as a full Cochain."""
+        """A normalized vector as a full Cochain in the module's basis."""
         flat, _ = self.basis(n)
         values = {}
         for k, v in nvec.items():
             chain, m = flat[k]
             values.setdefault(chain, {})[m] = v
+        if self.from_graded is not None:
+            values = {chain: self.from_graded.matvec(vec)
+                      for chain, vec in values.items()}
         return Cochain.from_values(self.algebra, self.module, n, values)
 
     def project(self, cochain):
         """N-coordinates of a normalized cochain, or None if not normalized."""
         _, pos = self.basis(cochain.degree)
         dm = self.module.dim
+        to_graded = self.to_graded
         out = {}
         for t, col in cochain.data.items():
+            if to_graded is not None:
+                col = to_graded.matvec(col)
             base = t * dm
             for m, v in col.items():
                 row = pos.get(base + m)
@@ -484,77 +491,38 @@ def _normalized_complex(algebra, module):
     return nc
 
 
-class BarComplex(_Complex):
-    """The literal bar complex of (A, M), with its differentials cached.
-
-    Callers gate the size first (`hh` checks the cap for the degree it
-    asks for), so the cached builds carry no cap of their own.
-    """
-
-    backend = "bar"
-
-    def __init__(self, algebra, module):
-        self.algebra = algebra
-        self.module = module
-        self._diff = {}
-        self.ranks = {}
-
-    def dim(self, n):
-        return self.algebra.dim ** n * self.module.dim
-
-    def differential(self, n):
-        """b^{n+1} as a matrix on flat coordinates, built once."""
-        got = self._diff.get(n)
-        if got is None:
-            got = self._diff[n] = bar_differential(
-                self.algebra, self.module, n, cap=math.inf)
-        return got
-
-    def embed(self, n, vec):
-        return Cochain.from_vec(self.algebra, self.module, n, vec)
-
-    def project(self, cochain):
-        return cochain.vec()
-
-
-def _bar_complex(algebra, module):
-    bc = getattr(module, "_bar_complex", None)
-    if bc is None:
-        bc = module._bar_complex = BarComplex(algebra, module)
-    return bc
-
-
 # ---------------------------------------------------------------------------
 # cohomology spaces
 
 
 class CohomologySpace:
-    """hh^n as kernel modulo image of one complex (`BarComplex` or
-    `NormalizedComplex`): dim, representative cocycles and class
-    coordinates.
+    """hh^n as kernel modulo image of a `NormalizedComplex`: dim,
+    representative cocycles and class coordinates.
 
     The space lives on complex_: its dim, representatives, `is_cocycle`
-    and class coordinates all come from that complex, and `backend`
-    names it.  Until the representatives exist, dim is dim C^n -
-    rank d^n - rank d^{n-1} from the complex's cached ranks.  `vectors`
-    builds the representatives and the class-coordinate sweep on first
-    use, and from then on dim is their count.  A space whose dim is all
-    that is read does no kernel or quotient work.  In degrees 0 and 1,
-    `is_cocycle` and `class_coords` also take a cochain outside a
-    normalized complex; from degree 2 on they refuse it.
+    and class coordinates all come from that complex.  Until the
+    representatives exist, dim is dim C^n - rank d^n - rank d^{n-1} from
+    the complex's cached ranks.  `vectors` builds the representatives and
+    the class-coordinate sweep on first use, and from then on dim is their
+    count.  A space whose dim is all that is read does no kernel or
+    quotient work.  In degrees 0 and 1, `is_cocycle` and `class_coords`
+    also take a cochain outside the complex; from degree 2 on they refuse
+    it.
     """
+
+    # one complex serves every space; perfbench/spans.py still counts the
+    # answers of hh by this name
+    backend = "normalized"
 
     def __init__(self, complex_, degree):
         self.complex = complex_
         self.algebra = complex_.algebra
         self.module = complex_.module
         self.degree = degree
-        self.backend = complex_.backend
-        if complex_.backend == "normalized":
-            # built now, so that a subcomplex that does not close raises here
-            complex_.differential(degree)
-            if degree:
-                complex_.differential(degree - 1)
+        # built now, so that a subcomplex that does not close raises here
+        complex_.differential(degree)
+        if degree:
+            complex_.differential(degree - 1)
         self._reps_vecs = None
         self._classes = None
 
@@ -596,7 +564,7 @@ class CohomologySpace:
         want = self._rank_dim()
         if len(reps) != want:
             raise AssertionError(
-                f"hh^{n} on the {self.backend} complex: {len(reps)} "
+                f"hh^{n} on the normalized complex: {len(reps)} "
                 f"representatives but dim {want} from its ranks")
         try:
             self._classes = SubspaceCoords(field, reps, modulo=cob)
@@ -661,61 +629,62 @@ class CohomologySpace:
     def class_is_zero(self, cochain):
         return all(not c for c in self.class_coords(cochain))
 
-    def cochain_from_class(self, coords):
-        out = Cochain(self.algebra, self.module, self.degree)
-        for i, c in enumerate(coords):
-            if c:
-                out = out.add(self.representative(i), c)
-        return out
-
     def __repr__(self):
         return (f"CohomologySpace(n={self.degree}, dim={self.dim}, "
                 f"backend={self.backend})")
 
 
+def _idempotent_system(algebra, module):
+    """(matrix, sweep) of x -> ((L_e - R_e) x)_e over the idempotents e,
+    rows e * dim M + m, built once per module next to its complexes.
+
+    `inner_normalized_span` takes the matrix's kernel; `_normalize_degree1`
+    solves with the sweep, whose columns went in in index order, so that
+    its solutions are those of `linalg.solve`.
+    """
+    got = getattr(module, "_idempotent_system", None)
+    if got is not None:
+        return got
+    field = algebra.field
+    dm = module.dim
+    cols = {}
+    for m in range(dm):
+        col = {}
+        for _, e in algebra.idempotents:
+            diff = dict(module.left[e].column(m))
+            axpy(field, diff, field.of(-1), module.right[e].column(m))
+            for m2, v in diff.items():
+                col[e * dm + m2] = v
+        if col:
+            cols[m] = col
+    sweep = Sweep(field)
+    for m, col in cols.items():
+        sweep.insert(col, {m: field.one})
+    got = module._idempotent_system = (
+        Mat(algebra.dim * dm, dm, field, cols), sweep)
+    return got
+
+
 def _normalize_degree1(algebra, module, cocycle):
     """The 1-cocycle minus a coboundary b^1(x), vanishing on idempotents.
 
-    On Peirce-graded data a 1-cocycle that vanishes on the idempotents
-    lies in the normalized complex.
+    A 1-cocycle that vanishes on the idempotents lies in the normalized
+    complex: x solves (L_e - R_e) x = cocycle(e) for every idempotent e.
     """
     field = algebra.field
     dm = module.dim
     idem = [idx for _, idx in algebra.idempotents]
     if all(not cocycle.value((e,)) for e in idem):
         return cocycle
-    # want x in M with (L_e - R_e) x = cocycle(e) for every idempotent e;
-    # equation rows are indexed e*dm + m2
-    cols = {}
-    for e in idem:
-        left = module.left[e]
-        right = module.right[e]
-        for m in range(dm):
-            col = cols.setdefault(m, {})
-            diff = dict(left.column(m))
-            axpy(field, diff, field.of(-1), right.column(m))
-            for m2, v in diff.items():
-                col[e * dm + m2] = v
     b = {}
     for e in idem:
         for m, v in cocycle.value((e,)).items():
             b[e * dm + m] = v
-    m_rows = algebra.dim * dm  # generous bound; rows indexed e*dm+m
-    matrix = Mat(m_rows, dm, field, {m: c for m, c in cols.items() if c})
-    x = solve(matrix, b)
+    x = _idempotent_system(algebra, module)[1].solution(b)
     if x is None:
         raise AssertionError("1-cocycle cannot be normalized")
-    x = Cochain.from_vec(algebra, module, 0, dict(enumerate(x)))
+    x = Cochain.from_vec(algebra, module, 0, x)
     return cocycle.add(bar_apply(algebra, module, 0, x), field.of(-1))
-
-
-def _complex_for(algebra, module):
-    """The normalized complex, or the bar complex where the data is not
-    Peirce-graded; see the module docstring."""
-    try:
-        return _normalized_complex(algebra, module)
-    except ValueError:
-        return _bar_complex(algebra, module)
 
 
 def hh(algebra, module, n, cap=BAR_CAP):
@@ -729,7 +698,8 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
-    space = cache[(n, cap)] = CohomologySpace(_complex_for(algebra, module), n)
+    space = cache[(n, cap)] = CohomologySpace(
+        _normalized_complex(algebra, module), n)
     return space
 
 
@@ -793,27 +763,13 @@ def der0_basis(algebra, module):
 
 
 def inner_normalized_span(algebra, module):
-    """Spanning vectors of the normalized inner derivations [x, -]."""
-    field = algebra.field
-    dm = module.dim
-    idem = [idx for _, idx in algebra.idempotents]
-    # x must satisfy e.x = x.e for all idempotents e
-    cols = {}
-    for m in range(dm):
-        col = {}
-        xvec = {m: field.one}
-        for e in idem:
-            diff = dict(module.left[e].matvec(xvec))
-            axpy(field, diff, field.of(-1), module.right[e].matvec(xvec))
-            for r, v in diff.items():
-                col[e * dm + r] = v
-        if col:
-            cols[m] = col
-    diag = kernel_basis_sparse(Mat(algebra.dim * dm, dm, field, cols))
-    b1 = _bar_complex(algebra, module).differential(0)
+    """Spanning vectors of the normalized inner derivations [x, -]: b^1(x)
+    by `bar_apply` for x with e.x = x.e for all idempotents e, so this
+    route shares no matrix with the normalized complex."""
     out = []
-    for x in diag:
-        v = b1.matvec(x)
+    for x in kernel_basis_sparse(_idempotent_system(algebra, module)[0]):
+        x = Cochain.from_vec(algebra, module, 0, x)
+        v = bar_apply(algebra, module, 0, x).vec()
         if v:
             out.append(v)
     return out
@@ -936,7 +892,6 @@ def derivation_from_arrow_values(algebra, values):
     values maps arrow names to AlgElements; the map extends by the Leibniz
     rule along each basis path and must respect the relations (checked).
     """
-    from .bimodule import regular_bimodule
     reg = regular_bimodule(algebra)
     out = Cochain(algebra, reg, 1)
     for i, path in enumerate(algebra.basis_paths):

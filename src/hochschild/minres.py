@@ -100,15 +100,6 @@ class PartialResolution:
             got = self._hom[n] = _hom_differential(self, n)
         return got
 
-    def summand_dims(self, n):
-        A = self.algebra
-        out = []
-        for (a, b) in self.summands[n]:
-            left = sum(1 for t in A.peirce if t[1] == a)
-            right = sum(1 for t in A.peirce if t[0] == b)
-            out.append(left * right)
-        return out
-
     def projective_basis(self, n):
         """Concrete basis (summand, i, j) of P^n: u (x) v with t(u) = a,
         s(v) = b."""

@@ -48,20 +48,13 @@ class Suite:
 
     def __init__(self):
         self._algebras = {}
-        self._files = {}
         self._presented = {}
 
     def algebra(self, name):
         got = self._algebras.get(name)
         if got is None:
-            data, pres = load_bundled(name)
-            self._files[name] = data
-            got = self._algebras[name] = build_algebra(pres)
+            got = self._algebras[name] = build_algebra(load_bundled(name)[1])
         return got
-
-    def file_data(self, name):
-        self.algebra(name)
-        return self._files[name]
 
     def presented_extension(self, which):
         """The two split extensions given by explicit algebra maps."""

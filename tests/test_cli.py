@@ -248,6 +248,53 @@ def test_bimodule_file_module(tmp_path):
     assert json.loads(proc.stdout)["results"]["dims"] == [1, 0]
 
 
+def test_non_graded_bimodule_file(tmp_path, capsys):
+    # hh and phi regrade a bimodule file that is not Peirce-graded: the
+    # regular module's dims and rank, and representatives that are bar
+    # cocycles in the file's basis
+    from hochschild.algebra import build_algebra
+    from hochschild.cohomology import Cochain, bar_apply
+    from test_engine_crosscheck import _twisted_regular
+    alg_path = data_path("ex3_8_C")
+    algebra = build_algebra(algfile.load_bundled("ex3_8_C")[1])
+    field = algebra.field
+
+    def rows(m):
+        return [[field.to_str(x) for x in row] for row in m.to_dense()]
+
+    twisted = _twisted_regular(algebra)
+    bim = tmp_path / "twisted.json"
+    bim.write_text(json.dumps({"dimension": twisted.dim,
+                               "left": [rows(m) for m in twisted.left],
+                               "right": [rows(m) for m in twisted.right]}))
+    module = algfile.load_bimodule_file(str(bim), algebra)
+    assert not module.is_graded()
+
+    def results(*argv):
+        assert cli.main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    got = results("hh", alg_path, "--module", f"file:{bim}", "--reps")
+    assert got["dims"] == results("hh", alg_path)["dims"] == [1, 2, 0]
+    for n, reps in enumerate(got["representatives"]):
+        assert len(reps) == got["dims"][n]
+        for matrix in reps:
+            data = {}
+            for m, row in enumerate(matrix):
+                for t, x in enumerate(row):
+                    if field.of(x):
+                        data.setdefault(t, {})[m] = field.of(x)
+            rep = Cochain(algebra, module, n, data)
+            assert not rep.is_zero()
+            assert bar_apply(algebra, module, n, rep).is_zero()
+    for n, want in [(1, (5, 2, 2)), (2, (3, 0, 0))]:
+        got = [results("phi", alg_path, "--bimodule", selector,
+                       "--degree", str(n)) for selector in (f"file:{bim}",
+                                                           "regular")]
+        assert [(r["dim_source"], r["dim_target"], r["rank"])
+                for r in got] == [want, want]
+
+
 def test_verify_paper_single_block():
     proc = run_cli("verify-paper", "--only", "ex3.5")
     assert proc.returncode == 0

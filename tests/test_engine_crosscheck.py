@@ -13,7 +13,7 @@ from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
 from hochschild.bimodule import dual_bimodule, regular_bimodule
 from hochschild import cohomology
 from hochschild.cohomology import (
-    Cochain, CohomologySpace, _bar_complex, _normalized_complex,
+    Cochain, CohomologySpace, NormalizedComplex, _normalized_complex,
     _subcomplex_differential, bar_apply, bar_differential, hh,
     hh1_via_derivations, random_cochain,
 )
@@ -21,13 +21,19 @@ from hochschild.extcohom import (
     _ext_coefficients, ambient_differential_apply, embed_ambient,
 )
 from hochschild.extension import projection_morphism, trivial_extension
-from hochschild.linalg import kernel_basis_sparse, rank
+from hochschild.linalg import kernel_basis_sparse, quotient_basis, rank
 
 
-def full_bar_dim(alg, module, degree):
-    nxt = bar_differential(alg, module, degree)
-    prev = bar_differential(alg, module, degree - 1)
-    return (nxt.cols - rank(nxt)) - rank(prev)
+def bar_reference(alg, module, n):
+    """hh^n of the literal bar complex, sharing no code with the normalized
+    complex: (dim from the ranks, representative vectors of kernel modulo
+    image)."""
+    nxt = bar_differential(alg, module, n)
+    prev = bar_differential(alg, module, n - 1) if n else None
+    dim = nxt.cols - rank(nxt) - (rank(prev) if n else 0)
+    boundaries = [c for _, c in prev.columns_items()] if n else []
+    reps, _ = quotient_basis(alg.field, kernel_basis_sparse(nxt), boundaries)
+    return dim, reps
 
 
 @pytest.mark.parametrize("name,degree", [
@@ -39,7 +45,7 @@ def test_normalized_matches_full_regular(corpus, name, degree):
     reg = regular_bimodule(alg)
     space = hh(alg, reg, degree)
     assert space.backend == "normalized"
-    assert space.dim == full_bar_dim(alg, reg, degree)
+    assert space.dim == bar_reference(alg, reg, degree)[0]
 
 
 @pytest.mark.parametrize("name", ["nakayama_c", "triangle_c"])
@@ -48,7 +54,7 @@ def test_normalized_matches_full_dual_coefficients(corpus, name):
     dc = dual_bimodule(alg)
     space = hh(alg, dc, 2)
     assert space.backend == "normalized"
-    assert space.dim == full_bar_dim(alg, dc, 2)
+    assert space.dim == bar_reference(alg, dc, 2)[0]
 
 
 def test_normalized_class_membership_matches_full(corpus):
@@ -186,8 +192,9 @@ def test_ext_differential_matches_ambient_reference(bundled, name, m):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bar_matrices_are_built_once(monkeypatch, name):
-    # hh^0..hh^2 and the derivation route share the module's bar complex
+def test_hh_and_derivations_build_no_bar_matrix(monkeypatch, name):
+    # hh^0..hh^2 live on the normalized complex, and the derivation route
+    # takes its inner derivations from bar_apply
     alg = build_algebra(load_bundled(name)[1])
     reg = regular_bimodule(alg)
     builds = []
@@ -200,8 +207,7 @@ def test_bar_matrices_are_built_once(monkeypatch, name):
     for n in range(3):
         hh(alg, reg, n)
     hh1_via_derivations(alg, reg)
-    assert builds
-    assert len(builds) == len(set(builds))
+    assert builds == []
 
 
 def _over(name, tag):
@@ -231,8 +237,11 @@ def test_routes_agree_over_gf2(name):
     # and derivation routes must still give the same dimensions
     alg = _over(name, "Fp:2")
     for module in (regular_bimodule(alg), dual_bimodule(alg)):
-        bar = [CohomologySpace(_bar_complex(alg, module), n).dim
-               for n in range(3)]
+        bar = []
+        for n in range(3):
+            dim, reps = bar_reference(alg, module, n)
+            assert len(reps) == dim
+            bar.append(dim)
         normalized = [CohomologySpace(_normalized_complex(alg, module), n).dim
                       for n in range(3)]
         assert bar == normalized
@@ -264,21 +273,20 @@ def test_rank_dim_matches_representatives(name, coefficients, n):
 @pytest.mark.parametrize("n,degree_of_rank", [(0, "n"), (1, "n"),
                                               (1, "n-1"), (2, "n"),
                                               (2, "n-1")])
-@pytest.mark.parametrize("data,backend", [("regular", "normalized"),
-                                          ("twisted", "bar")])
-def test_corrupted_rank_is_caught(n, degree_of_rank, data, backend):
+@pytest.mark.parametrize("data", ["regular", "twisted"])
+def test_corrupted_rank_is_caught(n, degree_of_rank, data):
     # the representative count is checked against the ranks of the
-    # space's own complex: normalized on Peirce-graded data, bar on data
-    # it refuses
+    # space's own complex, on graded data and on the graded twin of data
+    # that is not
     alg = build_algebra(load_bundled("ex3_5_B")[1])
     module = (regular_bimodule if data == "regular" else _twisted_regular)(alg)
     space = hh(alg, module, n)
-    assert space.backend == backend
+    assert (space.complex.graded is module) == (data == "regular")
     k = n if degree_of_rank == "n" else n - 1
     space.complex.rank(k)
     space.complex.ranks[k] += 1
     with pytest.raises(AssertionError,
-                       match=rf"hh\^{n} on the {backend} complex: .* from "
+                       match=rf"hh\^{n} on the normalized complex: .* from "
                              r"its ranks"):
         space.representatives
 
@@ -363,8 +371,8 @@ def test_low_degree_dims_agree_across_engines(name, coefficients, n):
     space = hh(alg, module, n)
     first = space.dim
     assert len(space.representatives) == first == space.dim
-    bar = CohomologySpace(_bar_complex(alg, module), n)
-    assert bar.dim == first == len(bar.representatives)
+    bar_dim, bar_reps = bar_reference(alg, module, n)
+    assert bar_dim == first == len(bar_reps)
     if n == 1:
         assert hh1_via_derivations(alg, module).dim == first
 
@@ -452,18 +460,111 @@ def _twisted_regular(alg):
                     [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", ["ex3_5_C", "square"])
-def test_refused_data_reads_dims_from_the_bar_complex(name, n):
+def test_twisted_data_is_regraded(name, n):
+    # data that is not Peirce-graded gets the dims of its graded twin, and
+    # representatives that are bar cocycles in its own basis
     alg = build_algebra(load_bundled(name)[1])
     twisted = _twisted_regular(alg)
     assert not twisted.is_graded()
-    with pytest.raises(ValueError, match="Peirce-graded"):
-        _normalized_complex(alg, twisted)
     space = hh(alg, twisted, n)
-    assert space.backend == "bar"
-    bc = _bar_complex(alg, twisted)
-    assert n not in bc.ranks
+    assert space.complex.graded.is_graded()
+    assert n not in space.complex.ranks
     assert space.dim == hh(alg, regular_bimodule(alg), n).dim
-    assert n in bc.ranks
-    assert len(space.representatives) == space.dim
+    assert n in space.complex.ranks
+    one, zero = alg.field.one, alg.field.zero
+    for j, rep in enumerate(space.representatives):
+        assert rep.module is twisted
+        assert bar_apply(alg, twisted, n, rep).is_zero()
+        assert space.class_coords(rep) == tuple(
+            one if k == j else zero for k in range(space.dim))
+
+
+@pytest.mark.parametrize("name", ["ex3_5_C", "ex3_8_C", "square"])
+def test_phi_of_a_twisted_extension(name):
+    # E not Peirce-graded is regraded when B is built: B is graded, and
+    # phi^n has the dims and rank of the untwisted extension
+    alg = build_algebra(load_bundled(name)[1])
+    twisted = trivial_extension(alg, _twisted_regular(alg))
+    plain = trivial_extension(alg, regular_bimodule(alg))
+    assert twisted.B.is_peirce_graded()
+    for n in range(3):
+        got = projection_morphism(twisted, n)
+        want = projection_morphism(plain, n)
+        assert (got.source.dim, got.target.dim, got.rank) == \
+            (want.source.dim, want.target.dim, want.rank)
+
+
+@pytest.mark.parametrize("case", ["not Peirce-graded", "radical products"])
+def test_hand_made_algebra_outside_the_engine_is_refused(case):
+    from hochschild.algebra import Algebra
+    from hochschild.linalg import QQ
+    if case == "not Peirce-graded":
+        # k A_2 in the basis e_0, e_1, a + e_0: the last vector lies in no
+        # single block e_x A e_y
+        alg = Algebra(QQ, ["e0", "e1", "a+e0"], {
+            (0, 0): {0: 1}, (1, 1): {1: 1}, (0, 2): {2: 1}, (2, 0): {0: 1},
+            (2, 1): {2: 1, 0: -1}, (2, 2): {2: 1}},
+            [("0", 0), ("1", 1)], [("0", "0"), ("1", "1"), None])
+        match = "Peirce-graded algebra"
+    else:
+        # k[y]/(y^2 - 1) with the unit as its one idempotent: y y = 1
+        alg = Algebra(QQ, ["1", "y"], {
+            (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}},
+            [("v", 0)], [("v", "v"), ("v", "v")])
+        match = "radical products"
+    with pytest.raises(ValueError, match=match):
+        hh(alg, regular_bimodule(alg), 1)
+
+
+def test_degree1_normalization_builds_one_sweep(monkeypatch):
+    # the (L_e - R_e) x = f(e) system is eliminated once per module; each
+    # input after that is one solution against the cached sweep
+    sweeps = []
+
+    class Counted(cohomology.Sweep):
+        def __init__(self, field):
+            sweeps.append(field)
+            super().__init__(field)
+
+    normalize = cohomology._normalize_degree1
+    normalized = []
+
+    def counted(*args):
+        normalized.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(cohomology, "Sweep", Counted)
+    monkeypatch.setattr(cohomology, "_normalize_degree1", counted)
+    alg, module = _fresh("ex3_5_B", regular_bimodule)
+    space = hh(alg, module, 1)
+    reps = space.representatives
+    for s in range(4):
+        shift = bar_apply(alg, module, 0, random_cochain(alg, module, 0,
+                                                         seed=s))
+        assert space.complex.project(shift) is None
+        for j, rep in enumerate(reps):
+            assert space.class_coords(rep.add(shift)) == \
+                space.class_coords(rep)
+    assert len(normalized) > len(reps) and len(sweeps) == 1
+    # the derivation route reuses the system's matrix, not its sweep
+    hh1_via_derivations(alg, module)
+    assert len(sweeps) == 1
+
+
+def test_every_space_lives_on_a_normalized_complex():
+    # the literal bar complex is no engine of hh: the classes are gone, and
+    # graded, twisted and extension data all get a NormalizedComplex
+    for gone in ("BarComplex", "_bar_complex", "_Complex", "_complex_for"):
+        assert not hasattr(cohomology, gone)
+    alg = build_algebra(load_bundled("ex3_5_C")[1])
+    twisted = _twisted_regular(alg)
+    ext = trivial_extension(alg, twisted)
+    for a, module in [(alg, regular_bimodule(alg)), (alg, dual_bimodule(alg)),
+                      (alg, twisted), (ext.B, regular_bimodule(ext.B)),
+                      (ext.B, ext.E_as_B_bimodule())]:
+        for n in range(3):
+            space = hh(a, module, n)
+            assert type(space.complex) is NormalizedComplex
+            assert space.complex is _normalized_complex(a, module)

@@ -86,12 +86,13 @@ def test_hh0_of_dual_counts_symmetric_functionals(nakayama_c):
         assert b1.matvec(rep.vec()) == {}
 
 
-def test_non_graded_bimodule_falls_back_to_full_engine(nakayama_c):
+def test_non_graded_bimodule_is_regraded(nakayama_c):
     # conjugating the regular actions by a block-mixing change of basis
-    # destroys the Peirce grading; degree 2 must fall back to the full
-    # bar complex and still produce the same dimension
+    # destroys the Peirce grading; hh works on the graded twin and must
+    # give the regular dims, with representatives in the twisted basis
     from hochschild.bimodule import Bimodule
-    from hochschild.linalg import Mat, QQ, rank
+    from hochschild.cohomology import bar_apply
+    from hochschild.linalg import Mat, QQ
     C = nakayama_c
     reg = regular_bimodule(C)
     n = C.dim
@@ -106,9 +107,14 @@ def test_non_graded_bimodule_falls_back_to_full_engine(nakayama_c):
     right = [S_inv.matmul(reg.right[i]).matmul(S) for i in range(n)]
     twisted = Bimodule(C, n, left, right)
     assert not twisted.is_graded()
-    space = hh(C, twisted, 2)
-    assert space.backend == "bar"
-    assert space.dim == hh(C, regular_bimodule(C), 2).dim
+    for degree in range(4):
+        space = hh(C, twisted, degree)
+        assert space.dim == hh(C, reg, degree).dim
+        for j, rep in enumerate(space.representatives):
+            assert rep.module is twisted
+            assert bar_apply(C, twisted, degree, rep).is_zero()
+            assert space.class_coords(rep) == tuple(
+                QQ.one if k == j else QQ.zero for k in range(space.dim))
 
 
 def test_corrupted_bundle_fails_with_named_checks(monkeypatch):
