@@ -177,8 +177,10 @@ def build_parser():
                        help="expected field tag; mismatch with the file "
                             "is an error")
         p.add_argument("--cap", type=int, default=BAR_CAP,
-                       help="cap on (dim A)^(n+1) * dim M, the rows of the "
-                            "bar differential b^{n+1} that hh^n needs")
+                       help="cap on (dim A)^(n+1) * dim M, the size of "
+                            "the bar complex in degree n; hh^n is gated on "
+                            "it, though it builds the smaller normalized "
+                            "complex (see ROADMAP item 2)")
         p.add_argument("--verbose", action="store_true")
 
     p_hh = sub.add_parser("hh", help="cohomology dimensions of an algebra")

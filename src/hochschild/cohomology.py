@@ -235,12 +235,18 @@ def _column_kernel(algebra, module, n, args):
                 for k, lst in fact.items()}
     contractions = [(d ** (n - 1 - p), neg_fact if p % 2 == 0 else fact)
                     for p in range(n)]
-    # per value index m: (key offset, column) of the nonzero actions on e_m
-    lefts = [[(c0 * top * dm, col) for c0 in args
-              if (col := module.left[c0].column(m))] for m in range(dm)]
-    rights = [[(cn * dm, {k: neg(v) for k, v in col.items()}
-                if n % 2 == 0 else col) for cn in args
-               if (col := module.right[cn].column(m))] for m in range(dm)]
+    # per value index m: (key offset, column) of the nonzero actions on e_m,
+    # in args order; read off the actions' nonzero columns
+    lefts = [[] for _ in range(dm)]
+    rights = [[] for _ in range(dm)]
+    for c in args:
+        for m, col in module.left[c].columns_items():
+            if col:
+                lefts[m].append((c * top * dm, col))
+        for m, col in module.right[c].columns_items():
+            if col:
+                rights[m].append((c * dm, {k: neg(v) for k, v in col.items()}
+                                  if n % 2 == 0 else col))
 
     def column(t_idx, slots, m):
         col = {}

@@ -202,6 +202,12 @@ class DerivationAction:
         self.m = m
         self.zeta = zeta
         self.values = _derivation_values(C, zeta)
+        # slot value s -> [(x, zeta(x)_s)], x ascending: the terms z(x)
+        # that hit a slot holding s
+        self.by_slot = {}
+        for x, zx in self.values.items():
+            for s, c in zx.items():
+                self.by_slot.setdefault(s, []).append((x, c))
         self.ext = ext if ext is not None else ext_dual_bimodule(C, m)
         field = C.field
         flat, pos = self.ext.space.complex.basis(m)
@@ -245,10 +251,8 @@ class DerivationAction:
         for p in range(self.m):
             target = chain[p]
             span = d ** (self.m + 1 - p)
-            for x in C.radical_indices:
-                zx = self.values.get(x)
-                if zx and target in zx:
-                    put(key + (x - target) * span, zx[target])
+            for x, c in self.by_slot.get(target, ()):
+                put(key + (x - target) * span, c)
         # - th(f o z (x) a): (g_{u'} o z) has g_u coefficient z(u)_{u'}
         zu = self.values.get(u)
         if zu:
@@ -287,12 +291,10 @@ class DerivationAction:
             slots.reverse()
             u = rest
             for p in range(m):
-                for x in range(d):
-                    zx = self.values.get(x)
-                    if zx and slots[p] in zx:
-                        add(ambient_index(
-                            C, u, slots[:p] + [x] + slots[p + 1:], v),
-                            field.mul(coeff, zx[slots[p]]))
+                for x, c in self.by_slot.get(slots[p], ()):
+                    add(ambient_index(
+                        C, u, slots[:p] + [x] + slots[p + 1:], v),
+                        field.mul(coeff, c))
             zu = self.values.get(u)
             if zu:
                 for u2, c in zu.items():
@@ -357,25 +359,46 @@ def ambient_differential_apply(C, m, vec):
     return out
 
 
+def _ambient_differential(C, m):
+    """The Ext-complex differential in degree m as a matrix on the ambient
+    space, its columns from `ambient_differential_apply` on unit vectors;
+    built once per (C, m) and shared by every derivation checked."""
+    cache = getattr(C, "_ambient_differentials", None)
+    if cache is None:
+        cache = C._ambient_differentials = {}
+    got = cache.get(m)
+    if got is None:
+        one = C.field.one
+        cols = {}
+        for idx in range(ambient_dim(C, m)):
+            col = ambient_differential_apply(C, m, {idx: one})
+            if col:
+                cols[idx] = col
+        got = cache[m] = Mat(ambient_dim(C, m + 1), ambient_dim(C, m),
+                             C.field, cols)
+    return got
+
+
 def derivation_action(C, m, zeta, ext=None):
     return DerivationAction(C, m, zeta, ext=ext)
 
 
 def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
     """d(al_m th) == al_{m+1}(d th): full ambient basis when small, else on
-    pseudorandom ambient cochains."""
+    pseudorandom ambient cochains.  In full mode d is the cached matrix of
+    `_ambient_differential`, so d(al_m th) is a combination of its columns,
+    equal by linearity to `ambient_differential_apply` on al_m th."""
     _check_ext_cap(C, m + 1)
     action_m = DerivationAction(C, m, zeta)
     action_m1 = DerivationAction(C, m + 1, zeta)
     dim = ambient_dim(C, m)
     checked = 0
     if dim <= ambient_limit:
-        field = C.field
+        one = C.field.one
+        diff = _ambient_differential(C, m)
         for idx in range(dim):
-            vec = {idx: field.one}
-            lhs = ambient_differential_apply(C, m, action_m.ambient_apply(m, vec))
-            rhs = action_m1.ambient_apply(m + 1,
-                                          ambient_differential_apply(C, m, vec))
+            lhs = diff.matvec(action_m.ambient_apply(m, {idx: one}))
+            rhs = action_m1.ambient_apply(m + 1, diff.column(idx))
             if lhs != rhs:
                 return {"holds": False, "mode": "full", "checked": checked}
             checked += 1

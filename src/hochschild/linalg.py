@@ -548,9 +548,18 @@ class Sweep:
 
 
 def rank(m):
-    """Rank over the matrix's field."""
+    """Rank over the matrix's field.
+
+    The columns go into the sweep last to first.  Rank does not depend on
+    the order, only the work does, and no other output comes from this
+    sweep; every other sweep here keeps forward order, because its output
+    (the RREF-canonical kernel, representatives, solutions) depends on it.
+    """
     sweep = Sweep(m.field)
-    for j in range(m.cols):
+    # last to first: on the 107 normalized differentials of the hh_deep
+    # benchmark ladder, 16,292 reduction steps and 104,371 combined entries
+    # in place of 22,412 and 337,440
+    for j in range(m.cols - 1, -1, -1):
         col = m.column(j)
         if col:
             sweep.insert(col)

@@ -12,6 +12,7 @@ route to hh^0..hh^2 used to cross-check the cochain engine.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import system_of_relations
 from .linalg import Mat, kernel_basis_sparse, quotient_basis, rank
@@ -100,48 +101,55 @@ class PartialResolution:
             got = self._hom[n] = _hom_differential(self, n)
         return got
 
+    def _sides(self, a, b):
+        """Basis indices i with t(b_i) = a, and j with s(b_j) = b."""
+        peirce = self.algebra.peirce
+        return ([i for i, t in enumerate(peirce) if t[1] == a],
+                [j for j, t in enumerate(peirce) if t[0] == b])
+
     def projective_basis(self, n):
         """Concrete basis (summand, i, j) of P^n: u (x) v with t(u) = a,
         s(v) = b."""
-        A = self.algebra
-        out = []
-        for s_idx, (a, b) in enumerate(self.summands[n]):
-            lefts = [i for i, t in enumerate(A.peirce) if t[1] == a]
-            rights = [j for j, t in enumerate(A.peirce) if t[0] == b]
-            for i in lefts:
-                for j in rights:
-                    out.append((s_idx, i, j))
-        return out
+        return [(s_idx, i, j)
+                for s_idx, (a, b) in enumerate(self.summands[n])
+                for i, j in product(*self._sides(a, b))]
 
     def differential_matrix(self, n):
         """d^n: P^n -> P^{n-1} on the concrete bases."""
         A = self.algebra
         field = A.field
-        src = self.projective_basis(n)
-        tgt = self.projective_basis(n - 1)
-        pos = {t: k for k, t in enumerate(tgt)}
+        one = field.one
+        pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
         cols = {}
-        for col_idx, (s_idx, i, j) in enumerate(src):
-            col = {}
-            for (y_idx, u, v, coeff) in self.terms[n][s_idx]:
-                ui = A.multiply_coords({i: field.one}, u)
-                vj = A.multiply_coords(v, {j: field.one})
-                for bi, cu in ui.items():
-                    for bj, cv in vj.items():
-                        key = pos.get((y_idx, bi, bj))
-                        if key is None:
-                            raise AssertionError(
-                                f"d^{n} left the basis of P^{n - 1} at "
-                                f"{(y_idx, bi, bj)}")
-                        w = field.add(col.get(key, field.zero),
-                                      field.mul(field.mul(cu, cv), coeff))
-                        if w:
-                            col[key] = w
-                        elif key in col:
-                            del col[key]
-            if col:
-                cols[col_idx] = col
-        return Mat(len(tgt), len(src), field, cols)
+        col_idx = 0
+        for s_idx, (a, b) in enumerate(self.summands[n]):
+            lefts, rights = self._sides(a, b)
+            # b_i u and v b_j once per term of this summand, not per column
+            terms = [(y_idx,
+                      {i: A.multiply_coords({i: one}, u) for i in lefts},
+                      {j: A.multiply_coords(v, {j: one}) for j in rights},
+                      coeff)
+                     for y_idx, u, v, coeff in self.terms[n][s_idx]]
+            for i, j in product(lefts, rights):
+                col = {}
+                for y_idx, ui, vj, coeff in terms:
+                    for bi, cu in ui[i].items():
+                        for bj, cv in vj[j].items():
+                            key = pos.get((y_idx, bi, bj))
+                            if key is None:
+                                raise AssertionError(
+                                    f"d^{n} left the basis of P^{n - 1} at "
+                                    f"{(y_idx, bi, bj)}")
+                            w = field.add(col.get(key, field.zero),
+                                          field.mul(field.mul(cu, cv), coeff))
+                            if w:
+                                col[key] = w
+                            elif key in col:
+                                del col[key]
+                if col:
+                    cols[col_idx] = col
+                col_idx += 1
+        return Mat(len(pos), col_idx, field, cols)
 
     def augmentation_matrix(self):
         """P^0 -> A, e_x (x) e_x -> e_x."""
@@ -229,9 +237,10 @@ def build_partial_resolution(algebra):
         raise AssertionError("resolution differentials do not compose to zero")
     if not aug.matmul(d1).is_zero():
         raise AssertionError("augmentation does not kill the image of d1")
-    if rank(d1) != len(res.projective_basis(0)) - A.dim:
+    # d^n has one row per basis vector of P^{n-1}
+    if rank(d1) != d1.rows - A.dim:
         raise AssertionError("resolution is not exact at P^0")
-    if rank(d2) != len(res.projective_basis(1)) - rank(d1):
+    if rank(d2) != d2.rows - rank(d1):
         raise AssertionError("resolution is not exact at P^1")
     return res
 
@@ -262,26 +271,28 @@ def _hom_differential(resolution, n):
     src = _hom_blocks(resolution, n - 1)
     tgt = _hom_blocks(resolution, n)
     tgt_pos = {t: k for k, t in enumerate(tgt)}
+    # the terms of d^n grouped by the summand y of P^{n-1} they land in
+    by_target = {}
+    for x_idx, lst in enumerate(resolution.terms[n]):
+        for y_idx, u, v, coeff in lst:
+            by_target.setdefault(y_idx, []).append((x_idx, u, v, coeff))
     cols = {}
     for col_idx, (y_idx, m) in enumerate(src):
         col = {}
-        for x_idx, lst in enumerate(resolution.terms[n]):
-            for (y2, u, v, coeff) in lst:
-                if y2 != y_idx:
-                    continue
-                val = A.multiply_coords(A.multiply_coords(u, {m: field.one}), v)
-                for m2, c in val.items():
-                    key = tgt_pos.get((x_idx, m2))
-                    if key is None:
-                        raise AssertionError(
-                            f"Hom(d^{n}, A) left the Hom blocks at "
-                            f"{(x_idx, m2)}")
-                    w = field.add(col.get(key, field.zero),
-                                  field.mul(coeff, c))
-                    if w:
-                        col[key] = w
-                    elif key in col:
-                        del col[key]
+        for x_idx, u, v, coeff in by_target.get(y_idx, ()):
+            val = A.multiply_coords(A.multiply_coords(u, {m: field.one}), v)
+            for m2, c in val.items():
+                key = tgt_pos.get((x_idx, m2))
+                if key is None:
+                    raise AssertionError(
+                        f"Hom(d^{n}, A) left the Hom blocks at "
+                        f"{(x_idx, m2)}")
+                w = field.add(col.get(key, field.zero),
+                              field.mul(coeff, c))
+                if w:
+                    col[key] = w
+                elif key in col:
+                    del col[key]
         if col:
             cols[col_idx] = col
     return Mat(len(tgt), len(src), field, cols)

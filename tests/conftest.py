@@ -1,6 +1,8 @@
 """Shared corpus: the six bundled algebras, built once per session; the
-presented split extension of the Nakayama pair; the all-Fraction Q field;
-the hypothesis profile of the suite."""
+presented split extension of the Nakayama pair; presentations of the
+generated families (loops, truncated polynomials, quantum planes, cyclic
+Nakayama, hereditary A_n) and a twisted, non-Peirce-graded regular
+module; the all-Fraction Q field; the hypothesis profile of the suite."""
 
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import settings
 
 from hochschild.algebra import algebra_morphism, build_algebra
+from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
-from hochschild.linalg import QQ, Rationals
+from hochschild.linalg import QQ, Mat, Rationals
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
 # Property tests draw the same examples on every run, and a fixed number
@@ -128,6 +131,72 @@ def square_presentation():
     ])
     rels = [parse_relation(s, q) for s in ("a*c", "b*d")]
     return Presentation(q, relations=rels)
+
+
+def family_presentation(vertices, arrows, relations, field=QQ):
+    quiver = Quiver(vertices, arrows)
+    return Presentation(quiver, field, [
+        parse_relation(text, quiver, field) for text in relations])
+
+
+def loops_presentation(m, field=QQ):
+    """m loops at one vertex, every product of two killed."""
+    arrows = [(f"x{i}", "0", "0") for i in range(m)]
+    rels = [f"x{i}*x{j}" for i in range(m) for j in range(m)]
+    return family_presentation(["0"], arrows, rels, field)
+
+
+def truncated_presentation(length, field=QQ):
+    """k[x]/(x^length)."""
+    return family_presentation(["0"], [("x", "0", "0")],
+                               ["*".join("x" * length)], field)
+
+
+def quantum_plane_presentation(q, field=QQ):
+    """k<x, y>/(x^2, y^2, xy - q yx)."""
+    sign = "-" if q > 0 else "+"
+    return family_presentation(["0"], [("x", "0", "0"), ("y", "0", "0")],
+                               ["x*x", "y*y", f"x*y {sign} {abs(q)}*y*x"],
+                               field)
+
+
+def cyclic_nakayama_presentation(n, length, field=QQ):
+    """An oriented n-cycle with every path of the given length killed."""
+    arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    rels = ["*".join(f"a{(i + k) % n}" for k in range(length))
+            for i in range(n)]
+    return family_presentation([str(i) for i in range(n)], arrows, rels,
+                               field)
+
+
+def hereditary_arrows(n, shortcut=False):
+    """Vertices and arrows of linear A_n, with an arrow from the first
+    vertex to the last if shortcut."""
+    vertices = [str(i) for i in range(n)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    if shortcut:
+        arrows.append(("s", "0", str(n - 1)))
+    return vertices, arrows
+
+
+def hereditary_presentation(n, shortcut=False, field=QQ):
+    return family_presentation(*hereditary_arrows(n, shortcut), [], field)
+
+
+def twisted_regular(alg):
+    """The regular bimodule conjugated by a change of basis that mixes an
+    idempotent coordinate with a radical one: no longer Peirce-graded."""
+    reg = regular_bimodule(alg)
+    d = alg.dim
+    field = alg.field
+    radical = alg.radical_indices[0]
+    s = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
+                                       (0, radical): 1})
+    s_inv = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
+                                           (0, radical): -1})
+    return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
+                             for i in range(d)],
+                    [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
 
 
 PRESENTATIONS = {

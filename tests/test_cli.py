@@ -254,7 +254,7 @@ def test_non_graded_bimodule_file(tmp_path, capsys):
     # cocycles in the file's basis
     from hochschild.algebra import build_algebra
     from hochschild.cohomology import Cochain, bar_apply
-    from test_engine_crosscheck import _twisted_regular
+    from conftest import twisted_regular
     alg_path = data_path("ex3_8_C")
     algebra = build_algebra(algfile.load_bundled("ex3_8_C")[1])
     field = algebra.field
@@ -262,7 +262,7 @@ def test_non_graded_bimodule_file(tmp_path, capsys):
     def rows(m):
         return [[field.to_str(x) for x in row] for row in m.to_dense()]
 
-    twisted = _twisted_regular(algebra)
+    twisted = twisted_regular(algebra)
     bim = tmp_path / "twisted.json"
     bim.write_text(json.dumps({"dimension": twisted.dim,
                                "left": [rows(m) for m in twisted.left],

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,17 +8,20 @@ import hochschild.cohomology as cohomology
 from hochschild.algebra import build_algebra
 from hochschild.bimodule import dual_bimodule, regular_bimodule
 from hochschild.cohomology import (
-    CapExceeded, Cochain, _bar_column, bar_apply, bar_differential, bracket1,
-    class_equal, cup, der0_basis, derivation_from_arrow_values, hh,
-    hh1_via_derivations, is_derivation, random_cochain, transport,
+    CapExceeded, Cochain, NormalizedComplex, _bar_column, _column_kernel,
+    bar_apply, bar_differential, bracket1, class_equal, cup, der0_basis,
+    derivation_from_arrow_values, hh, hh1_via_derivations, is_derivation,
+    random_cochain, transport,
 )
 from hochschild.extension import inflate_cochain, project_cochain
-from hochschild.linalg import Mat, PrimeField, QQ, axpy
+from hochschild.linalg import Mat, PrimeField, QQ, axpy, kernel_basis_sparse
 from hochschild.quiver import Presentation, Quiver
 
 from conftest import (
+    cyclic_nakayama_presentation, loops_presentation,
     nakayama_b_presentation, nakayama_c_presentation,
-    presented_nakayama_extension, triangle_b_presentation,
+    presented_nakayama_extension, quantum_plane_presentation,
+    triangle_b_presentation, truncated_presentation, twisted_regular,
 )
 
 
@@ -281,6 +285,87 @@ def test_bar_column_empty_argument_set_is_its_own_key():
     assert alg.radical_indices == []
     assert _bar_column(alg, reg, 1)(0, (0,), 0) == {0: 1}
     assert _bar_column(alg, reg, 1, args=[])(0, (0,), 0) == {}
+
+
+def _brute_force_column(algebra, module, n, args, slots, m):
+    """b^{n+1} of the cochain slots -> e_m, evaluated on every tensor of
+    arguments from args by probing every action column:
+
+        a_0 f(a_1 ..) + sum_p (-1)^{p+1} f(.. a_p a_{p+1} ..)
+                      + (-1)^{n+1} f(.. a_{n-1}) a_n
+    """
+    field = algebra.field
+    d, dm = algebra.dim, module.dim
+    out = {}
+
+    def add(tensor, m2, c):
+        key = 0
+        for s in tensor:
+            key = key * d + s
+        key = key * dm + m2
+        w = field.add(out.get(key, field.zero), c)
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+
+    sign = field.one if n % 2 else field.neg(field.one)  # (-1)^{n+1}
+    for tensor in itertools.product(args, repeat=n + 1):
+        if tensor[1:] == slots:
+            for m2, c in module.left[tensor[0]].column(m).items():
+                add(tensor, m2, c)
+        for p in range(n):
+            c = algebra.structure.get((tensor[p], tensor[p + 1]), {}).get(
+                slots[p])
+            if c and tensor[:p] + tensor[p + 2:] == slots[:p] + slots[p + 1:]:
+                add(tensor, m, c if p % 2 else field.neg(c))
+        if tensor[:-1] == slots:
+            for m2, c in module.right[tensor[-1]].column(m).items():
+                add(tensor, m2, field.mul(sign, c))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule,
+                                          twisted_regular])
+@pytest.mark.parametrize("radical", [False, True], ids=["all", "radical"])
+def test_column_kernel_matches_brute_force(field, coefficients, radical):
+    # the kernel reads the action lists off the actions' nonzero columns;
+    # a probe of every (argument, value) pair must give the same columns
+    alg = build_algebra(nakayama_b_presentation(field))
+    module = coefficients(alg)
+    args = alg.radical_indices if radical else None
+    scan = list(args) if radical else list(range(alg.dim))
+    for n in range(3):
+        column = _column_kernel(alg, module, n, args)
+        for slots in itertools.product(scan, repeat=n):
+            t_idx = Cochain(alg, module, n).encode(slots)
+            for m in range(module.dim):
+                assert column(t_idx, slots, m) == _brute_force_column(
+                    alg, module, n, scan, slots, m)
+
+
+FAMILIES = {
+    "trunc3": lambda: truncated_presentation(3),
+    "trunc4": lambda: truncated_presentation(4),
+    "loops2": lambda: loops_presentation(2),
+    "loops3": lambda: loops_presentation(3),
+    "qplane_1": lambda: quantum_plane_presentation(1),
+    "qplane_2/3": lambda: quantum_plane_presentation(Fraction(2, 3)),
+    "nakayama2_3": lambda: cyclic_nakayama_presentation(2, 3),
+    "nakayama3_2": lambda: cyclic_nakayama_presentation(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_normalized_rank_is_cols_minus_kernel(name):
+    # the rank sweep and the kernel sweep take the columns in opposite
+    # orders; they must count the same pivots
+    alg = build_algebra(FAMILIES[name]())
+    nc = NormalizedComplex(alg, regular_bimodule(alg))
+    for n in range(6):
+        d = nc.differential(n)
+        assert nc.rank(n) == d.cols - len(kernel_basis_sparse(d))
 
 
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])

@@ -23,6 +23,8 @@ from hochschild.extcohom import (
 from hochschild.extension import projection_morphism, trivial_extension
 from hochschild.linalg import kernel_basis_sparse, quotient_basis, rank
 
+from conftest import twisted_regular
+
 
 def bar_reference(alg, module, n):
     """hh^n of the literal bar complex, sharing no code with the normalized
@@ -279,7 +281,7 @@ def test_corrupted_rank_is_caught(n, degree_of_rank, data):
     # space's own complex, on graded data and on the graded twin of data
     # that is not
     alg = build_algebra(load_bundled("ex3_5_B")[1])
-    module = (regular_bimodule if data == "regular" else _twisted_regular)(alg)
+    module = (regular_bimodule if data == "regular" else twisted_regular)(alg)
     space = hh(alg, module, n)
     assert (space.complex.graded is module) == (data == "regular")
     k = n if degree_of_rank == "n" else n - 1
@@ -442,31 +444,13 @@ def test_degree2_refuses_non_normalized_cocycles(coefficients):
             method(f)
 
 
-def _twisted_regular(alg):
-    # the regular bimodule conjugated by a change of basis that mixes an
-    # idempotent coordinate with a radical one: no longer Peirce-graded
-    from hochschild.bimodule import Bimodule
-    from hochschild.linalg import Mat
-    reg = regular_bimodule(alg)
-    d = alg.dim
-    field = alg.field
-    radical = alg.radical_indices[0]
-    s = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
-                                       (0, radical): 1})
-    s_inv = Mat.from_entries(d, d, field, {**{(i, i): 1 for i in range(d)},
-                                           (0, radical): -1})
-    return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
-                             for i in range(d)],
-                    [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", ["ex3_5_C", "square"])
 def test_twisted_data_is_regraded(name, n):
     # data that is not Peirce-graded gets the dims of its graded twin, and
     # representatives that are bar cocycles in its own basis
     alg = build_algebra(load_bundled(name)[1])
-    twisted = _twisted_regular(alg)
+    twisted = twisted_regular(alg)
     assert not twisted.is_graded()
     space = hh(alg, twisted, n)
     assert space.complex.graded.is_graded()
@@ -486,7 +470,7 @@ def test_phi_of_a_twisted_extension(name):
     # E not Peirce-graded is regraded when B is built: B is graded, and
     # phi^n has the dims and rank of the untwisted extension
     alg = build_algebra(load_bundled(name)[1])
-    twisted = trivial_extension(alg, _twisted_regular(alg))
+    twisted = trivial_extension(alg, twisted_regular(alg))
     plain = trivial_extension(alg, regular_bimodule(alg))
     assert twisted.B.is_peirce_graded()
     for n in range(3):
@@ -559,7 +543,7 @@ def test_every_space_lives_on_a_normalized_complex():
     for gone in ("BarComplex", "_bar_complex", "_Complex", "_complex_for"):
         assert not hasattr(cohomology, gone)
     alg = build_algebra(load_bundled("ex3_5_C")[1])
-    twisted = _twisted_regular(alg)
+    twisted = twisted_regular(alg)
     ext = trivial_extension(alg, twisted)
     for a, module in [(alg, regular_bimodule(alg)), (alg, dual_bimodule(alg)),
                       (alg, twisted), (ext.B, regular_bimodule(ext.B)),

@@ -6,14 +6,16 @@ from hochschild.bimodule import (
 )
 from hochschild.cohomology import CapExceeded, bar_differential, hh
 from hochschild.extcohom import (
-    DerivationAction, check_chain_map, check_projection1_surjective_for_ext,
-    derivation_action, ext_dual_bimodule,
+    DerivationAction, ambient_dim, check_chain_map,
+    check_projection1_surjective_for_ext, derivation_action, ext_dual_bimodule,
 )
 from hochschild.extension import (
     check_surjectivity_witness, trivial_extension, zero_pairing_morphisms,
 )
-from hochschild.linalg import QQ
+from hochschild.linalg import QQ, Mat
 from hochschild.quiver import Presentation, Quiver
+
+from conftest import nakayama_b_presentation
 
 
 def one_point():
@@ -188,6 +190,62 @@ def test_chain_map_random_mode(kite_b):
     report = check_chain_map(kite_b, 2, zeta, trials=5, ambient_limit=100)
     assert report["holds"]
     assert report["mode"] == "random"
+
+
+def test_chain_map_shares_the_ambient_columns(monkeypatch):
+    # full mode evaluates the ambient differential on each unit vector
+    # once per (C, m): every further derivation reuses those columns
+    from hochschild import extcohom
+    C = build_algebra(nakayama_b_presentation())
+    zetas = hh(C, regular_bimodule(C), 1).representatives[:2]
+    assert len(zetas) == 2
+    calls = []
+    real = extcohom.ambient_differential_apply
+    monkeypatch.setattr(extcohom, "ambient_differential_apply",
+                        lambda *args: calls.append(args) or real(*args))
+    for zeta in zetas:
+        report = check_chain_map(C, 1, zeta)
+        assert report == {"holds": True, "mode": "full",
+                          "checked": ambient_dim(C, 1)}
+    assert len(calls) == ambient_dim(C, 1)
+    assert all(m == 1 and len(vec) == 1 for _, m, vec in calls)
+
+
+def test_chain_map_check_can_fail(monkeypatch):
+    # a wrong ambient column, or a derivation action that drops a term,
+    # must make the full-mode check report False
+    from hochschild import extcohom
+    C = build_algebra(nakayama_b_presentation())
+    zeta = hh(C, regular_bimodule(C), 1).representatives[0]
+    m = 0
+    assert check_chain_map(C, m, zeta)["holds"]
+    # column k gains e_r, where al_m(e_k) has no e_k term and al_{m+1}(e_r)
+    # is nonzero: at k the right side moves and the left side does not
+    al_m = DerivationAction(C, m, zeta)
+    al_m1 = DerivationAction(C, m + 1, zeta)
+    k = next(k for k in range(ambient_dim(C, m))
+             if k not in al_m.ambient_apply(m, {k: 1}))
+    r = next(r for r in range(ambient_dim(C, m + 1))
+             if al_m1.ambient_apply(m + 1, {r: 1}))
+    good = extcohom._ambient_differential(C, m)
+    cols = {j: dict(col) for j, col in good.columns_items()}
+    cols.setdefault(k, {})[r] = cols.get(k, {}).get(r, 0) + 1
+    C._ambient_differentials[m] = Mat(good.rows, good.cols, C.field, cols)
+    assert check_chain_map(C, m, zeta) == {"holds": False, "mode": "full",
+                                           "checked": k}
+    C._ambient_differentials[m] = good
+    assert check_chain_map(C, m, zeta)["holds"]
+    # al_{m+1} losing its first term
+    real = DerivationAction.ambient_apply
+
+    def dropping(self, degree, vec):
+        out = real(self, degree, vec)
+        if degree == m + 1 and out:
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(DerivationAction, "ambient_apply", dropping)
+    assert not check_chain_map(C, m, zeta)["holds"]
 
 
 def test_witness_satisfies_conditions_triangle(triangle_c):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hochschild.linalg import (
-    QQ, Mat, PrimeField, SubspaceCoords, echelon_basis, kernel_basis,
+    QQ, Mat, PrimeField, SubspaceCoords, Sweep, echelon_basis, kernel_basis,
     kernel_basis_sparse, quotient_basis, quotient_data, rank, same_subspace,
     solve,
 )
@@ -480,3 +480,37 @@ def test_solve_matches_oracle(name, cols, rhs):
     else:
         assert got == tuple(want.get(j, 0) for j in range(len(cols)))
         _check_types(field, got)
+
+
+# -- the feed order of rank ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(10007)"])
+@given(cols=column_lists(), data=st.data())
+def test_rank_does_not_depend_on_column_order(name, cols, data):
+    field = FIELDS[name]
+    vecs = _vectors(field, cols)
+    perm = data.draw(st.permutations(range(len(vecs))))
+
+    def matrix(order):
+        return Mat(len(cols[0]), len(cols), field,
+                   {k: vecs[j] for k, j in enumerate(order) if vecs[j]})
+
+    r = rank(matrix(range(len(vecs))))
+    assert r == rank(matrix(perm)) == len(echelon_basis(vecs, field))
+
+
+def test_rank_feeds_columns_last_to_first(monkeypatch):
+    # the order is the whole of the speed-up of rank, and invisible in its
+    # value: reverting it must fail here, not only in a timing
+    fed = []
+    insert = Sweep.insert
+
+    def spy(self, vec, track=None):
+        fed.append(dict(vec))
+        return insert(self, vec, track)
+
+    monkeypatch.setattr(Sweep, "insert", spy)
+    m = mat([[1, 0, 0, 1, 0], [0, 0, 2, 0, 1], [0, 0, 1, 3, 0]])
+    assert rank(m) == 3
+    assert fed == [m.column(j) for j in (4, 3, 2, 0)]

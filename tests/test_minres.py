@@ -1,5 +1,7 @@
 import pytest
 
+from hochschild.linalg import Mat, PrimeField, QQ
+
 from hochschild.algebra import build_algebra
 from hochschild.algfile import emit_algebra_file, parse_algebra_file
 from hochschild.bimodule import regular_bimodule
@@ -9,7 +11,9 @@ from hochschild.minres import (
     hom_complex_ranks,
 )
 
-from conftest import PRESENTATIONS
+from conftest import (
+    PRESENTATIONS, cyclic_nakayama_presentation, hereditary_presentation,
+)
 
 MONOMIAL = ["nakayama_c", "kite_c", "triangle_c", "triangle_b", "square"]
 
@@ -199,3 +203,99 @@ def test_resolution_builds_no_second_algebra(monkeypatch, name):
     dims = [hh_via_resolution(alg, n).dim for n in (0, 1, 2)]
     assert builds == []
     assert dims == [hh(alg, regular_bimodule(alg), n).dim for n in (0, 1, 2)]
+
+
+# -- the builders against their per-column reference loops ------------------
+
+
+def _reference_basis(res, n):
+    A = res.algebra
+    return [(s_idx, i, j) for s_idx, (a, b) in enumerate(res.summands[n])
+            for i, t in enumerate(A.peirce) if t[1] == a
+            for j, t2 in enumerate(A.peirce) if t2[0] == b]
+
+
+def _reference_differential(res, n):
+    """d^n: P^n -> P^{n-1}, b_i u and v b_j recomputed for every column."""
+    A = res.algebra
+    field = A.field
+    src = _reference_basis(res, n)
+    tgt = _reference_basis(res, n - 1)
+    pos = {t: k for k, t in enumerate(tgt)}
+    cols = {}
+    for col_idx, (s_idx, i, j) in enumerate(src):
+        col = {}
+        for (y_idx, u, v, coeff) in res.terms[n][s_idx]:
+            ui = A.multiply_coords({i: field.one}, u)
+            vj = A.multiply_coords(v, {j: field.one})
+            for bi, cu in ui.items():
+                for bj, cv in vj.items():
+                    key = pos[(y_idx, bi, bj)]
+                    w = field.add(col.get(key, field.zero),
+                                  field.mul(field.mul(cu, cv), coeff))
+                    if w:
+                        col[key] = w
+                    elif key in col:
+                        del col[key]
+        if col:
+            cols[col_idx] = col
+    return Mat(len(tgt), len(src), field, cols)
+
+
+def _reference_hom_differential(res, n):
+    """Hom(d^n, A), every column scanning every term."""
+    from hochschild.minres import _hom_blocks
+    A = res.algebra
+    field = A.field
+    src = _hom_blocks(res, n - 1)
+    tgt = _hom_blocks(res, n)
+    tgt_pos = {t: k for k, t in enumerate(tgt)}
+    cols = {}
+    for col_idx, (y_idx, m) in enumerate(src):
+        col = {}
+        for x_idx, lst in enumerate(res.terms[n]):
+            for (y2, u, v, coeff) in lst:
+                if y2 != y_idx:
+                    continue
+                val = A.multiply_coords(A.multiply_coords(u, {m: field.one}),
+                                        v)
+                for m2, c in val.items():
+                    key = tgt_pos[(x_idx, m2)]
+                    w = field.add(col.get(key, field.zero),
+                                  field.mul(coeff, c))
+                    if w:
+                        col[key] = w
+                    elif key in col:
+                        del col[key]
+        if col:
+            cols[col_idx] = col
+    return Mat(len(tgt), len(src), field, cols)
+
+
+GF = PrimeField(10007)
+GENERATED = {
+    **{f"nakayama{n}_{length}-{tag}":
+       (lambda n=n, length=length, field=field:
+        cyclic_nakayama_presentation(n, length, field))
+       for n, length in ((2, 2), (3, 2), (2, 3), (3, 4))
+       for tag, field in (("Q", QQ), ("GF", GF))},
+    **{f"{'shortcut' if s else 'A'}{n}-{tag}":
+       (lambda n=n, s=s, field=field: hereditary_presentation(n, s, field))
+       for n, s in ((3, False), (5, False), (4, True), (6, True))
+       for tag, field in (("Q", QQ), ("GF", GF))},
+}
+
+
+@pytest.mark.parametrize("name", MONOMIAL + list(GENERATED))
+def test_builders_match_per_column_loops(corpus, name):
+    # the builders set up their products once per summand or per target;
+    # each matrix must equal the per-column loop entry for entry
+    alg = corpus[name] if name in corpus else \
+        build_algebra(GENERATED[name]())
+    res = build_partial_resolution(alg)
+    for n in (0, 1, 2, 3):
+        assert res.projective_basis(n) == _reference_basis(res, n)
+    for n in (1, 2, 3):
+        assert res.differential_matrix(n) == _reference_differential(res, n)
+        assert res.hom_differential(n) == \
+            _reference_hom_differential(res, n)
