@@ -31,11 +31,15 @@ lies in the diagonal blocks), and `bar_apply` tells a non-cocycle.  From
 degree 2 on a cochain outside it is refused.
 
 The complex indexes cochains by the flat bar key tensor_index * dim M + m
-that `_bar_column` emits, mapped to a row with one dict.  It caches its
-differentials and their ranks on the module, so hh^{n+1} reuses the
-matrix and the rank hh^n needed.  The column kernel of `_bar_column` is
-cached there too, once per degree and argument set, so the many
-`bar_apply` calls of a verification run set it up once.  A
+that `_bar_column` emits, mapped to a row with one dict built from the
+chains' tensor indices; its (chain, m) pairs are built only when asked
+for, so the top degree of a request, which is only rows, has none.  It
+caches its differentials and their ranks on the module, so hh^{n+1}
+reuses the matrix and the rank hh^n needed.  The column kernel of
+`_bar_column` is cached there too, once per degree and argument set, so
+the many `bar_apply` calls of a verification run set it up once.  It
+forms a term's key with one addition from a per-slot table, and stores a
+term at a new key as it is: only a repeated key is added up.  A
 `CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
 rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
 basis.  Representatives and class coordinates are built on first use,
@@ -220,23 +224,35 @@ def _column_kernel(algebra, module, n, args):
     field = algebra.field
     d = algebra.dim
     dm = module.dim
-    add, neg, zero = field.add, field.neg, field.zero
+    add, neg = field.add, field.neg
     top = d ** n
-    # signs: (-1)^{p+1} on the contraction at slot p, (-1)^{n+1} on the
-    # right action
     fact = _factorizations(algebra)
+    keep = None if args is None else set(args)
     if args is None:
         args = range(d)
-    else:
-        keep = set(args)
-        fact = {k: [(x, y, c) for x, y, c in lst if x in keep and y in keep]
-                for k, lst in fact.items()}
-    neg_fact = {k: [(x, y, neg(c)) for x, y, c in lst]
-                for k, lst in fact.items()}
-    contractions = [(d ** (n - 1 - p), neg_fact if p % 2 == 0 else fact)
-                    for p in range(n)]
+    # b_x b_y = c b_k + ..., as k -> [(x * d + y, c)] over the arguments
+    pairs = {}
+    for k, lst in fact.items():
+        terms = [(x * d + y, c) for x, y, c in lst
+                 if keep is None or x in keep and y in keep]
+        if terms:
+            pairs[k] = terms
+    neg_pairs = {k: [(xy, neg(c)) for xy, c in lst]
+                 for k, lst in pairs.items()}
+    # contraction at slot p, sign (-1)^{p+1}: the term of slot value k
+    # lands at key t // (span d) * (d d span dm) + t % span * dm + m + delta,
+    # with span = d^(n-1-p) and, per slot value, a table of
+    # (delta, c) = ((x * d + y) * span * dm, signed c)
+    contractions = []
+    for p in range(n):
+        span = d ** (n - 1 - p)
+        step = span * dm
+        contractions.append((span * d, d * d * step, span, {
+            k: [(xy * step, c) for xy, c in lst]
+            for k, lst in (neg_pairs if p % 2 == 0 else pairs).items()}))
     # per value index m: (key offset, column) of the nonzero actions on e_m,
-    # in args order; read off the actions' nonzero columns
+    # in args order; read off the actions' nonzero columns.  The right
+    # action carries the sign (-1)^{n+1}
     lefts = [[] for _ in range(dm)]
     rights = [[] for _ in range(dm)]
     for c in args:
@@ -249,33 +265,39 @@ def _column_kernel(algebra, module, n, args):
                                   if n % 2 == 0 else col))
 
     def column(t_idx, slots, m):
-        col = {}
         # c_0 . f(...): distinct keys, written first
         base = t_idx * dm
-        for offset, lcol in lefts[m]:
-            for m2, v in lcol.items():
-                col[offset + base + m2] = v
-        # inner contractions: slots[p] -> (x, y)
-        for p, (span, signed_fact) in enumerate(contractions):
-            high = t_idx // (span * d) * d
-            low = t_idx % span
-            for (x, y, c) in signed_fact.get(slots[p], ()):
-                key = (((high + x) * d + y) * span + low) * dm + m
-                w = add(col.get(key, zero), c)
-                if w:
-                    col[key] = w
-                elif key in col:
-                    del col[key]
-        # f(...) . c_n
+        col = {offset + base + m2: v
+               for offset, lcol in lefts[m] for m2, v in lcol.items()}
+        # inner contractions slots[p] -> (x, y), then f(...) . c_n.  Every
+        # term is nonzero, so a new key takes its term as it is; only a
+        # repeated key is added up, and dropped if it cancels
+        for s, (sd, big, span, table) in zip(slots, contractions):
+            terms = table.get(s)
+            if terms:
+                base = t_idx // sd * big + t_idx % span * dm + m
+                for delta, c in terms:
+                    key = base + delta
+                    if key in col:
+                        w = add(col[key], c)
+                        if w:
+                            col[key] = w
+                        else:
+                            del col[key]
+                    else:
+                        col[key] = c
         base = t_idx * d * dm
         for offset, rcol in rights[m]:
             for m2, v in rcol.items():
                 key = base + offset + m2
-                w = add(col.get(key, zero), v)
-                if w:
-                    col[key] = w
-                elif key in col:
-                    del col[key]
+                if key in col:
+                    w = add(col[key], v)
+                    if w:
+                        col[key] = w
+                    else:
+                        del col[key]
+                else:
+                    col[key] = v
         return col
 
     return column
@@ -316,28 +338,27 @@ def bar_apply(algebra, module, n, f):
     return Cochain.from_vec(algebra, module, n + 1, out)
 
 
-def _subcomplex_differential(algebra, module, n, basis, pos):
+def _subcomplex_differential(algebra, module, n, basis, keys, pos):
     """b^{n+1} on a subcomplex of cochains with radical arguments.
 
     basis lists the subcomplex's basis in degree n as pairs (chain, m):
     the cochain sending the tensor of the radical indices in chain to
-    e_m.  pos maps the flat bar key tensor_index * dim M + m of each
-    degree-(n+1) basis pair to its row; a term at a key outside pos
-    raises AssertionError.
+    e_m.  keys holds their flat bar keys tensor_index * dim M + m in the
+    same order.  pos maps the flat bar key of each degree-(n+1) basis
+    pair to its row; a term at a key outside pos raises AssertionError.
     """
-    tensors = Cochain(algebra, module, n + 1)  # for its index helpers
     column = _bar_column(algebra, module, n, args=algebra.radical_indices)
+    dm = module.dim
     row = pos.get
     cols = {}
-    for j, (chain, m) in enumerate(basis):
-        col = {}
-        for key, v in column(tensors.encode(chain), chain, m).items():
-            k = row(key)
-            if k is None:
-                t, m_out = divmod(key, module.dim)
-                raise AssertionError(f"differential left the subcomplex at "
-                                     f"{tensors.decode(t)}, {m_out}")
-            col[k] = v
+    for j, ((chain, m), key) in enumerate(zip(basis, keys)):
+        image = column(key // dm, chain, m)
+        col = {row(k): v for k, v in image.items()}
+        if None in col:
+            t, m_out = divmod(next(k for k in image if k not in pos), dm)
+            raise AssertionError(
+                f"differential left the subcomplex at "
+                f"{Cochain(algebra, module, n + 1).decode(t)}, {m_out}")
         if col:
             cols[j] = col
     return Mat(len(pos), len(basis), algebra.field, cols)
@@ -360,13 +381,14 @@ class NormalizedComplex:
     maps, so cochains in and out are in the module's own basis.
 
     The basis is indexed by its flat bar key tensor_index * dim M + m, the
-    coordinate `_bar_column` emits and `Cochain.vec` uses: `basis(n)` gives
-    the pairs in row order and pos = {flat key: row}.  A key is in pos
-    exactly when its arguments are radical, its chain composable and its
-    value in the right Peirce block, so assembling a differential and
-    projecting a cochain of a graded module are one lookup per term, with
-    no decoding.  rank d^n is computed once per degree and cached in ranks,
-    which `CohomologySpace.vectors` also fills.
+    coordinate `_bar_column` emits and `Cochain.vec` uses: `index(n)` is
+    pos = {flat key: row}, and `basis(n)` gives the pairs in row order
+    with it.  A key is in pos exactly when its arguments are radical, its
+    chain composable and its value in the right Peirce block, so
+    assembling a differential and projecting a cochain of a graded module
+    are one lookup per term, with no decoding.  rank d^n is computed once
+    per degree and cached in ranks, which `CohomologySpace.vectors` also
+    fills.
     """
 
     def __init__(self, algebra, module):
@@ -391,27 +413,33 @@ class NormalizedComplex:
             self.m_blocks.setdefault(tag, []).append(m)
         self._chains = {}
         self._index = {}
+        self._flat = {}
         self._diff = {}
         self.ranks = {}
 
     def chains(self, n):
         """Composable radical index tuples of length n, lexicographic."""
+        return self._chained(n)[0]
+
+    def _chained(self, n):
+        """(chains(n), their tensor indices), built together: the index
+        of chain + (i,) is that of chain times dim A plus i."""
         got = self._chains.get(n)
         if got is not None:
             return got
-        if n == 0:
-            out = [()]
+        if n <= 1:
+            got = ([()], [0]) if n == 0 else ([(i,) for i in self.r], self.r)
         else:
-            out = []
-            prev = self.chains(n - 1)
-            if n == 1:
-                out = [(i,) for i in self.r]
-            else:
-                for chain in prev:
-                    for nxt in self.by_src.get(self.tgt[chain[-1]], ()):
-                        out.append(chain + (nxt,))
-        self._chains[n] = out
-        return out
+            d = self.algebra.dim
+            chains, tensors = [], []
+            for chain, t in zip(*self._chained(n - 1)):
+                t *= d
+                for nxt in self.by_src.get(self.tgt[chain[-1]], ()):
+                    chains.append(chain + (nxt,))
+                    tensors.append(t + nxt)
+            got = (chains, tensors)
+        self._chains[n] = got
+        return got
 
     def value_indices(self, chain):
         if chain:
@@ -424,33 +452,38 @@ class NormalizedComplex:
                 out.append(m)
         return out
 
+    def index(self, n):
+        """{flat bar key: row} of the degree-n basis, in row order, cached.
+
+        Built from the chains' tensor indices, with no (chain, m) pair
+        list: the top degree of a request is only ever rows.
+        """
+        got = self._index.get(n)
+        if got is None:
+            dm = self.graded.dim
+            keys = [t * dm + m for chain, t in zip(*self._chained(n))
+                    for m in self.value_indices(chain)]
+            got = self._index[n] = dict(zip(keys, range(len(keys))))
+        return got
+
     def basis(self, n):
         """([(chain, m)] in row order, {flat bar key: row}), cached."""
-        got = self._index.get(n)
-        if got is not None:
-            return got
-        encode = Cochain(self.algebra, self.graded, n).encode
-        dm = self.graded.dim
-        flat = []
-        pos = {}
-        for chain in self.chains(n):
-            base = encode(chain) * dm
-            for m in self.value_indices(chain):
-                pos[base + m] = len(flat)
-                flat.append((chain, m))
-        self._index[n] = (flat, pos)
-        return self._index[n]
+        flat = self._flat.get(n)
+        if flat is None:
+            flat = self._flat[n] = [(chain, m) for chain in self.chains(n)
+                                    for m in self.value_indices(chain)]
+        return flat, self.index(n)
 
     def dim(self, n):
-        return len(self.basis(n)[0])
+        return len(self.index(n))
 
     def differential(self, n):
         """Matrix N^n -> N^{n+1} of the restricted bar differential."""
         got = self._diff.get(n)
         if got is None:
             got = self._diff[n] = _subcomplex_differential(
-                self.algebra, self.graded, n, self.basis(n)[0],
-                self.basis(n + 1)[1])
+                self.algebra, self.graded, n, *self.basis(n),
+                self.index(n + 1))
         return got
 
     def rank(self, n):
@@ -473,7 +506,7 @@ class NormalizedComplex:
 
     def project(self, cochain):
         """N-coordinates of a normalized cochain, or None if not normalized."""
-        _, pos = self.basis(cochain.degree)
+        pos = self.index(cochain.degree)
         dm = self.module.dim
         to_graded = self.to_graded
         out = {}
@@ -987,28 +1020,30 @@ def transport(cochain, new_algebra, new_module, slot_t, value_map):
     """
     n = cochain.degree
     field = new_algebra.field
+    d_old, d_new = cochain.algebra.dim, new_algebra.dim
+    # slot value -> its options [(new index, coefficient)], read once
+    table = {s: list(col.items()) for s, col in slot_t.columns_items() if col}
     out = Cochain(new_algebra, new_module, n)
     for t, col in cochain.data.items():
-        slots = cochain.decode(t)
+        # decode last slot first, and stop at a slot with no option
         options = []
-        ok = True
-        for s in slots:
-            opt = list(slot_t.column(s).items())
-            if not opt:
-                ok = False
+        for _ in range(n):
+            t, s = divmod(t, d_old)
+            opt = table.get(s)
+            if opt is None:
                 break
             options.append(opt)
-        if not ok:
+        if len(options) < n:
             continue
         val = value_map.matvec(col)
         if not val:
             continue
-        for combo in itertools.product(*options):
+        for combo in itertools.product(*reversed(options)):
             coeff = field.one
             idx = 0
             for (u, c) in combo:
                 coeff = field.mul(coeff, c)
-                idx = idx * new_algebra.dim + u
+                idx = idx * d_new + u
             dst = out.data.setdefault(idx, {})
             axpy(field, dst, coeff, val)
             if not dst:

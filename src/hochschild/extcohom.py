@@ -29,6 +29,7 @@ kept on purpose as the independent reference the normalized differential
 is checked against.
 """
 
+import functools
 import random
 
 from .bimodule import Bimodule
@@ -194,7 +195,12 @@ def _derivation_values(C, zeta):
 
 class DerivationAction:
     """al_m built from a normalized derivation, with its induced matrix on
-    E_m and the ambient/normalized evaluators."""
+    E_m and the ambient/normalized evaluators.
+
+    Only values and by_slot are built up front; E_m (ext), the matrix on
+    its complex (normalized_matrix) and the induced matrix are built on
+    first read, so that the ambient evaluator alone costs no Ext work.
+    """
 
     def __init__(self, C, m, zeta, ext=None):
         _check_ext_cap(C, m)
@@ -208,21 +214,31 @@ class DerivationAction:
         for x, zx in self.values.items():
             for s, c in zx.items():
                 self.by_slot.setdefault(s, []).append((x, c))
-        self.ext = ext if ext is not None else ext_dual_bimodule(C, m)
-        field = C.field
-        flat, pos = self.ext.space.complex.basis(m)
+        if ext is not None:
+            self.ext = ext
+
+    @functools.cached_property
+    def ext(self):
+        return ext_dual_bimodule(self.C, self.m)
+
+    @functools.cached_property
+    def normalized_matrix(self):
+        flat, pos = self.ext.space.complex.basis(self.m)
         cols = {}
         for key, idx in pos.items():
             col = self.normalized_column(flat[idx][0], key, pos)
             if col:
                 cols[idx] = col
-        self.normalized_matrix = Mat(len(flat), len(flat), field, cols)
+        return Mat(len(flat), len(flat), self.C.field, cols)
+
+    @functools.cached_property
+    def induced(self):
         ind = {}
         for k, rep in enumerate(self.ext.representatives()):
             img = self.ext.class_coords(self.normalized_matrix.matvec(rep))
             if img:
                 ind[k] = img
-        self.induced = Mat(self.ext.dim, self.ext.dim, field, ind)
+        return Mat(self.ext.dim, self.ext.dim, self.C.field, ind)
 
     def normalized_column(self, chain, key, pos):
         """al_m of the basis vector (chain, uv) at flat bar key key."""

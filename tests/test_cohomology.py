@@ -6,6 +6,7 @@ import pytest
 
 import hochschild.cohomology as cohomology
 from hochschild.algebra import build_algebra
+from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import dual_bimodule, regular_bimodule
 from hochschild.cohomology import (
     CapExceeded, Cochain, NormalizedComplex, _bar_column, _column_kernel,
@@ -288,11 +289,14 @@ def test_bar_column_empty_argument_set_is_its_own_key():
 
 
 def _brute_force_column(algebra, module, n, args, slots, m):
-    """b^{n+1} of the cochain slots -> e_m, evaluated on every tensor of
-    arguments from args by probing every action column:
+    """b^{n+1} of the cochain slots -> e_m, from the formula
 
         a_0 f(a_1 ..) + sum_p (-1)^{p+1} f(.. a_p a_{p+1} ..)
                       + (-1)^{n+1} f(.. a_{n-1}) a_n
+
+    on the tensors of arguments from args where each term can be nonzero:
+    every action column on e_m and every product of two arguments is
+    probed.
     """
     field = algebra.field
     d, dm = algebra.dim, module.dim
@@ -310,39 +314,20 @@ def _brute_force_column(algebra, module, n, args, slots, m):
             out.pop(key, None)
 
     sign = field.one if n % 2 else field.neg(field.one)  # (-1)^{n+1}
-    for tensor in itertools.product(args, repeat=n + 1):
-        if tensor[1:] == slots:
-            for m2, c in module.left[tensor[0]].column(m).items():
-                add(tensor, m2, c)
-        for p in range(n):
-            c = algebra.structure.get((tensor[p], tensor[p + 1]), {}).get(
-                slots[p])
-            if c and tensor[:p] + tensor[p + 2:] == slots[:p] + slots[p + 1:]:
-                add(tensor, m, c if p % 2 else field.neg(c))
-        if tensor[:-1] == slots:
-            for m2, c in module.right[tensor[-1]].column(m).items():
-                add(tensor, m2, field.mul(sign, c))
+    for a in args:
+        for m2, c in module.left[a].column(m).items():
+            add((a,) + slots, m2, c)
+    for p in range(n):
+        for x in args:
+            for y in args:
+                c = algebra.structure.get((x, y), {}).get(slots[p])
+                if c:
+                    add(slots[:p] + (x, y) + slots[p + 1:], m,
+                        c if p % 2 else field.neg(c))
+    for a in args:
+        for m2, c in module.right[a].column(m).items():
+            add(slots + (a,), m2, field.mul(sign, c))
     return out
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
-@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule,
-                                          twisted_regular])
-@pytest.mark.parametrize("radical", [False, True], ids=["all", "radical"])
-def test_column_kernel_matches_brute_force(field, coefficients, radical):
-    # the kernel reads the action lists off the actions' nonzero columns;
-    # a probe of every (argument, value) pair must give the same columns
-    alg = build_algebra(nakayama_b_presentation(field))
-    module = coefficients(alg)
-    args = alg.radical_indices if radical else None
-    scan = list(args) if radical else list(range(alg.dim))
-    for n in range(3):
-        column = _column_kernel(alg, module, n, args)
-        for slots in itertools.product(scan, repeat=n):
-            t_idx = Cochain(alg, module, n).encode(slots)
-            for m in range(module.dim):
-                assert column(t_idx, slots, m) == _brute_force_column(
-                    alg, module, n, scan, slots, m)
 
 
 FAMILIES = {
@@ -357,6 +342,66 @@ FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule,
+                                          twisted_regular])
+@pytest.mark.parametrize("radical", [False, True], ids=["all", "radical"])
+@pytest.mark.parametrize("presentation", [
+    nakayama_b_presentation,
+    lambda field: quantum_plane_presentation(Fraction(2, 3), field),
+], ids=["nakayama_b", "qplane_2/3"])
+def test_column_kernel_matches_brute_force(monkeypatch, field, coefficients,
+                                           radical, presentation):
+    # the kernel reads the action lists off the actions' nonzero columns
+    # and stores a term at a new key as it is, adding up only at a repeated
+    # key; a probe of every (argument, value) pair must give the same
+    # columns.  With the idempotents among the arguments keys repeat and
+    # cancel, so the adding path is exercised too
+    alg = build_algebra(presentation(field))
+    module = coefficients(alg)
+    args = alg.radical_indices if radical else None
+    scan = list(args) if radical else list(range(alg.dim))
+    field = alg.field
+    real_add = field.add
+    added = []
+
+    def counting_add(a, b):
+        w = real_add(a, b)
+        added.append(w)
+        return w
+
+    for n in range(4):
+        monkeypatch.setattr(field, "add", counting_add)
+        column = _column_kernel(alg, module, n, args)
+        monkeypatch.undo()
+        for slots in itertools.product(scan, repeat=n):
+            t_idx = Cochain(alg, module, n).encode(slots)
+            for m in range(module.dim):
+                assert column(t_idx, slots, m) == _brute_force_column(
+                    alg, module, n, scan, slots, m)
+    if not radical:
+        assert added, "no column met a repeated key"
+        assert not all(added), "no repeated key cancelled"
+
+
+@pytest.mark.parametrize("radical", [False, True], ids=["all", "radical"])
+def test_column_kernel_reads_each_action_once(monkeypatch, nakayama_b,
+                                              radical):
+    # set-up reads the nonzero columns of the left and the right action of
+    # each argument once: its cost is the actions' nnz, whatever the degree
+    module = dual_bimodule(nakayama_b)
+    args = nakayama_b.radical_indices if radical else None
+    count = len(args) if radical else nakayama_b.dim
+    reads = []
+    real = Mat.columns_items
+    monkeypatch.setattr(Mat, "columns_items",
+                        lambda self: reads.append(self) or real(self))
+    for n in range(3):
+        reads.clear()
+        _column_kernel(nakayama_b, module, n, args)
+        assert len(reads) == 2 * count
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_normalized_rank_is_cols_minus_kernel(name):
     # the rank sweep and the kernel sweep take the columns in opposite
@@ -366,6 +411,46 @@ def test_normalized_rank_is_cols_minus_kernel(name):
     for n in range(6):
         d = nc.differential(n)
         assert nc.rank(n) == d.cols - len(kernel_basis_sparse(d))
+
+
+def _check_assembly(alg, module, degrees):
+    # d^n against a test-local assembly: the brute-force column of each
+    # degree-n basis pair, its keys placed by a row index rebuilt from the
+    # degree-(n+1) pair list.  The complex builds that row index with no
+    # pair list, and the pair list only when it is asked for
+    nc = NormalizedComplex(alg, module)
+    graded = nc.graded
+    for n in degrees:
+        matrix = nc.differential(n)
+        assert n + 1 not in nc._flat
+        flat, _ = nc.basis(n)
+        flat1, pos1 = nc.basis(n + 1)
+        encode = Cochain(alg, graded, n + 1).encode
+        rows = {encode(chain) * graded.dim + m: k
+                for k, (chain, m) in enumerate(flat1)}
+        assert list(pos1.items()) == list(rows.items())
+        cols = {}
+        for j, (chain, m) in enumerate(flat):
+            col = {rows[key]: v for key, v in _brute_force_column(
+                alg, graded, n, alg.radical_indices, chain, m).items()}
+            if col:
+                cols[j] = col
+        assert matrix == Mat(len(flat1), len(flat), alg.field, cols)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_normalized_differential_matches_brute_force(name):
+    alg = build_algebra(FAMILIES[name]())
+    _check_assembly(alg, regular_bimodule(alg), range(5))
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule,
+                                          twisted_regular])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_normalized_differential_matches_brute_force_bundled(name,
+                                                             coefficients):
+    alg = build_algebra(load_bundled(name)[1])
+    _check_assembly(alg, coefficients(alg), range(5))
 
 
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])

@@ -135,7 +135,7 @@ def test_subcomplex_differential_refuses_terms_outside_its_basis(bundled):
     assert len(pos) == len(pos1) - 1
     with pytest.raises(AssertionError,
                        match=rf"left the subcomplex at \({chain[0]},\), {m}$"):
-        _subcomplex_differential(alg, reg, 0, nc.basis(0)[0], pos)
+        _subcomplex_differential(alg, reg, 0, *nc.basis(0), pos)
 
 
 def test_index_is_the_flat_bar_key(bundled):

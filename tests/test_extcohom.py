@@ -248,6 +248,30 @@ def test_chain_map_check_can_fail(monkeypatch):
     assert not check_chain_map(C, m, zeta)["holds"]
 
 
+def test_chain_map_builds_no_ext_work(monkeypatch):
+    # the check reads only ambient_apply: no E_m, and no matrix of the
+    # action on the Ext complex, is built for it
+    from hochschild import extcohom
+    C = build_algebra(nakayama_b_presentation())
+    zeta = hh(C, regular_bimodule(C), 1).representatives[0]
+    calls = []
+    real_ext = extcohom.ext_dual_bimodule
+    real_column = DerivationAction.normalized_column
+    monkeypatch.setattr(extcohom, "ext_dual_bimodule",
+                        lambda *args: calls.append(args) or real_ext(*args))
+    monkeypatch.setattr(
+        DerivationAction, "normalized_column",
+        lambda self, *args: calls.append(args) or real_column(self, *args))
+    for m in (0, 1):
+        assert check_chain_map(C, m, zeta)["holds"]
+    assert calls == []
+    assert getattr(C, "_ext_bimodules", {}) == {}
+    # read on demand, the induced matrix is still there
+    assert DerivationAction(C, 1, zeta).induced.rows == \
+        real_ext(C, 1).dim
+    assert calls
+
+
 def test_witness_satisfies_conditions_triangle(triangle_c):
     C = triangle_c
     E2 = ext_dual_bimodule(C, 2)
