@@ -22,7 +22,7 @@ from .cohomology import (
 )
 from .extcohom import (
     DerivationAction, check_chain_map, check_projection1_surjective_for_ext,
-    derivation_action, ext_dual_bimodule,
+    ext_dual_bimodule,
 )
 from .extension import (
     ProjectionMatrix, SplitExtensionData, check_cup_compatibility,

@@ -55,9 +55,18 @@ def parse_algebra_file(data, expect_field=None):
     if not isinstance(field_tag, str):
         raise AlgebraFileError(f"field tag must be a string, not {field_tag!r}")
     field = field_from_tag(field_tag)
+    # vertex and arrow names are sorted and joined into labels
+    if not isinstance(vertices, list) or not (
+            all(type(v) is str for v in vertices)
+            or all(type(v) is int for v in vertices)):
+        raise AlgebraFileError("vertices must be a list of all strings or "
+                               "all integers")
     try:
-        quiver = Quiver(vertices, [(a["name"], a["from"], a["to"])
-                                   for a in arrows])
+        arrows = [(a["name"], a["from"], a["to"]) for a in arrows]
+        for name, _, _ in arrows:
+            if type(name) is not str:
+                raise ValueError(f"arrow name {name!r} is not a string")
+        quiver = Quiver(vertices, arrows)
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFileError(f"bad quiver data: {exc}")
     if not isinstance(relations, list) \

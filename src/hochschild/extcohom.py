@@ -23,10 +23,14 @@ which is a chain map, hence descends to E_m; for the trivial extension
 B = C |x E_m the induced endomorphism witnesses the surjectivity of the
 degree-1 projection morphism.
 
+Every coordinate is the complex's flat bar key
+(tensor_index * dim C + u) * dim C + v, on the ambient space
+Hom_k(DC (x) C^{(x)m}, C) (`ambient_index`) as on E_m's complex, so al_m
+is evaluated once, on ambient vectors (`DerivationAction.ambient_apply`),
+and its matrix on the complex is that evaluation read through the index.
 `ambient_differential_apply` evaluates the displayed formula on the full,
-unnormalized space (coordinates `ambient_index`) by its own loops.  It is
-kept on purpose as the independent reference the normalized differential
-is checked against.
+unnormalized space by its own loops.  It is kept on purpose as the
+independent reference the normalized differential is checked against.
 """
 
 import functools
@@ -75,24 +79,19 @@ def ambient_dim(C, m):
 
 
 def ambient_index(C, u, slots, row):
-    """Ambient coordinate of g_u (x) slots -> b_row, u most significant."""
+    """Ambient coordinate of g_u (x) slots -> b_row: the flat bar key
+    (tensor_index(slots) * d + u) * d + row of the Ext complex."""
     d = C.dim
-    idx = u
+    t = 0
     for s in slots:
-        idx = idx * d + s
-    return idx * d + row
+        t = t * d + s
+    return (t * d + u) * d + row
 
 
 def embed_ambient(C, m, nvec):
-    """A vector of the Ext complex in ambient coordinates."""
-    d = C.dim
-    flat, _ = _normalized_complex(C, _ext_coefficients(C)).basis(m)
-    out = {}
-    for k, c in nvec.items():
-        chain, uv = flat[k]
-        u, v = divmod(uv, d)
-        out[ambient_index(C, u, chain, v)] = c
-    return out
+    """A vector of the Ext complex in ambient coordinates: its flat keys."""
+    keys = list(_normalized_complex(C, _ext_coefficients(C)).index(m))
+    return {keys[k]: c for k, c in nvec.items()}
 
 
 class ExtBimodule(Bimodule):
@@ -128,15 +127,15 @@ def ext_dual_bimodule(C, m):
     d = C.dim
     # not hh: the Ext complex is gated by _check_ext_cap, not the bar cap
     space = CohomologySpace(_normalized_complex(C, _ext_coefficients(C)), m)
-    flat, pos = space.complex.basis(m)
+    pos = space.complex.index(m)
     keys = list(pos)  # flat bar key of each row: pos is filled in row order
 
     def act_vec(nvec, c, side):
         out = {}
         for k, coeff in nvec.items():
-            uv = flat[k][1]
-            u, v = divmod(uv, d)
-            base = keys[k] - uv  # flat key of (chain, 0)
+            key = keys[k]
+            base = key - key % (d * d)  # flat key of (chain, 0)
+            u, v = divmod(key - base, d)
             if side == "left":  # c.th = c th(-)
                 image = {pos[base + u * d + v2]: w
                          for v2, w in C.structure.get((c, v), {}).items()}
@@ -195,11 +194,12 @@ def _derivation_values(C, zeta):
 
 class DerivationAction:
     """al_m built from a normalized derivation, with its induced matrix on
-    E_m and the ambient/normalized evaluators.
+    E_m and its matrix on the Ext complex.
 
-    Only values and by_slot are built up front; E_m (ext), the matrix on
-    its complex (normalized_matrix) and the induced matrix are built on
-    first read, so that the ambient evaluator alone costs no Ext work.
+    Only the key offsets of al_m (terms) are built up front; E_m (ext),
+    the matrix on its complex (normalized_matrix) and the induced matrix
+    are built on first read, so that the ambient evaluator alone costs no
+    Ext work.
     """
 
     def __init__(self, C, m, zeta, ext=None):
@@ -207,13 +207,20 @@ class DerivationAction:
         self.C = C
         self.m = m
         self.zeta = zeta
-        self.values = _derivation_values(C, zeta)
-        # slot value s -> [(x, zeta(x)_s)], x ascending: the terms z(x)
-        # that hit a slot holding s
-        self.by_slot = {}
-        for x, zx in self.values.items():
+        values = _derivation_values(C, zeta)
+        d = C.dim
+        # digit -> [(new digit - digit, coefficient)], new digit ascending:
+        # sum_j th(.. z(a_j) ..) puts x in a chain slot holding s with
+        # z(x)_s; - th(f o z (x) a) and - z(th(f (x) a)) put j in place of
+        # u = i and of v = i with -z(i)_j
+        by_slot, minus = {}, {}
+        for x, zx in values.items():
+            minus[x] = [(j - x, C.field.neg(c)) for j, c in zx.items()]
             for s, c in zx.items():
-                self.by_slot.setdefault(s, []).append((x, c))
+                by_slot.setdefault(s, []).append((x - s, c))
+        # (place value, table) per digit of the flat key: slot p, u, v
+        self.terms = [(d ** (m + 1 - p), by_slot) for p in range(m)] \
+            + [(d, minus), (1, minus)]
         if ext is not None:
             self.ext = ext
 
@@ -223,13 +230,20 @@ class DerivationAction:
 
     @functools.cached_property
     def normalized_matrix(self):
-        flat, pos = self.ext.space.complex.basis(self.m)
+        pos = self.ext.space.complex.index(self.m)
+        one = self.C.field.one
         cols = {}
         for key, idx in pos.items():
-            col = self.normalized_column(flat[idx][0], key, pos)
+            col = {}
+            for at, c in self.ambient_apply({key: one}).items():
+                k = pos.get(at)
+                if k is None:
+                    raise AssertionError("derivation action left the Ext "
+                                         f"basis at flat key {at}")
+                col[k] = c
             if col:
                 cols[idx] = col
-        return Mat(len(flat), len(flat), self.C.field, cols)
+        return Mat(len(pos), len(pos), self.C.field, cols)
 
     @functools.cached_property
     def induced(self):
@@ -240,87 +254,26 @@ class DerivationAction:
                 ind[k] = img
         return Mat(self.ext.dim, self.ext.dim, self.C.field, ind)
 
-    def normalized_column(self, chain, key, pos):
-        """al_m of the basis vector (chain, uv) at flat bar key key."""
-        C = self.C
-        field = C.field
-        d = C.dim
-        base = key - key % (d * d)  # flat key of (chain, 0)
-        u, v = divmod(key - base, d)
-        col = {}
-
-        def put(at, value):
-            if not value:
-                return
-            k = pos.get(at)
-            if k is None:
-                raise AssertionError(
-                    f"derivation action left the Ext basis at flat key {at}")
-            w = field.add(col.get(k, field.zero), value)
-            if w:
-                col[k] = w
-            elif k in col:
-                del col[k]
-
-        # sum_j th(f (x) .. z(a_j) ..): z(x) hits chain slot p, whose
-        # place value in the flat key is d^(m-1-p) * d^2
-        for p in range(self.m):
-            target = chain[p]
-            span = d ** (self.m + 1 - p)
-            for x, c in self.by_slot.get(target, ()):
-                put(key + (x - target) * span, c)
-        # - th(f o z (x) a): (g_{u'} o z) has g_u coefficient z(u)_{u'}
-        zu = self.values.get(u)
-        if zu:
-            for u2, c in zu.items():
-                put(base + u2 * d + v, field.neg(c))
-        # - z(th(f (x) a))
-        zv = self.values.get(v)
-        if zv:
-            for v2, c in zv.items():
-                put(base + u * d + v2, field.neg(c))
-        return col
-
-    # -- ambient evaluators (full complex, for cross-checks) -------------------
-
-    def ambient_apply(self, m, vec):
-        """al_m on an ambient sparse vector of Hom(DC (x) C^m, C)."""
-        C = self.C
-        field = C.field
-        d = C.dim
+    def ambient_apply(self, vec):
+        """al_m on a sparse vector of Hom_k(DC (x) C^{(x)m}, C), in flat
+        keys: a term moves its key by (new digit - old digit) * place."""
+        field = self.C.field
+        add, mul = field.add, field.mul
+        d = self.C.dim
         out = {}
-
-        def add(idx, c):
-            cur = out.get(idx, field.zero)
-            w = field.add(cur, c)
-            if w:
-                out[idx] = w
-            elif idx in out:
-                del out[idx]
-
-        for idx, coeff in vec.items():
-            rest, v = divmod(idx, d)
-            slots = []
-            for _ in range(m):
-                rest, s = divmod(rest, d)
-                slots.append(s)
-            slots.reverse()
-            u = rest
-            for p in range(m):
-                for x, c in self.by_slot.get(slots[p], ()):
-                    add(ambient_index(
-                        C, u, slots[:p] + [x] + slots[p + 1:], v),
-                        field.mul(coeff, c))
-            zu = self.values.get(u)
-            if zu:
-                for u2, c in zu.items():
-                    add(ambient_index(C, u2, slots, v),
-                        field.neg(field.mul(coeff, c)))
-            zv = self.values.get(v)
-            if zv:
-                for v2, c in zv.items():
-                    add(ambient_index(C, u, slots, v2),
-                        field.neg(field.mul(coeff, c)))
+        for key, coeff in vec.items():
+            for place, table in self.terms:
+                for shift, c in table.get(key // place % d, ()):
+                    at = key + shift * place
+                    value = mul(coeff, c)
+                    if at in out:
+                        w = add(out[at], value)
+                        if w:
+                            out[at] = w
+                        else:
+                            del out[at]
+                    else:
+                        out[at] = value
         return out
 
 
@@ -342,12 +295,12 @@ def ambient_differential_apply(C, m, vec):
     minus_one = field.of(-1)
     for idx, coeff in vec.items():
         rest, v = divmod(idx, d)
+        rest, u = divmod(rest, d)
         slots = []
         for _ in range(m):
             rest, s = divmod(rest, d)
             slots.append(s)
         slots.reverse()
-        u = rest
         # th(f.b_0 (x) ...): [b_0 u]_{u'}
         for b0 in range(d):
             prod = C.structure.get((b0, u))
@@ -395,10 +348,6 @@ def _ambient_differential(C, m):
     return got
 
 
-def derivation_action(C, m, zeta, ext=None):
-    return DerivationAction(C, m, zeta, ext=ext)
-
-
 def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
     """d(al_m th) == al_{m+1}(d th): full ambient basis when small, else on
     pseudorandom ambient cochains.  In full mode d is the cached matrix of
@@ -413,8 +362,8 @@ def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
         one = C.field.one
         diff = _ambient_differential(C, m)
         for idx in range(dim):
-            lhs = diff.matvec(action_m.ambient_apply(m, {idx: one}))
-            rhs = action_m1.ambient_apply(m + 1, diff.column(idx))
+            lhs = diff.matvec(action_m.ambient_apply({idx: one}))
+            rhs = action_m1.ambient_apply(diff.column(idx))
             if lhs != rhs:
                 return {"holds": False, "mode": "full", "checked": checked}
             checked += 1
@@ -433,9 +382,8 @@ def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
                     vec[idx] = w
                 elif idx in vec:
                     del vec[idx]
-        lhs = ambient_differential_apply(C, m, action_m.ambient_apply(m, vec))
-        rhs = action_m1.ambient_apply(m + 1,
-                                      ambient_differential_apply(C, m, vec))
+        lhs = ambient_differential_apply(C, m, action_m.ambient_apply(vec))
+        rhs = action_m1.ambient_apply(ambient_differential_apply(C, m, vec))
         if lhs != rhs:
             return {"holds": False, "mode": "random", "checked": checked}
         checked += 1

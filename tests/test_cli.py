@@ -163,19 +163,50 @@ def _square_with(**changes):
         return dict(json.load(fh), **changes)
 
 
+def _square_renamed(name):
+    # arrow a renamed; the relation naming it is dropped
+    data = _square_with(relations=["b*d"])
+    data["arrows"] = [dict(a, name=name) if a["name"] == "a" else a
+                      for a in data["arrows"]]
+    return data
+
+
+def _square_vertices(relabel):
+    data = _square_with()
+    data["vertices"] = [relabel(v) for v in data["vertices"]]
+    data["arrows"] = [dict(a, **{"from": relabel(a["from"]),
+                                 "to": relabel(a["to"])})
+                      for a in data["arrows"]]
+    return data
+
+
 @pytest.mark.parametrize("data", [
     _square_with(field=7),
     _square_with(field=None),
     _square_with(relations=["a*c", 5]),
     _square_with(relations=["a*c", None]),
     _square_with(relations=["2/0*a*c"]),
+    _square_renamed(7),
+    _square_renamed(None),
+    _square_with(vertices=["1", "2", "3", "4", None]),
+    _square_with(vertices=["1", "2", "3", "4", 1.5]),
+    _square_vertices(lambda v: v if v != "4" else 4),
 ], ids=["field 7", "field null", "relation 5", "relation null",
-        "zero denominator"])
+        "zero denominator", "arrow name 7", "arrow name null",
+        "vertex null", "vertex 1.5", "mixed vertices"])
 def test_malformed_algebra_file_exits_2(tmp_path, capsys, data):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(data))
     assert cli.main(["hh", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hh", "phi", "relext"])
+def test_integer_vertices_are_accepted(tmp_path, capsys, command):
+    f = tmp_path / "int.json"
+    f.write_text(json.dumps(_square_vertices(int)))
+    assert cli.main([command, str(f)]) == 0
+    assert capsys.readouterr().out
 
 
 _ZERO = [["0", "0"], ["0", "0"]]

@@ -18,12 +18,13 @@ from hochschild.cohomology import (
     hh1_via_derivations, random_cochain,
 )
 from hochschild.extcohom import (
-    _ext_coefficients, ambient_differential_apply, embed_ambient,
+    _ambient_differential, _ext_coefficients, ambient_differential_apply,
+    embed_ambient,
 )
 from hochschild.extension import projection_morphism, trivial_extension
 from hochschild.linalg import kernel_basis_sparse, quotient_basis, rank
 
-from conftest import twisted_regular
+from conftest import PRESENTATIONS, twisted_regular
 
 
 def bar_reference(alg, module, n):
@@ -191,6 +192,22 @@ def test_ext_differential_matches_ambient_reference(bundled, name, m):
         basis_vec = embed_ambient(C, m, {k: C.field.one})
         assert embed_ambient(C, m + 1, matrix.column(k)) == \
             ambient_differential_apply(C, m, basis_vec)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("source,name", [
+    *[("bundled", name) for name in ("ex3_5_C", "ex3_8_C", "ex5_9_C",
+                                     "square")],
+    *[("corpus", name) for name in PRESENTATIONS],
+])
+def test_ambient_reference_is_the_bar_differential(request, source, name,
+                                                   m):
+    # the ambient space has the Ext complex's flat keys, so the
+    # independent reference is the engine's bar differential with
+    # coefficients C (x)_k C on the whole space, entry for entry
+    C = request.getfixturevalue(source)[name]
+    assert _ambient_differential(C, m) == \
+        bar_differential(C, _ext_coefficients(C), m)
 
 
 @pytest.mark.parametrize("name", BUNDLED)

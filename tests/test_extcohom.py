@@ -1,13 +1,18 @@
+import functools
+from fractions import Fraction
+
 import pytest
 
 from hochschild.algebra import build_algebra
 from hochschild.bimodule import (
     dual_bimodule, hom_bimodule, is_symmetric_over_center, regular_bimodule,
 )
-from hochschild.cohomology import CapExceeded, bar_differential, hh
+from hochschild.cohomology import (
+    CapExceeded, _normalized_complex, bar_differential, hh,
+)
 from hochschild.extcohom import (
-    DerivationAction, ambient_dim, check_chain_map,
-    check_projection1_surjective_for_ext, derivation_action, ext_dual_bimodule,
+    DerivationAction, _ext_coefficients, ambient_dim, ambient_index,
+    check_chain_map, check_projection1_surjective_for_ext, ext_dual_bimodule,
 )
 from hochschild.extension import (
     check_surjectivity_witness, trivial_extension, zero_pairing_morphisms,
@@ -15,7 +20,7 @@ from hochschild.extension import (
 from hochschild.linalg import QQ, Mat
 from hochschild.quiver import Presentation, Quiver
 
-from conftest import nakayama_b_presentation
+from conftest import PRESENTATIONS, nakayama_b_presentation
 
 
 def one_point():
@@ -154,7 +159,7 @@ def test_dual_action_relations(nakayama_c, triangle_c):
 def test_derivation_action_zero_derivation(triangle_c):
     from hochschild.cohomology import Cochain
     zeta = Cochain(triangle_c, regular_bimodule(triangle_c), 1)
-    act = derivation_action(triangle_c, 2, zeta)
+    act = DerivationAction(triangle_c, 2, zeta)
     assert act.induced.is_zero()
 
 
@@ -166,8 +171,70 @@ def test_derivation_action_inner(nakayama_c):
     b1 = bar_differential(nakayama_c, reg, 0)
     inner = Cochain.from_vec(nakayama_c, reg, 1,
                              b1.matvec({0: QQ.one}))
-    act = derivation_action(nakayama_c, 1, inner)
+    act = DerivationAction(nakayama_c, 1, inner)
     assert act.induced.rows == ext_dual_bimodule(nakayama_c, 1).dim
+
+
+def brute_force_action(C, m, zeta, key):
+    """al_m on the ambient unit vector at key: the key decoded into
+    (slots, u, v), each term substituted and re-encoded by ambient_index."""
+    field = C.field
+    d = C.dim
+    rest, v = divmod(key, d)
+    rest, u = divmod(rest, d)
+    slots = []
+    for _ in range(m):
+        rest, s = divmod(rest, d)
+        slots.append(s)
+    slots.reverse()
+    z = [zeta.value((i,)) for i in range(d)]
+    out = {}
+
+    def add(at, c):
+        out[at] = field.add(out.get(at, field.zero), c)
+
+    # th(f (x) .. z(a_j) ..): b_x in slot j hits th's slot value with
+    # coefficient z(x)_{slots[j]}
+    for j in range(m):
+        for x in range(d):
+            c = z[x].get(slots[j])
+            if c:
+                add(ambient_index(C, u, slots[:j] + [x] + slots[j + 1:], v),
+                    c)
+    # - th(f o z (x) a): g_w o z = sum_x z(x)_w g_x
+    for w in range(d):
+        c = z[u].get(w)
+        if c:
+            add(ambient_index(C, w, slots, v), field.neg(c))
+    # - z(th(f (x) a))
+    for w, c in z[v].items():
+        add(ambient_index(C, u, slots, w), field.neg(c))
+    return {at: c for at, c in out.items() if c}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("name", ["nakayama_c", "kite_c", "triangle_c",
+                                  "square"])
+def test_ambient_apply_matches_brute_force(corpus, name, m):
+    C = corpus[name]
+    reps = hh(C, regular_bimodule(C), 1).representatives
+    for zeta in reps + [reps[0].scaled(Fraction(2, 3))]:
+        action = DerivationAction(C, m, zeta)
+        for key in range(ambient_dim(C, m)):
+            assert action.ambient_apply({key: C.field.one}) == \
+                brute_force_action(C, m, zeta, key)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_action_is_a_chain_map_on_the_ext_complex(corpus, name, m):
+    # D_m A_m == A_{m+1} D_m on the normalized complex, exactly
+    C = corpus[name]
+    D = _normalized_complex(C, _ext_coefficients(C)).differential(m)
+    for zeta in hh(C, regular_bimodule(C), 1).representatives:
+        A_m = DerivationAction(C, m, zeta).normalized_matrix
+        A_m1 = DerivationAction(C, m + 1, zeta).normalized_matrix
+        assert D.matmul(A_m) == A_m1.matmul(D)
 
 
 @pytest.mark.parametrize("name,m", [
@@ -224,9 +291,9 @@ def test_chain_map_check_can_fail(monkeypatch):
     al_m = DerivationAction(C, m, zeta)
     al_m1 = DerivationAction(C, m + 1, zeta)
     k = next(k for k in range(ambient_dim(C, m))
-             if k not in al_m.ambient_apply(m, {k: 1}))
+             if k not in al_m.ambient_apply({k: 1}))
     r = next(r for r in range(ambient_dim(C, m + 1))
-             if al_m1.ambient_apply(m + 1, {r: 1}))
+             if al_m1.ambient_apply({r: 1}))
     good = extcohom._ambient_differential(C, m)
     cols = {j: dict(col) for j, col in good.columns_items()}
     cols.setdefault(k, {})[r] = cols.get(k, {}).get(r, 0) + 1
@@ -238,9 +305,9 @@ def test_chain_map_check_can_fail(monkeypatch):
     # al_{m+1} losing its first term
     real = DerivationAction.ambient_apply
 
-    def dropping(self, degree, vec):
-        out = real(self, degree, vec)
-        if degree == m + 1 and out:
+    def dropping(self, vec):
+        out = real(self, vec)
+        if self.m == m + 1 and out:
             del out[next(iter(out))]
         return out
 
@@ -256,12 +323,13 @@ def test_chain_map_builds_no_ext_work(monkeypatch):
     zeta = hh(C, regular_bimodule(C), 1).representatives[0]
     calls = []
     real_ext = extcohom.ext_dual_bimodule
-    real_column = DerivationAction.normalized_column
+    real_matrix = DerivationAction.normalized_matrix.func
+    matrix = functools.cached_property(
+        lambda self: calls.append(self) or real_matrix(self))
+    matrix.__set_name__(DerivationAction, "normalized_matrix")
     monkeypatch.setattr(extcohom, "ext_dual_bimodule",
                         lambda *args: calls.append(args) or real_ext(*args))
-    monkeypatch.setattr(
-        DerivationAction, "normalized_column",
-        lambda self, *args: calls.append(args) or real_column(self, *args))
+    monkeypatch.setattr(DerivationAction, "normalized_matrix", matrix)
     for m in (0, 1):
         assert check_chain_map(C, m, zeta)["holds"]
     assert calls == []
