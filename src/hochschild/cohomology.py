@@ -3,11 +3,13 @@
 Cochains in degree n are linear maps A^{(x)n} -> M stored sparsely in the
 tensor-product bases.  The bar formula is written once, in `_bar_column`:
 `bar_differential` and `bar_apply` evaluate it on the literal bar
-complex, the reference for b o b = 0, inner derivations, the
-surjectivity witness (`extension`) and the tests, and every
-`NormalizedComplex` restricts it to radical arguments.  `extcohom`
-computes E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the
-`NormalizedComplex` with coefficients C (x)_k C.
+complex, the reference for b o b = 0 (`bar_square_vanishes`), inner
+derivations, the surjectivity witness (`extension`) and the tests;
+`_bar_apply_within` evaluates it only where a check reads it, on
+tensors of given arguments; and every `NormalizedComplex` restricts it
+to radical arguments.  `extcohom` computes E_m = Ext^m_C(DC, C) as a
+`CohomologySpace` of the `NormalizedComplex` with coefficients
+C (x)_k C.
 
 `hh` takes kernel modulo image of one complex per space, in every degree
 and on every input: the subcomplex of idempotent-normalized cochains,
@@ -309,16 +311,52 @@ def bar_differential(algebra, module, n, cap=BAR_CAP):
     Flat coordinates are tensor_index * dim M + m on both sides.
     """
     _check_cap(algebra, module, n, cap)
+    return _bar_columns(algebra, module, n,
+                        range(algebra.dim ** n * module.dim))
+
+
+def _bar_columns(algebra, module, n, keys):
+    """The matrix of b^{n+1} with only its columns at the flat keys given;
+    every other column is left empty.  Each key is decoded into its
+    slots, once per run of consecutive keys of one tensor."""
     d = algebra.dim
     dm = module.dim
     column = _bar_column(algebra, module, n)
+    decode = Cochain(algebra, module, n).decode
     cols = {}
-    for t_idx, slots in enumerate(itertools.product(range(d), repeat=n)):
-        for m in range(dm):
-            col = column(t_idx, slots, m)
-            if col:
-                cols[t_idx * dm + m] = col
+    t_prev = None
+    for key in keys:
+        t_idx, m = divmod(key, dm)
+        if t_idx != t_prev:
+            slots, t_prev = decode(t_idx), t_idx
+        col = column(t_idx, slots, m)
+        if col:
+            cols[key] = col
     return Mat((d ** (n + 1)) * dm, (d ** n) * dm, algebra.field, cols)
+
+
+def bar_square_vanishes(algebra, module, top):
+    """b^{n+1} o b^n = 0 for n = 1..top, on the literal bar complex.
+
+    Below the top the factors are full matrices, since each is the next
+    product's right factor.  Of b^{top+1} only the columns at the rows
+    b^top reaches are built: the product reads no other column, so it is
+    the same matrix.
+    """
+    prev = bar_differential(algebra, module, 0)
+    for n in range(1, top + 1):
+        if n < top:
+            nxt = bar_differential(algebra, module, n)
+        else:
+            _check_cap(algebra, module, n, BAR_CAP)
+            reached = set()
+            for _, col in prev.columns_items():
+                reached.update(col)
+            nxt = _bar_columns(algebra, module, n, sorted(reached))
+        if not nxt.matmul(prev).is_zero():
+            return False
+        prev = nxt
+    return True
 
 
 def bar_apply(algebra, module, n, f):
@@ -336,6 +374,53 @@ def bar_apply(algebra, module, n, f):
         for m, c in vals.items():
             axpy(field, out, c, column(t_idx, slots, m))
     return Cochain.from_vec(algebra, module, n + 1, out)
+
+
+def _bar_apply_within(algebra, module, n, args):
+    """f -> b^{n+1}(f) on the tensors with every slot in args, 0 elsewhere.
+
+    A term of b^{n+1}(f) copies all input slots but the one a contraction
+    splits, so an input tensor with two slots outside args reaches no
+    such tensor, and one with a single slot s outside only through the
+    contraction of s into x y with x, y in args.  The restricted kernel
+    `_bar_column(..., args=args)` is evaluated on the remaining inputs; an
+    input with a slot outside also yields terms that keep s, which are
+    dropped.
+    """
+    field = algebra.field
+    dm = module.dim
+    d = algebra.dim
+    inside = set(args)
+    column = _bar_column(algebra, module, n, args=args)
+    # slot values that a contraction inside args reaches
+    reach = {k for k, lst in _factorizations(algebra).items()
+             if any(x in inside and y in inside for x, y, _ in lst)}
+
+    def within(key):
+        t = key // dm
+        for _ in range(n + 1):
+            t, s = divmod(t, d)
+            if s not in inside:
+                return False
+        return True
+
+    def apply(f):
+        _check_shape(f, algebra, module, n)
+        out = {}
+        for t_idx, vals in f.data.items():
+            slots = f.decode(t_idx)
+            outside = [s for s in slots if s not in inside]
+            if not outside:
+                for m, c in vals.items():
+                    axpy(field, out, c, column(t_idx, slots, m))
+            elif len(outside) == 1 and outside[0] in reach:
+                for m, c in vals.items():
+                    col = column(t_idx, slots, m)
+                    axpy(field, out, c,
+                         {k: v for k, v in col.items() if within(k)})
+        return Cochain.from_vec(algebra, module, n + 1, out)
+
+    return apply
 
 
 def _subcomplex_differential(algebra, module, n, basis, keys, pos):

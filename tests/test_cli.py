@@ -392,3 +392,13 @@ def test_canonical_json_independent_of_scalar_type(argv, capsys, monkeypatch):
                         lambda tag: frac_q if tag == "Q" else field_from_tag(tag))
     held_as_fractions = _canonical(argv, capsys)
     assert held_as_fractions == held_as_ints
+
+
+def test_verify_paper_identities_block_alone():
+    # the identities block builds the extensions it shares with earlier
+    # blocks itself when it runs alone
+    proc = run_cli("verify-paper", "--only", "identities")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    (block,) = report["results"]["blocks"]
+    assert block["name"] == "identities" and block["pass"]

@@ -69,6 +69,68 @@ def test_complex_property_corpus_degree3(corpus):
             assert nxt.matmul(prev).is_zero()
 
 
+TOP_FACTOR_ALGEBRAS = [(name, lambda name=name: load_bundled(name)[1])
+                       for name in BUNDLED] + [
+    ("qplane_2/3", lambda: quantum_plane_presentation(Fraction(2, 3)))]
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
+@pytest.mark.parametrize("name,presentation", TOP_FACTOR_ALGEBRAS,
+                         ids=[name for name, _ in TOP_FACTOR_ALGEBRAS])
+def test_top_factor_on_reached_keys_gives_the_same_product(
+        name, presentation, coefficients):
+    # b o b = 0 builds b^4 only at the rows b^3 reaches; the product with
+    # b^3 must be the product with the full b^4, entry for entry
+    alg = build_algebra(presentation())
+    module = coefficients(alg)
+    b3 = bar_differential(alg, module, 2)
+    reached = sorted({r for _, col in b3.columns_items() for r in col})
+    full = bar_differential(alg, module, 3)
+    part = cohomology._bar_columns(alg, module, 3, reached)
+    assert len(reached) < full.cols
+    assert all(part.column(k) == full.column(k) for k in reached)
+    assert part.matmul(b3) == full.matmul(b3)
+    assert cohomology.bar_square_vanishes(alg, module, 3)
+
+
+@pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule,
+                                          twisted_regular])
+def test_bar_columns_at_every_key_match_the_product_order(triangle_b,
+                                                          coefficients):
+    # the assembly decodes each key into slots; the columns must be those
+    # of the kernel walked over the tensors in product order
+    module = coefficients(triangle_b)
+    d, dm = triangle_b.dim, module.dim
+    for n in range(4):
+        column = _bar_column(triangle_b, module, n)
+        want = {}
+        for t_idx, slots in enumerate(itertools.product(range(d), repeat=n)):
+            for m in range(dm):
+                col = column(t_idx, slots, m)
+                if col:
+                    want[t_idx * dm + m] = col
+        got = bar_differential(triangle_b, module, n)
+        assert (got.rows, got.cols) == (d ** (n + 1) * dm, d ** n * dm)
+        assert dict(got.columns_items()) == want
+
+
+@pytest.mark.parametrize("top", [1, 3])
+def test_bar_square_fails_on_a_corrupted_right_action(kite_c, top):
+    # doubling the right action of one arrow breaks m.(xy) = (m.x).y
+    # wherever that arrow is x in a nonzero product; b o b sees it, also
+    # when the corrupted factor is the one built on reached keys only
+    from hochschild.bimodule import Bimodule
+    reg = regular_bimodule(kite_c)
+    x = next(x for (x, y), prod in kite_c.structure.items()
+             if prod and x in kite_c.radical_indices
+             and y in kite_c.radical_indices)
+    right = list(reg.right)
+    right[x] = right[x].scaled(2)
+    broken = Bimodule(kite_c, reg.dim, reg.left, right, check=False)
+    assert cohomology.bar_square_vanishes(kite_c, reg, top)
+    assert not cohomology.bar_square_vanishes(kite_c, broken, top)
+
+
 def test_b1_is_inner_derivation(kite_c):
     # b^1 of the idempotent e_1 sends alpha -> -alpha, beta -> -beta, gamma -> 0
     reg = regular_bimodule(kite_c)

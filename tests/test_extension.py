@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hochschild import extension
@@ -6,8 +8,8 @@ from hochschild.bimodule import (
     dual_bimodule, hom_bimodule, regular_bimodule, zero_bimodule,
 )
 from hochschild.cohomology import (
-    Cochain, _normalized_complex, bar_apply, bar_differential, bracket1, hh,
-    random_cochain,
+    Cochain, _bar_apply_within, _normalized_complex, bar_apply,
+    bar_differential, bracket1, hh, random_cochain,
 )
 from hochschild.extension import (
     check_cup_compatibility, check_derivation_splitting, check_growth_bound,
@@ -230,6 +232,68 @@ def test_chain_identity_zero_cochain(nak_ext):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_chain_identity_random(nak_ext, n):
     assert check_projection_chain_identity(nak_ext, n, trials=20)["holds"]
+
+
+@pytest.mark.parametrize("which", ["presented", "split", "trivial"])
+def test_restricted_right_side_equals_the_full_evaluation(
+        which, nak_ext, nakayama_c, kite_c):
+    # p b_B(f) q^{(x)(n+1)} evaluates b_B only on the tensors that q's
+    # support reaches; it must equal projecting the full b_B(f).  The split
+    # extension by the regular bimodule has E^2 != 0
+    ext = {"presented": lambda: nak_ext,
+           "split": lambda: split_extension(nakayama_c,
+                                            regular_bimodule(nakayama_c)),
+           "trivial": lambda: trivial_extension(kite_c,
+                                                dual_bimodule(kite_c))}[which]()
+    regB = regular_bimodule(ext.B)
+    for n in range(3):
+        rhs = extension._projected_bar(ext, n)
+        for seed in range(20):
+            f = random_cochain(ext.B, regB, n, seed=seed)
+            assert rhs(f) == project_cochain(ext, bar_apply(ext.B, regB, n, f))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_restricted_evaluation_with_a_slot_outside(nak_ext, n):
+    # S misses rad^2 of B, so S spans no subalgebra: an input tensor with
+    # one slot in rad^2 reaches S^{n+1} through its contraction.  The
+    # restricted evaluation must still be bar_apply on S^{n+1}
+    B = nak_ext.B
+    regB = regular_bimodule(B)
+    radical = set(B.radical_indices)
+    square = sorted({k for (x, y), prod in B.structure.items()
+                     if x in radical and y in radical
+                     for k, c in prod.items() if c})
+    S = [i for i in range(B.dim) if i not in square]
+    assert square
+    within = _bar_apply_within(B, regB, n, S)
+    rng = random.Random(n)
+    for seed in range(20):
+        f = random_cochain(B, regB, n, seed=seed)
+        if n:
+            # a tensor with exactly one slot outside S
+            slots = [rng.choice(S) for _ in range(n)]
+            slots[rng.randrange(n)] = rng.choice(square)
+            f = f.add(Cochain.from_values(
+                B, regB, n, {tuple(slots): {rng.randrange(B.dim): 1}}))
+        full = bar_apply(B, regB, n, f)
+        want = {t: col for t, col in full.data.items()
+                if all(s in S for s in full.decode(t))}
+        assert within(f).data == want
+
+
+def test_chain_identity_fails_on_a_corrupted_product(kite_c):
+    # a product of two C-basis vectors inside B, doubled after B is built:
+    # b_B then disagrees with b_C on q's image, and the check must say so
+    ext = trivial_extension(kite_c, dual_bimodule(kite_c))
+    radical = kite_c.radical_indices
+    x, y = next((x, y) for (x, y), prod in kite_c.structure.items()
+                if prod and x in radical and y in radical)
+    ext.B.structure[(x, y)] = {k: QQ.mul(2, c)
+                               for k, c in ext.B.structure[(x, y)].items()}
+    assert not check_projection_chain_identity(ext, 1)["holds"]
+    assert check_projection_chain_identity(
+        trivial_extension(kite_c, dual_bimodule(kite_c)), 1)["holds"]
 
 
 def test_cup_compatibility_bound2(nak_ext):

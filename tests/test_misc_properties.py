@@ -158,3 +158,44 @@ def test_raising_block_names_where_it_raised(monkeypatch):
     (check,) = block["checks"]
     assert check["name"] == "block ex3_5 raised ZeroDivisionError"
     assert check["error"] == f"test_misc_properties.py:{line}: no pivot"
+
+
+def test_one_run_builds_each_extension_once(monkeypatch):
+    # the trivial extensions of the corpus are built once, in the
+    # surjectivity block (dual, regular) and the relext block (E_2), and
+    # the identities block reads those same objects
+    import hochschild.extension as extension
+    import hochschild.verification as verification
+
+    real_build = extension._build_extension
+    real_chain = verification.check_projection_chain_identity
+    built, current = {}, []
+
+    def build(*args, **kwargs):
+        ext = real_build(*args, **kwargs)
+        built.setdefault(current[-1], []).append(ext)
+        return ext
+
+    def chain(ext, n, **kwargs):
+        used.add(id(ext))
+        return real_chain(ext, n, **kwargs)
+
+    used = set()
+    monkeypatch.setattr(extension, "_build_extension", build)
+    monkeypatch.setattr(verification, "check_projection_chain_identity", chain)
+    for name, run in list(verification.BLOCKS.items()):
+        def entered(suite, name=name, run=run):
+            current.append(name)
+            return run(suite)
+        monkeypatch.setitem(verification.BLOCKS, name, entered)
+    report = verification.run_blocks()
+    assert report["pass"]
+    assert sum(len(exts) for exts in built.values()) == 25
+    assert "identities" not in built
+    ids = {block: {id(ext) for ext in exts} for block, exts in built.items()}
+    # the identities run over two presented extensions, made by maps, and
+    # 13 trivial ones: the 12 dual and regular ones of the surjectivity
+    # block and the E_2 one of the relext block
+    assert len(used) == 15
+    assert len(used & ids["surjectivity"]) == 12
+    assert len(used & ids["relext"]) == 1
