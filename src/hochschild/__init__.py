@@ -33,7 +33,7 @@ from .extension import (
     trivial_extension, zero_pairing_morphisms,
 )
 from .linalg import (
-    Mat, PrimeField, QQ, Rationals, kernel_basis, quotient_data, rank, solve,
+    Mat, PrimeField, QQ, Rationals, kernel_basis, rank, solve,
 )
 from .minres import (
     ChainSets, PartialResolution, build_partial_resolution, chain_paths,

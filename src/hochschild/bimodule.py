@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .algebra import center_basis
 from .linalg import (
-    Mat, SubspaceCoords, axpy, echelon_basis, kernel_basis_sparse,
-    quotient_data, rank,
+    Mat, SubspaceCoords, axpy, echelon_basis, kernel_basis_sparse, rank,
+    reduce_mod,
 )
 
 
@@ -333,22 +333,23 @@ def tensor_over(e, f):
                         del vec[pair(i, s)]
                 if vec:
                     gens.append(vec)
-    quot = quotient_data(gens, n, field)
-    dim = quot.dim
-    labels = []
-    for idx in quot.rep_indices:
-        labels.append(f"{e.labels[idx // f.dim]}(x){f.labels[idx % f.dim]}")
-
-    pos = {k: t for t, k in enumerate(quot.rep_indices)}
+    # the complement: the pair coordinates that lead no echelon row
+    echelon = echelon_basis(gens, field)
+    leads = {min(row) for row in echelon}
+    rep_indices = [k for k in range(n) if k not in leads]
+    dim = len(rep_indices)
+    labels = [f"{e.labels[idx // f.dim]}(x){f.labels[idx % f.dim]}"
+              for idx in rep_indices]
+    pos = {k: t for t, k in enumerate(rep_indices)}
 
     def class_sparse(vec):
-        red = quot.reduce(vec)
+        red = reduce_mod(vec, echelon, field)
         return {pos[k]: v for k, v in red.items()}
 
     left, right = [], []
     for c in range(e.algebra.dim):
         lcols, rcols = {}, {}
-        for t, idx in enumerate(quot.rep_indices):
+        for t, idx in enumerate(rep_indices):
             i, j = divmod(idx, f.dim)
             lvec = {}
             for r, v in e.left[c].column(i).items():
@@ -366,9 +367,7 @@ def tensor_over(e, f):
         right.append(Mat(dim, dim, field, rcols))
     out = Bimodule(e.algebra, dim, left, right, labels=labels, product=None)
     out.pair_space = (e, f)
-    out.rep_indices = list(quot.rep_indices)
-    out.class_sparse = class_sparse
-    out.pair_index = pair
+    out.rep_indices = rep_indices
     return out
 
 

@@ -41,17 +41,25 @@ reuses the matrix and the rank hh^n needed.  The column kernel of
 `_bar_column` is cached there too, once per degree and argument set, so
 the many `bar_apply` calls of a verification run set it up once.  It
 forms a term's key with one addition from a per-slot table, and stores a
-term at a new key as it is: only a repeated key is added up.  A
-`CohomologySpace` is rank-first: dim hh^n = dim C^n - rank d^n -
-rank d^{n-1}, from untracked sweeps (`linalg.rank`), with no kernel
-basis.  Representatives and class coordinates are built on first use,
-from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and from then
-on dim is their count; `CohomologySpace.vector_coords` gives the class
-of a vector of the complex, `class_coords` that of a cochain.
+term at a new key as it is: only a repeated key is added up.
+
+`CohomologySpace` is the one object that turns a complex into dims,
+representatives and class coordinates, for every engine: the normalized
+complex, the two-term `DerivationComplex` (derivations modulo inner
+derivations, `hh1_via_derivations`) and the Hom complex of the minimal
+resolution (`minres.PartialResolution`).  Its docstring names what it
+reads of a complex.  It is rank-first: dim hh^n = dim C^n - rank d^n -
+rank d^{n-1}, from untracked sweeps (`linalg.rank`) cached by
+`RankedComplex`, with no kernel basis.  Representatives and class
+coordinates are built on first use, from `linalg.quotient_basis` and
+`linalg.SubspaceCoords`, and from then on dim is their count;
+`CohomologySpace.vector_coords` gives the class of a vector of the
+complex, `class_coords` that of a cochain.
 
 Everything is deterministic: fixed basis orders and a fixed pivot rule.
 """
 
+import functools
 import itertools
 import random
 
@@ -450,10 +458,23 @@ def _subcomplex_differential(algebra, module, n, basis, keys, pos):
 
 
 # ---------------------------------------------------------------------------
-# the complex hh works on
+# complexes
 
 
-class NormalizedComplex:
+class RankedComplex:
+    """The rank cache every complex shares: rank d^n is swept once per
+    degree (`linalg.rank`, untracked) and kept in ranks, which
+    `CohomologySpace.vectors` also fills from its kernel and quotient
+    work.  A subclass sets ranks = {} and defines differential(n)."""
+
+    def rank(self, n):
+        got = self.ranks.get(n)
+        if got is None:
+            got = self.ranks[n] = rank(self.differential(n))
+        return got
+
+
+class NormalizedComplex(RankedComplex):
     """Cochains vanishing on idempotent arguments, graded by Peirce blocks.
 
     Basis in degree n: (w_1..w_n, m) with w_i radical basis indices forming
@@ -471,10 +492,10 @@ class NormalizedComplex:
     with it.  A key is in pos exactly when its arguments are radical, its
     chain composable and its value in the right Peirce block, so
     assembling a differential and projecting a cochain of a graded module
-    are one lookup per term, with no decoding.  rank d^n is computed once
-    per degree and cached in ranks, which `CohomologySpace.vectors` also
-    fills.
+    are one lookup per term, with no decoding.
     """
+
+    backend = "normalized"
 
     def __init__(self, algebra, module):
         if not algebra.is_peirce_graded():
@@ -571,12 +592,6 @@ class NormalizedComplex:
                 self.index(n + 1))
         return got
 
-    def rank(self, n):
-        got = self.ranks.get(n)
-        if got is None:
-            got = self.ranks[n] = rank(self.differential(n))
-        return got
-
     def embed(self, n, nvec):
         """A normalized vector as a full Cochain in the module's basis."""
         flat, _ = self.basis(n)
@@ -620,23 +635,29 @@ def _normalized_complex(algebra, module):
 
 
 class CohomologySpace:
-    """hh^n as kernel modulo image of a `NormalizedComplex`: dim,
-    representative cocycles and class coordinates.
+    """Kernel modulo image of a complex in one degree: dim, representative
+    cocycles and class coordinates.  It is the one place any engine turns
+    a complex into these.
 
-    The space lives on complex_: its dim, representatives, `is_cocycle`
-    and class coordinates all come from that complex.  Until the
-    representatives exist, dim is dim C^n - rank d^n - rank d^{n-1} from
-    the complex's cached ranks.  `vectors` builds the representatives and
-    the class-coordinate sweep on first use, and from then on dim is their
-    count.  A space whose dim is all that is read does no kernel or
-    quotient work.  In degrees 0 and 1, `is_cocycle` and `class_coords`
-    also take a cochain outside the complex; from degree 2 on they refuse
-    it.
+    A complex gives `algebra` and `module` (the coefficients), `backend`
+    (the engine's name), `dim(n)` (the size of C^n), `differential(n)`
+    (the matrix C^n -> C^{n+1}), `rank(n)` with its cache `ranks`
+    (`RankedComplex`), `embed(n, vec)` (a vector of C^n as the caller's
+    object) and, where cochains of the module map into it,
+    `project(cochain)` (its vector, or None if it lies outside).  Three
+    complexes do: the `NormalizedComplex` of `hh` and of E_m, the
+    two-term `DerivationComplex` of `hh1_via_derivations`, and
+    `minres.PartialResolution`.
+
+    Until the representatives exist, dim is dim C^n - rank d^n -
+    rank d^{n-1} from the complex's cached ranks.  `vectors` builds the
+    representatives on first use, and from then on dim is their count;
+    the class-coordinate sweep is built on the first class asked for.  A
+    space whose dim is all that is read does no kernel or quotient work.
+    On the normalized complex, in degrees 0 and 1, `is_cocycle` and
+    `class_coords` also take a cochain outside it; from degree 2 on they
+    refuse it.
     """
-
-    # one complex serves every space; perfbench/spans.py still counts the
-    # answers of hh by this name
-    backend = "normalized"
 
     def __init__(self, complex_, degree):
         self.complex = complex_
@@ -648,7 +669,11 @@ class CohomologySpace:
         if degree:
             complex_.differential(degree - 1)
         self._reps_vecs = None
-        self._classes = None
+        self._boundaries = None
+
+    @property
+    def backend(self):
+        return self.complex.backend
 
     def _rank_dim(self):
         n = self.degree
@@ -667,36 +692,44 @@ class CohomologySpace:
     def vectors(self):
         """The representatives as vectors of the complex.
 
-        The first call builds them and the class-coordinate sweep, and
-        records rank d^n and rank d^{n-1} from that work in the complex's
-        rank cache where they are not there yet.  Their count is checked
+        The first call builds them, the kernel of d^n modulo the image of
+        d^{n-1} (`linalg.quotient_basis`, the only caller), and records
+        rank d^n and rank d^{n-1} from that work in the complex's rank
+        cache where they are not there yet.  Their count is checked
         against the dim from those ranks.
         """
         if self._reps_vecs is not None:
             return self._reps_vecs
         n = self.degree
-        field = self.algebra.field
         cocycles = self._cocycle_matrix()
         cycles = kernel_basis_sparse(cocycles)
         boundaries = [] if n == 0 else [
             c for _, c in self.complex.differential(n - 1).columns_items()]
-        reps, cob = quotient_basis(field, cycles, boundaries)
+        reps, self._boundaries = quotient_basis(self.algebra.field, cycles,
+                                                boundaries)
         ranks = self.complex.ranks
         ranks.setdefault(n, cocycles.cols - len(cycles))
         if n:
-            ranks.setdefault(n - 1, len(cob))
+            ranks.setdefault(n - 1, len(self._boundaries))
         want = self._rank_dim()
         if len(reps) != want:
             raise AssertionError(
-                f"hh^{n} on the normalized complex: {len(reps)} "
+                f"hh^{n} on the {self.backend} complex: {len(reps)} "
                 f"representatives but dim {want} from its ranks")
+        self._reps_vecs = reps
+        return reps
+
+    @functools.cached_property
+    def _classes(self):
+        """The class-coordinate sweep: the representatives modulo the
+        boundaries' echelon."""
+        reps = self.vectors()
         try:
-            self._classes = SubspaceCoords(field, reps, modulo=cob)
+            return SubspaceCoords(self.algebra.field, reps,
+                                  modulo=self._boundaries)
         except ValueError:
             raise AssertionError("representatives are not independent") \
                 from None
-        self._reps_vecs = reps
-        return reps
 
     @property
     def representatives(self):
@@ -708,6 +741,8 @@ class CohomologySpace:
     def _vec(self, cochain):
         """The cochain as a vector of the complex, or None for a degree-0
         or degree-1 cochain that is outside it and not a cocycle."""
+        if not hasattr(self.complex, "project"):
+            raise TypeError(f"the {self.backend} complex takes no cochains")
         _check_shape(cochain, self.algebra, self.module, self.degree)
         vec = self.complex.project(cochain)
         if vec is not None:
@@ -736,7 +771,6 @@ class CohomologySpace:
         it is not a cocycle."""
         if self._cocycle_matrix().matvec(vec):
             return None
-        self.vectors()
         found = self._classes.find(vec)
         if found is None:
             raise AssertionError("cocycle escaped span of classes")
@@ -837,8 +871,11 @@ def _check_shape(cochain, algebra, module, n):
 # derivations
 
 
-def der0_basis(algebra, module):
-    """Normalized derivations: d(bb') = b.d(b') + d(b).b', d(e) = 0."""
+def _leibniz_system(algebra, module):
+    """The matrix whose kernel is the normalized derivations: one block of
+    rows asks d(e) = 0 per idempotent e, one asks d(bb') = b.d(b') +
+    d(b).b' per pair of basis vectors; column s * dim M + r is the
+    unknown d(b_s)_r, the flat degree-1 key."""
     field = algebra.field
     d = algebra.dim
     dm = module.dim
@@ -881,9 +918,13 @@ def der0_basis(algebra, module):
             row_base += dm
     data = {u: {k: v for k, v in col.items() if v} for u, col in cols.items()}
     data = {u: col for u, col in data.items() if col}
-    m = Mat(row_base, d * dm, field, data)
+    return Mat(row_base, d * dm, field, data)
+
+
+def der0_basis(algebra, module):
+    """Normalized derivations: d(bb') = b.d(b') + d(b).b', d(e) = 0."""
     return [Cochain.from_vec(algebra, module, 1, v)
-            for v in kernel_basis_sparse(m)]
+            for v in kernel_basis_sparse(_leibniz_system(algebra, module))]
 
 
 def inner_normalized_span(algebra, module):
@@ -899,37 +940,45 @@ def inner_normalized_span(algebra, module):
     return out
 
 
-class DerivationCohomology:
-    """hh^1 as normalized derivations modulo normalized inner derivations."""
+class DerivationComplex(RankedComplex):
+    """hh^1 as normalized derivations modulo normalized inner derivations:
+    a complex of two terms, on the flat degree-1 keys s * dim M + r.
+
+    d^1 is the Leibniz system (`_leibniz_system`), so Z^1 is the
+    normalized derivations; C^0 has one basis vector per spanning vector
+    of `inner_normalized_span`, and d^0 has those vectors as columns.
+    Every degree-1 cochain is a vector of C^1, so `project` takes any.
+    """
+
+    backend = "derivations"
 
     def __init__(self, algebra, module):
         self.algebra = algebra
         self.module = module
-        field = algebra.field
-        self.derivations = der0_basis(algebra, module)
-        self._reps_vecs, cob = quotient_basis(
-            field, [d.vec() for d in self.derivations],
-            inner_normalized_span(algebra, module))
-        self._classes = SubspaceCoords(field, self._reps_vecs, modulo=cob)
+        self.ranks = {}
+        inner = inner_normalized_span(algebra, module)
+        self._diff = {
+            0: Mat(algebra.dim * module.dim, len(inner), algebra.field,
+                   dict(enumerate(inner))),
+            1: _leibniz_system(algebra, module)}
 
-    @property
-    def dim(self):
-        return len(self._reps_vecs)
+    def dim(self, n):
+        return self._diff[n].cols
 
-    @property
-    def representatives(self):
-        return [Cochain.from_vec(self.algebra, self.module, 1, v)
-                for v in self._reps_vecs]
+    def differential(self, n):
+        return self._diff[n]
 
-    def class_coords(self, cochain):
-        found = self._classes.find(cochain.vec())
-        if found is None:
-            raise ValueError("not a normalized derivation class")
-        return dense(found, self.dim, self.algebra.field)
+    def embed(self, n, vec):
+        return Cochain.from_vec(self.algebra, self.module, n, vec)
+
+    def project(self, cochain):
+        return cochain.vec()
 
 
 def hh1_via_derivations(algebra, module):
-    return DerivationCohomology(algebra, module)
+    """hh^1(algebra, module) as the `CohomologySpace` of the derivation
+    complex: a route that shares no matrix with the normalized complex."""
+    return CohomologySpace(DerivationComplex(algebra, module), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -88,20 +88,50 @@ def ambient_index(C, u, slots, row):
     return (t * d + u) * d + row
 
 
-def embed_ambient(C, m, nvec):
-    """A vector of the Ext complex in ambient coordinates: its flat keys."""
-    keys = list(_normalized_complex(C, _ext_coefficients(C)).index(m))
-    return {keys[k]: c for k, c in nvec.items()}
-
-
 class ExtBimodule(Bimodule):
-    """E_m as a concrete bimodule on the classes of its CohomologySpace."""
+    """E_m as a concrete bimodule on the classes of its CohomologySpace:
+    the actions (c.th) = c th(-) and (th.c) = th(c.f (x) -) on each
+    representative, read back as classes."""
 
-    def __init__(self, space, left, right, labels):
-        self.ext_degree = space.degree
+    def __init__(self, space):
+        self.ext_degree = m = space.degree
         self.space = space
-        super().__init__(space.algebra, space.dim, left, right,
-                         labels=labels, product={})
+        C = space.algebra
+        field = C.field
+        d = C.dim
+        pos = space.complex.index(m)
+        keys = list(pos)  # flat bar key of each row: pos is in row order
+
+        def act_vec(nvec, c, side):
+            out = {}
+            for k, coeff in nvec.items():
+                key = keys[k]
+                base = key - key % (d * d)  # flat key of (chain, 0)
+                u, v = divmod(key - base, d)
+                if side == "left":  # c.th = c th(-)
+                    image = {pos[base + u * d + v2]: w
+                             for v2, w in C.structure.get((c, v), {}).items()}
+                else:  # th.c = th(c.f (x) -)
+                    image = {pos[base + u2 * d + v]: w
+                             for u2, w in C.structure.get((u, c), {}).items()}
+                axpy(field, out, coeff, image)
+            return out
+
+        left, right = [], []
+        for c in range(d):
+            lcols, rcols = {}, {}
+            for k, rep in enumerate(space.vectors()):
+                img = self.class_coords(act_vec(rep, c, "left"))
+                if img:
+                    lcols[k] = img
+                img = self.class_coords(act_vec(rep, c, "right"))
+                if img:
+                    rcols[k] = img
+            left.append(Mat(space.dim, space.dim, field, lcols))
+            right.append(Mat(space.dim, space.dim, field, rcols))
+        super().__init__(C, space.dim, left, right,
+                         labels=[f"ext{m}_{k}" for k in range(space.dim)],
+                         product={})
 
     def representatives(self):
         """Normalized cocycle vectors representing the chosen basis."""
@@ -120,54 +150,12 @@ def ext_dual_bimodule(C, m):
     if cache is None:
         cache = C._ext_bimodules = {}
     got = cache.get(m)
-    if got is not None:
-        return got
-    _check_ext_cap(C, m)
-    field = C.field
-    d = C.dim
-    # not hh: the Ext complex is gated by _check_ext_cap, not the bar cap
-    space = CohomologySpace(_normalized_complex(C, _ext_coefficients(C)), m)
-    pos = space.complex.index(m)
-    keys = list(pos)  # flat bar key of each row: pos is filled in row order
-
-    def act_vec(nvec, c, side):
-        out = {}
-        for k, coeff in nvec.items():
-            key = keys[k]
-            base = key - key % (d * d)  # flat key of (chain, 0)
-            u, v = divmod(key - base, d)
-            if side == "left":  # c.th = c th(-)
-                image = {pos[base + u * d + v2]: w
-                         for v2, w in C.structure.get((c, v), {}).items()}
-            else:  # th.c = th(c.f (x) -)
-                image = {pos[base + u2 * d + v]: w
-                         for u2, w in C.structure.get((u, c), {}).items()}
-            axpy(field, out, coeff, image)
-        return out
-
-    def class_coords(nvec):
-        found = space.vector_coords(nvec)
-        if found is None:
-            raise ValueError("action image is not a cocycle: "
-                             "the actions do not descend")
-        return found
-
-    lcols = {c: {} for c in range(d)}
-    rcols = {c: {} for c in range(d)}
-    for c in range(d):
-        for k, rep in enumerate(space.vectors()):
-            img = class_coords(act_vec(rep, c, "left"))
-            if img:
-                lcols[c][k] = img
-            img = class_coords(act_vec(rep, c, "right"))
-            if img:
-                rcols[c][k] = img
-    left = [Mat(space.dim, space.dim, field, lcols[c]) for c in range(d)]
-    right = [Mat(space.dim, space.dim, field, rcols[c]) for c in range(d)]
-    labels = [f"ext{m}_{k}" for k in range(space.dim)]
-    out = ExtBimodule(space, left, right, labels)
-    cache[m] = out
-    return out
+    if got is None:
+        _check_ext_cap(C, m)
+        # not hh: the Ext complex is gated by _check_ext_cap, not the bar cap
+        got = cache[m] = ExtBimodule(CohomologySpace(
+            _normalized_complex(C, _ext_coefficients(C)), m))
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +378,14 @@ def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
     return {"holds": True, "mode": "random", "checked": checked}
 
 
-def check_projection1_surjective_for_ext(C, m):
+def check_projection1_surjective_for_ext(C, m, extension=None):
     """phi^1 for B = C |x E_m is surjective, with the derivation-action
-    witness passing the two degree-1 conditions for every basis class."""
+    witness passing the two degree-1 conditions for every basis class.
+
+    extension, if given, returns C |x E_m when called with no argument
+    (a caller's cache, say); it is called only when E_m != 0.  By default
+    the extension is built here.
+    """
     from .bimodule import regular_bimodule
     from .cohomology import hh
     from .extension import (check_surjectivity_witness, projection_morphism,
@@ -404,7 +397,7 @@ def check_projection1_surjective_for_ext(C, m):
                        "note": "E_m = 0, so B = C and phi is the identity",
                        "pass": True})
         return report
-    ext = trivial_extension(C, E)
+    ext = extension() if extension is not None else trivial_extension(C, E)
     phi1 = projection_morphism(ext, 1)
     report["surjective"] = phi1.surjective
     report["rank"] = phi1.rank

@@ -296,10 +296,6 @@ def dense(vec, n, field):
     return tuple(out)
 
 
-def sparse(seq, field):
-    return {i: field.of(v) for i, v in enumerate(seq) if v}
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -676,68 +672,6 @@ def solve(m, b):
         # an identically zero column can never be a pivot; skip
     x = sweep.solution(bvec)
     return None if x is None else dense(x, m.cols, field)
-
-
-class QuotientData:
-    """A complement of a subspace with canonical class coordinates.
-
-    representatives are standard basis vectors e_j for the non-pivot
-    coordinates of the subspace's RREF, ascending.
-    """
-
-    def __init__(self, sub_vectors, ambient_dim, field):
-        for v in sub_vectors:
-            for k in v:
-                if not 0 <= k < ambient_dim:
-                    raise ValueError("subspace vector outside ambient space")
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.echelon = echelon_basis(sub_vectors, field)
-        pivots = {min(row) for row in self.echelon}
-        self.rep_indices = [j for j in range(ambient_dim) if j not in pivots]
-        self._pos = {j: i for i, j in enumerate(self.rep_indices)}
-
-    @property
-    def dim(self):
-        return len(self.rep_indices)
-
-    def representatives(self):
-        out = []
-        for j in self.rep_indices:
-            vec = [self.field.zero] * self.ambient_dim
-            vec[j] = self.field.one
-            out.append(tuple(vec))
-        return out
-
-    def reduce(self, vec):
-        if isinstance(vec, dict):
-            v = vec
-        else:
-            if len(vec) != self.ambient_dim:
-                raise ValueError("dimension mismatch")
-            v = sparse(vec, self.field)
-        return reduce_mod(v, self.echelon, self.field)
-
-    def coords(self, vec):
-        """Class coordinates of an ambient vector in the representative basis."""
-        red = self.reduce(vec)
-        out = [self.field.zero] * self.dim
-        for k, v in red.items():
-            out[self._pos[k]] = v
-        return tuple(out)
-
-
-def quotient_data(sub_vectors, ambient_dim, field=QQ):
-    """Complement representatives + coordinate map for span(sub) in k^ambient."""
-    vecs = []
-    for v in sub_vectors:
-        if isinstance(v, dict):
-            vecs.append({k: field.of(x) for k, x in v.items() if field.of(x)})
-        else:
-            if len(v) != ambient_dim:
-                raise ValueError("dimension mismatch")
-            vecs.append(sparse(v, field))
-    return QuotientData(vecs, ambient_dim, field)
 
 
 def same_subspace(vectors_a, vectors_b, field):

@@ -9,13 +9,23 @@ P^3 by their overlaps; the differentials are
 
 for an overlap  x = r1 * tail = head * r2.  This is a second, bar-free
 route to hh^0..hh^2 used to cross-check the cochain engine.
+
+The resolution is also the complex Hom_{A-A}(P^*, A) that the route
+reads: in degree n a vector lives on the Hom blocks (+) e_a A e_b over
+the summands of P^n (`PartialResolution._hom_blocks`), and its
+differential in degree n is Hom(d^{n+1}, A).  `hh_via_resolution` takes
+kernel modulo image of it with `cohomology.CohomologySpace`, as every
+engine does; its representatives are Hom-block vectors, since no
+cochain maps into it.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from .algebra import system_of_relations
-from .linalg import Mat, kernel_basis_sparse, quotient_basis, rank
+from .bimodule import regular_bimodule
+from .cohomology import CohomologySpace, RankedComplex
+from .linalg import Mat, rank
 
 
 class NotMonomial(ValueError):
@@ -83,23 +93,53 @@ def _mk_path(quiver, word):
 
 
 @dataclass
-class PartialResolution:
-    """Summand data and differentials of P^3 -> P^2 -> P^1 -> P^0 -> A."""
+class PartialResolution(RankedComplex):
+    """Summand data and differentials of P^3 -> P^2 -> P^1 -> P^0 -> A,
+    and the complex Hom_{A-A}(P^*, A) of degrees 0..3 that
+    `CohomologySpace` reads (no `project`: its vectors are not cochains).
+    """
 
     algebra: object
     chains: ChainSets
     summands: dict   # n -> [(source idempotent, target idempotent)]
     terms: dict      # n -> [per generator: list of (y_index, u, v, coeff)]
 
-    def __post_init__(self):
-        self._hom = {}   # n -> Hom(d^n, A)
+    backend = "resolution"
 
-    def hom_differential(self, n):
-        """Hom(P^{n-1}, A) -> Hom(P^n, A), built once per n."""
+    def __post_init__(self):
+        self._hom = {}   # n -> Hom(d^{n+1}, A)
+        self._blocks = {}
+        self.ranks = {}
+
+    @property
+    def module(self):
+        """The coefficients, A as a bimodule over itself."""
+        return regular_bimodule(self.algebra)
+
+    def _hom_blocks(self, n):
+        """Coordinates (summand, basis index) of Hom_{A-A}(P^n, A) =
+        (+) e_a A e_b over the summands, built once per n."""
+        got = self._blocks.get(n)
+        if got is None:
+            peirce = self.algebra.peirce
+            got = self._blocks[n] = [
+                (s_idx, m) for s_idx, tag in enumerate(self.summands[n])
+                for m, t in enumerate(peirce) if t == tag]
+        return got
+
+    def dim(self, n):
+        return len(self._hom_blocks(n))
+
+    def differential(self, n):
+        """Hom(d^{n+1}, A): Hom(P^n, A) -> Hom(P^{n+1}, A), built once
+        per n."""
         got = self._hom.get(n)
         if got is None:
-            got = self._hom[n] = _hom_differential(self, n)
+            got = self._hom[n] = _hom_differential(self, n + 1)
         return got
+
+    def embed(self, n, vec):
+        return dict(vec)
 
     def _sides(self, a, b):
         """Basis indices i with t(b_i) = a, and j with s(b_j) = b."""
@@ -245,31 +285,12 @@ def build_partial_resolution(algebra):
     return res
 
 
-@dataclass
-class ResolutionCohomology:
-    degree: int
-    dim: int
-    representatives: list  # sparse vectors over the Hom-block coordinates
-    block_index: list      # [(chain path, M index)] describing coordinates
-
-
-def _hom_blocks(resolution, n):
-    """Coordinates of Hom_{A-A}(P^n, A) = (+) e_a A e_b over the summands."""
-    A = resolution.algebra
-    flat = []
-    for s_idx, (a, b) in enumerate(resolution.summands[n]):
-        for m, tag in enumerate(A.peirce):
-            if tag == (a, b):
-                flat.append((s_idx, m))
-    return flat
-
-
 def _hom_differential(resolution, n):
     """Hom(P^{n-1}, A) -> Hom(P^n, A) induced by d^n."""
     A = resolution.algebra
     field = A.field
-    src = _hom_blocks(resolution, n - 1)
-    tgt = _hom_blocks(resolution, n)
+    src = resolution._hom_blocks(n - 1)
+    tgt = resolution._hom_blocks(n)
     tgt_pos = {t: k for k, t in enumerate(tgt)}
     # the terms of d^n grouped by the summand y of P^{n-1} they land in
     by_target = {}
@@ -308,27 +329,11 @@ def _partial_resolution(algebra):
 
 def hh_via_resolution(algebra, n, resolution=None):
     """hh^n(A) for n <= 2 from the partial minimal resolution (built once
-    per algebra unless one is passed)."""
+    per algebra unless one is passed), with its representatives built."""
     if n not in (0, 1, 2):
         raise ValueError("the partial resolution reaches degree 2 only")
     res = resolution if resolution is not None else \
         _partial_resolution(algebra)
-    boundaries = [] if n == 0 else [
-        c for _, c in res.hom_differential(n).columns_items()]
-    reps, _ = quotient_basis(
-        algebra.field, kernel_basis_sparse(res.hom_differential(n + 1)),
-        boundaries)
-    chain_list = {0: res.chains.vertices, 1: res.chains.arrows,
-                  2: res.chains.relations, 3: res.chains.overlaps}[n]
-    blocks = [(chain_list[s_idx], m) for (s_idx, m) in _hom_blocks(res, n)]
-    return ResolutionCohomology(n, len(reps), reps, blocks)
-
-
-def hom_complex_ranks(resolution):
-    """Kernel and image dimensions of the Hom-complex differentials."""
-    out = {}
-    for n in (1, 2, 3):
-        d = resolution.hom_differential(n)
-        r = rank(d)
-        out[n] = {"cols": d.cols, "rank": r, "kernel": d.cols - r}
-    return out
+    space = CohomologySpace(res, n)
+    space.vectors()
+    return space

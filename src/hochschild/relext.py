@@ -130,7 +130,7 @@ def keller_potential(quiver_b, new_arrows, field=None):
     return w
 
 
-def _old_paths_between(quiver, sources_to_targets_cap=None):
+def _old_paths_between(quiver):
     """All paths using only old arrows, grouped by (source, target)."""
     cap = len(quiver.arrows) + 1
     by_ends = {}

@@ -7,6 +7,7 @@ skipped silently.  All results are deterministic, so two runs produce
 byte-identical reports.
 """
 
+import functools
 import os
 import time
 
@@ -49,8 +50,13 @@ class Suite:
     Each bundled algebra, each presented extension and each trivial
     extension of a bundled algebra is built once per run, so a block
     reads the cohomology spaces, ranks, representatives and bar-formula
-    kernels that an earlier block cached on the same objects.
+    kernels that an earlier block cached on the same objects.  The
+    extensions by E_0 and E_1 are the exception: one check reads each,
+    so they are built for it and not kept, where they would hold their
+    cohomology spaces through the identities block for nothing.
     """
+
+    UNKEPT = ("E_0", "E_1")
 
     def __init__(self):
         self._algebras = {}
@@ -66,7 +72,7 @@ class Suite:
     def extension(self, name, kind):
         """The trivial extension of the bundled algebra name by its dual
         bimodule (kind "dual"), its regular bimodule ("regular") or
-        E_2 = Ext^2_C(DC, C) ("E_2")."""
+        E_m = Ext^m_C(DC, C) ("E_0", "E_1", "E_2")."""
         got = self._extensions.get((name, kind))
         if got is None:
             C = self.algebra(name)
@@ -74,11 +80,13 @@ class Suite:
                 module = dual_bimodule(C)
             elif kind == "regular":
                 module = regular_bimodule(C)
-            elif kind == "E_2":
-                module = ext_dual_bimodule(C, 2)
+            elif kind in ("E_0", "E_1", "E_2"):
+                module = ext_dual_bimodule(C, int(kind[2:]))
             else:
                 raise ValueError(kind)
-            got = self._extensions[(name, kind)] = trivial_extension(C, module)
+            got = trivial_extension(C, module)
+            if kind not in self.UNKEPT:
+                self._extensions[(name, kind)] = got
         return got
 
     def presented_extension(self, which):
@@ -342,7 +350,8 @@ def block_surjectivity(suite):
                 f"phi^0..phi^2 surjective for {name} |x {kind}", ok,
                 ranks=ranks))
         for m in (0, 1, 2):
-            report = check_projection1_surjective_for_ext(C, m)
+            report = check_projection1_surjective_for_ext(
+                C, m, functools.partial(suite.extension, name, f"E_{m}"))
             checks.append(_check(
                 f"phi^1 surjective with witness for {name} |x ext^{m}",
                 report["pass"], dim_E=report["dim_E"]))

@@ -199,6 +199,38 @@ def test_hh1_via_derivations_matches_bar(corpus):
         assert hh1_via_derivations(alg, dc).dim == hh(alg, dc, 1).dim
 
 
+def _old_derivation_reps(alg, module):
+    """hh^1 by derivations as computed before it was a CohomologySpace:
+    the normalized derivations modulo the inner span, by quotient_basis."""
+    return cohomology.quotient_basis(
+        alg.field, [d.vec() for d in der0_basis(alg, module)],
+        cohomology.inner_normalized_span(alg, module))[0]
+
+
+@pytest.mark.parametrize("source", ["corpus", "GF(7)", "GF(2)"])
+def test_derivation_space_keeps_its_representatives(corpus, source):
+    if source == "corpus":
+        algebras = list(corpus.values())
+    else:
+        field = PrimeField(int(source[3:-1]))
+        algebras = [build_algebra(nakayama_b_presentation(field)),
+                    build_algebra(cyclic_nakayama_presentation(3, 3, field))]
+    for alg in algebras:
+        for module in (regular_bimodule(alg), dual_bimodule(alg)):
+            want = _old_derivation_reps(alg, module)
+            space = hh1_via_derivations(alg, module)
+            assert space.backend == "derivations"
+            # rank-first before, the representatives' count after
+            assert space.dim == len(want)
+            assert space.vectors() == want
+            assert space.dim == len(want)
+            assert [r.vec() for r in space.representatives] == want
+            for j, rep in enumerate(space.representatives):
+                assert space.class_coords(rep) == tuple(
+                    alg.field.one if i == j else alg.field.zero
+                    for i in range(space.dim))
+
+
 def test_derivation_reps_span_bar_classes(kite_b):
     reg = regular_bimodule(kite_b)
     space = hh(kite_b, reg, 1)

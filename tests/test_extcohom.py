@@ -385,6 +385,35 @@ def test_phi1_for_hereditary_ext2_is_trivial(kite_c):
     assert report["dim_E"] == 0
 
 
+@pytest.mark.parametrize("name,m", [("square", 2), ("kite_c", 2)])
+def test_phi1_witness_takes_the_callers_extension(corpus, name, m):
+    # the extension is asked for only when E_m != 0, and the report is
+    # the one the check builds for itself
+    C = corpus[name]
+    E = ext_dual_bimodule(C, m)
+    asked = []
+
+    def extension():
+        asked.append(m)
+        return trivial_extension(C, E)
+
+    report = check_projection1_surjective_for_ext(C, m, extension)
+    assert asked == ([m] if E.dim else [])
+    assert report == check_projection1_surjective_for_ext(C, m)
+
+
+def test_suite_keeps_the_extensions_a_later_block_reads():
+    from hochschild.verification import Suite
+    suite = Suite()
+    for kind in ("dual", "regular", "E_2"):
+        assert suite.extension("ex5_9_C", kind) is \
+            suite.extension("ex5_9_C", kind)
+    for kind in Suite.UNKEPT:
+        ext = suite.extension("ex5_9_C", kind)
+        assert ext.E is ext_dual_bimodule(ext.C, int(kind[2:]))
+        assert suite.extension("ex5_9_C", kind) is not ext
+
+
 def test_zero_pairing_vanishes_for_triangular_e2(corpus):
     for name in ("triangle_c", "kite_c", "square"):
         C = corpus[name]

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from hochschild.linalg import (
     QQ, Mat, PrimeField, SubspaceCoords, Sweep, echelon_basis, kernel_basis,
-    kernel_basis_sparse, quotient_basis, quotient_data, rank, same_subspace,
-    solve,
+    kernel_basis_sparse, quotient_basis, rank, same_subspace, solve,
 )
 
 from conftest import FractionRationals
@@ -51,29 +50,6 @@ def test_kernel_single_row():
 def test_kernel_deterministic():
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert kernel_basis(m) == kernel_basis(m)
-
-
-def test_quotient_single_line():
-    q = quotient_data([(1, 0)], 2)
-    assert q.representatives() == [(0, 1)]
-    assert q.coords((3, 5)) == (5,)
-
-
-def test_quotient_full_subspace():
-    q = quotient_data([(1, 0), (0, 1)], 2)
-    assert q.representatives() == []
-    assert q.coords((7, -2)) == ()
-
-
-def test_quotient_zero_subspace():
-    q = quotient_data([], 1)
-    assert q.representatives() == [(1,)]
-    assert q.coords((4,)) == (4,)
-
-
-def test_quotient_dimension_mismatch():
-    with pytest.raises(ValueError):
-        quotient_data([(1, 0, 0)], 2)
 
 
 def test_solve_identity():

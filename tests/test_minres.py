@@ -1,14 +1,16 @@
 import pytest
 
-from hochschild.linalg import Mat, PrimeField, QQ
+from hochschild.linalg import (
+    Mat, PrimeField, QQ, kernel_basis_sparse, quotient_basis,
+)
 
 from hochschild.algebra import build_algebra
 from hochschild.algfile import emit_algebra_file, parse_algebra_file
 from hochschild.bimodule import regular_bimodule
-from hochschild.cohomology import hh
+from hochschild.cohomology import Cochain, hh
 from hochschild.minres import (
-    NotMonomial, build_partial_resolution, chain_paths, hh_via_resolution,
-    hom_complex_ranks,
+    NotMonomial, _hom_differential, build_partial_resolution, chain_paths,
+    hh_via_resolution,
 )
 
 from conftest import (
@@ -83,23 +85,23 @@ def test_hereditary_resolution_exact(resolutions):
 
 
 def test_hom_rank_bookkeeping_triangle_c(resolutions):
-    ranks = hom_complex_ranks(resolutions["triangle_c"])
+    res = resolutions["triangle_c"]
     # displayed counts: kernel of the first Hom differential is 1 and its
     # image is 2; the next differential is zero on a 3-dimensional space
-    assert ranks[1]["cols"] == 3
-    assert ranks[1]["kernel"] == 1
-    assert ranks[1]["rank"] == 2
-    assert ranks[2]["kernel"] == 3
-    assert ranks[2]["rank"] == 0
+    assert res.dim(0) == 3
+    assert res.dim(0) - res.rank(0) == 1
+    assert res.rank(0) == 2
+    assert res.dim(1) - res.rank(1) == 3
+    assert res.rank(1) == 0
 
 
 def test_hom_rank_bookkeeping_triangle_b(resolutions):
-    ranks = hom_complex_ranks(resolutions["triangle_b"])
-    assert ranks[1]["rank"] == 3          # image of the degree-1 map
-    assert ranks[1]["cols"] - ranks[1]["rank"] == 2
-    assert ranks[2]["kernel"] == 5
-    assert ranks[2]["rank"] == 0
-    assert ranks[3]["kernel"] == 2
+    res = resolutions["triangle_b"]
+    assert res.rank(0) == 3          # image of the degree-1 map
+    assert res.dim(0) - res.rank(0) == 2
+    assert res.dim(1) - res.rank(1) == 5
+    assert res.rank(1) == 0
+    assert res.dim(2) - res.rank(2) == 2
 
 
 def test_dims_triangle_c(corpus, resolutions):
@@ -154,12 +156,14 @@ def test_cached_resolution_gives_identical_hh(corpus, resolutions, name,
     assert builds == [alg]
     fresh = [hh_via_resolution(corpus[name], n, resolutions[name])
              for n in (0, 1, 2)]
-    assert first == again == fresh
+    for spaces in (again, fresh):
+        assert [s.dim for s in spaces] == [s.dim for s in first]
+        assert [s.vectors() for s in spaces] == [s.vectors() for s in first]
 
 
 def test_hom_differentials_are_built_once(monkeypatch):
     # hh^0..hh^2 need Hom(d^1), Hom(d^2) and Hom(d^3), each once; the
-    # bookkeeping of hom_complex_ranks reuses them
+    # ranks of the resolution's complex reuse them
     from hochschild import minres
     from hochschild.algebra import build_algebra
     from hochschild.algfile import load_bundled
@@ -173,7 +177,10 @@ def test_hom_differentials_are_built_once(monkeypatch):
 
     monkeypatch.setattr(minres, "_hom_differential", counted)
     dims = [hh_via_resolution(alg, n).dim for n in (0, 1, 2)]
-    hom_complex_ranks(minres._partial_resolution(alg))
+    res = minres._partial_resolution(alg)
+    assert [res.rank(n) for n in (0, 1, 2)] == \
+        [res.differential(n).cols - len(kernel_basis_sparse(
+            res.differential(n))) for n in (0, 1, 2)]
     assert sorted(builds) == [1, 2, 3]
     assert dims == [hh(alg, regular_bimodule(alg), n).dim for n in (0, 1, 2)]
 
@@ -244,11 +251,10 @@ def _reference_differential(res, n):
 
 def _reference_hom_differential(res, n):
     """Hom(d^n, A), every column scanning every term."""
-    from hochschild.minres import _hom_blocks
     A = res.algebra
     field = A.field
-    src = _hom_blocks(res, n - 1)
-    tgt = _hom_blocks(res, n)
+    src = res._hom_blocks(n - 1)
+    tgt = res._hom_blocks(n)
     tgt_pos = {t: k for k, t in enumerate(tgt)}
     cols = {}
     for col_idx, (y_idx, m) in enumerate(src):
@@ -297,5 +303,29 @@ def test_builders_match_per_column_loops(corpus, name):
         assert res.projective_basis(n) == _reference_basis(res, n)
     for n in (1, 2, 3):
         assert res.differential_matrix(n) == _reference_differential(res, n)
-        assert res.hom_differential(n) == \
+        assert res.differential(n - 1) == \
             _reference_hom_differential(res, n)
+
+
+@pytest.mark.parametrize("name", MONOMIAL + list(GENERATED))
+def test_resolution_representatives_are_the_old_quotient(corpus, name):
+    # CohomologySpace on the resolution gives the representatives the
+    # route computed before it took the space: the kernel of Hom(d^{n+1})
+    # modulo the columns of Hom(d^n), through quotient_basis
+    alg = corpus[name] if name in corpus else \
+        build_algebra(GENERATED[name]())
+    res = build_partial_resolution(alg)
+    for n in (0, 1, 2):
+        boundaries = [] if n == 0 else [
+            c for _, c in _hom_differential(res, n).columns_items()]
+        want, _ = quotient_basis(
+            alg.field, kernel_basis_sparse(_hom_differential(res, n + 1)),
+            boundaries)
+        space = hh_via_resolution(alg, n, res)
+        assert space.backend == "resolution"
+        assert space.vectors() == want
+        assert space.representatives == want
+        assert space.dim == len(want)
+        # its vectors are Hom-block vectors: no cochain maps into them
+        with pytest.raises(TypeError, match="takes no cochains"):
+            space.class_coords(Cochain(alg, space.module, n))

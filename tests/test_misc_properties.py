@@ -162,8 +162,9 @@ def test_raising_block_names_where_it_raised(monkeypatch):
 
 def test_one_run_builds_each_extension_once(monkeypatch):
     # the trivial extensions of the corpus are built once, in the
-    # surjectivity block (dual, regular) and the relext block (E_2), and
-    # the identities block reads those same objects
+    # surjectivity block (dual, regular, E_0..E_2 where nonzero) and the
+    # relext block (E_2 of ex5_9_C, which the surjectivity block reuses),
+    # and the identities block reads those same objects
     import hochschild.extension as extension
     import hochschild.verification as verification
 
@@ -190,7 +191,7 @@ def test_one_run_builds_each_extension_once(monkeypatch):
         monkeypatch.setitem(verification.BLOCKS, name, entered)
     report = verification.run_blocks()
     assert report["pass"]
-    assert sum(len(exts) for exts in built.values()) == 25
+    assert sum(len(exts) for exts in built.values()) == 24
     assert "identities" not in built
     ids = {block: {id(ext) for ext in exts} for block, exts in built.items()}
     # the identities run over two presented extensions, made by maps, and
@@ -199,3 +200,28 @@ def test_one_run_builds_each_extension_once(monkeypatch):
     assert len(used) == 15
     assert len(used & ids["surjectivity"]) == 12
     assert len(used & ids["relext"]) == 1
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these by name, a method through its
+    # class's own __dict__; a deletion or rename must not silently drop
+    # a layer from the trace
+    import importlib
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [t[:2] for t in spans.TARGETS] + list(spans.CHECKPOINTS)
+    for module, attr in targets:
+        owner = importlib.import_module(f"hochschild.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(owner, attr)), (module, attr)
+    verification = importlib.import_module("hochschild.verification")
+    assert set(spans.BLOCK_NAMES) <= set(verification.BLOCKS)
