@@ -2,10 +2,11 @@
 
 `build_algebra` works in the truncated path space: for growing L it spans
 the ideal by all truncated products u*r*v and stops at the least L for
-which every path of length L falls into that span.  The quotient basis is
-the set of paths not leading any ideal element, which for all the worked
-examples is a monomial basis.  Structure constants come from reducing
-products of basis paths.
+which every path of length L falls into that span.  The span is kept as
+canonical RREF rows keyed by their lead path, so a path's normal form is
+one row lookup.  The quotient basis is the set of paths leading no row,
+which for all the worked examples is a monomial basis, and structure
+constants are the normal forms of products of basis paths.
 
 Abstract algebras (split extensions, trivial extensions by arbitrary
 bimodules) are first-class: anything with structure constants and a
@@ -13,9 +14,9 @@ complete list of orthogonal idempotents feeds the cohomology engine.
 """
 
 from .linalg import (
-    Mat, Sweep, axpy, echelon_basis, kernel_basis_sparse, reduce_mod, scale,
+    Mat, Sweep, axpy, echelon_basis, kernel_basis_sparse, scale,
 )
-from .quiver import Path, PathSum, compose, paths_up_to
+from .quiver import Path, compose, paths_up_to
 
 
 class AdmissibilityError(ValueError):
@@ -278,7 +279,13 @@ class Algebra:
 
 
 class _TruncatedIdeal:
-    """Echelon span of the relation ideal inside paths of length <= L."""
+    """Span of the relation ideal inside paths of length <= L.
+
+    `rows[lead]` is the span's canonical RREF row with that lead
+    coordinate: 1 at its lead and 0 at every other lead.  A coordinate is
+    the reverse of the path order, so the leads land on the latest paths
+    and the earliest paths leading no row form the quotient basis.
+    """
 
     def __init__(self, presentation, L, order="lex"):
         self.field = presentation.field
@@ -300,17 +307,14 @@ class _TruncatedIdeal:
         else:
             raise ValueError(order)
         self.ordered = ordered
-        self.index = {p: i for i, p in enumerate(ordered)}
-        # elimination coordinate: reverse of the path order, so pivots land on
-        # the latest paths and the earliest surviving paths form the basis
         n = len(ordered)
-        self.coord = {p: n - 1 - i for p, i in self.index.items()}
+        self.coord = {p: n - 1 - i for i, p in enumerate(ordered)}
         self.from_coord = {c: p for p, c in self.coord.items()}
         self.gen_vectors = []          # plain ideal generators u*r*v
         self.gen_meta = []             # (len(u) + len(v), (source, target))
         self._build_generators(presentation)
-        self.echelon = echelon_basis(self.gen_vectors, self.field)
-        self.pivot_paths = {self.from_coord[min(row)] for row in self.echelon}
+        self.rows = {min(row): row
+                     for row in echelon_basis(self.gen_vectors, self.field)}
 
     def _build_generators(self, presentation):
         by_source = {}
@@ -354,21 +358,17 @@ class _TruncatedIdeal:
                 del vec[self.coord[p]]
         return vec
 
-    def reduce_path_sum(self, ps):
-        """Normal form of a path sum as a PathSum on surviving paths."""
-        vec = reduce_mod(self.path_sum_vector(ps), self.echelon, self.field)
-        return PathSum({self.from_coord[c]: v for c, v in vec.items()}, self.field)
-
-    def contains(self, ps):
-        return self.reduce_path_sum(ps).is_zero()
-
-    def all_length_paths_contained(self, length):
-        for p in self.paths:
-            if len(p) == length:
-                if reduce_mod({self.coord[p]: self.field.one},
-                              self.echelon, self.field):
-                    return False
-        return True
+    def normal_form(self, path):
+        """{path: scalar}, the normal form of a path of length <= L: the
+        path itself when it leads no row, else minus the rest of its row
+        (what reducing the path by every row gives, since no other row
+        meets the rest)."""
+        c = self.coord[path]
+        row = self.rows.get(c)
+        if row is None:
+            return {path: self.field.one}
+        neg, from_coord = self.field.neg, self.from_coord
+        return {from_coord[k]: neg(v) for k, v in row.items() if k != c}
 
 
 def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
@@ -377,6 +377,12 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
     Certifies admissibility by locating the least L <= cap with every
     length-L path inside the truncated ideal span, and records that L as
     the nilpotency bound.
+
+    The truncated span computes the quotient of the completed path
+    algebra, in which 1 - x is a unit for x in the arrow ideal, not kQ/I
+    itself: the loop x with relation x*x - x*x*x gives k[x]/(x^2) (dim 2,
+    nilpotency 2), because x^3 is truncated away at L = 2, whereas
+    kQ/I = k[x]/(x^2 - x^3) is k[x]/(x^2) x k, which is not admissible.
     """
     for r in presentation.relations:
         if not r.is_relation_form():
@@ -384,7 +390,8 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
     last = None
     for L in range(2, cap + 1):
         ideal = _TruncatedIdeal(presentation, L, order=order)
-        if ideal.all_length_paths_contained(L):
+        # a length-L path lies in the span iff it leads a row of itself alone
+        if not any(ideal.normal_form(p) for p in ideal.paths if len(p) == L):
             last = ideal
             break
     if last is None:
@@ -392,7 +399,7 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
             f"no nilpotency bound found with L <= {cap}: "
             "either the ideal is not admissible or the cap is too small")
     basis = [p for p in last.ordered
-             if p not in last.pivot_paths and len(p) < last.L]
+             if last.coord[p] not in last.rows and len(p) < last.L]
     basis.sort(key=Path.sort_key)
     index = {p: i for i, p in enumerate(basis)}
     # sanity: all trivial paths and all arrows survive in an admissible quotient
@@ -401,21 +408,23 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
             raise AdmissibilityError("a trivial path died; presentation inconsistent")
 
     field = presentation.field
+    one = field.one
+    by_source = {}
+    for j, p in enumerate(basis):
+        by_source.setdefault(p.source, []).append((j, p))
     structure = {}
-    for p1 in basis:
-        i = index[p1]
-        for p2 in basis:
+    for i, p1 in enumerate(basis):
+        for j, p2 in by_source.get(p1.target, ()):
             w = compose(p1, p2)
-            if w is None:
-                continue
-            j = index[p2]
-            if len(w) > last.L:
-                # contains a length-L subpath, hence lies in the ideal
-                continue
-            red = last.reduce_path_sum(PathSum({w: field.one}, field))
-            coords = {index[p]: c for p, c in red.terms.items()}
-            if coords:
-                structure[(i, j)] = coords
+            k = index.get(w)
+            if k is not None:
+                structure[(i, j)] = {k: one}
+            elif len(w) <= last.L:
+                # (a longer product contains a length-L subpath, hence lies
+                # in the ideal)
+                coords = {index[p]: c for p, c in last.normal_form(w).items()}
+                if coords:
+                    structure[(i, j)] = coords
 
     idempotents = [(v, index[presentation.quiver.trivial_path(v)])
                    for v in sorted(presentation.quiver.vertices)]

@@ -977,8 +977,13 @@ class DerivationComplex(RankedComplex):
 
 def hh1_via_derivations(algebra, module):
     """hh^1(algebra, module) as the `CohomologySpace` of the derivation
-    complex: a route that shares no matrix with the normalized complex."""
-    return CohomologySpace(DerivationComplex(algebra, module), 1)
+    complex: a route that shares no matrix with the normalized complex.
+    Built once per module, as `hh` is."""
+    space = getattr(module, "_derivation_space", None)
+    if space is None:
+        space = module._derivation_space = CohomologySpace(
+            DerivationComplex(algebra, module), 1)
+    return space
 
 
 # ---------------------------------------------------------------------------

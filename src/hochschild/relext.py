@@ -180,7 +180,7 @@ def relation_extension_algebra(presentation, cap=30):
         probe = Presentation(quiver_b, field, list(current))
         ideal = _TruncatedIdeal(probe, len(cand) + 2)
         ps = PathSum({cand: field.one}, field)
-        if ideal.contains(ps):
+        if not ideal.normal_form(cand):
             implied.append(ps)
         else:
             accepted.append(ps)

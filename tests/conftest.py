@@ -2,18 +2,19 @@
 presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n) and a twisted, non-Peirce-graded regular
-module; the all-Fraction Q field; the hypothesis profile of the suite."""
+module; the all-Fraction Q field; the row-walk reference of build_algebra;
+the hypothesis profile of the suite."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from hochschild.algebra import algebra_morphism, build_algebra
+from hochschild.algebra import _TruncatedIdeal, algebra_morphism, build_algebra
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
-from hochschild.linalg import QQ, Mat, Rationals
-from hochschild.quiver import Presentation, Quiver, parse_relation
+from hochschild.linalg import QQ, Mat, Rationals, reduce_mod
+from hochschild.quiver import Path, Presentation, Quiver, compose, parse_relation
 
 # Property tests draw the same examples on every run, and a fixed number
 # of them, so the suite stays deterministic and its wall time steady.
@@ -48,6 +49,51 @@ class FractionRationals(Rationals):
 
     def addmul(self, a, c, b):
         return Fraction(a + c * b)
+
+
+def row_walk_contains(ideal, path):
+    """Whether a path lies in the truncated span, by reducing it over every
+    row in lead order, as build_algebra did before it read pivot rows."""
+    field = ideal.field
+    echelon = [ideal.rows[lead] for lead in sorted(ideal.rows)]
+    return not reduce_mod({ideal.coord[path]: field.one}, echelon, field)
+
+
+def row_walk_algebra(presentation, order="lex"):
+    """(nilpotency, basis paths, structure) of build_algebra as the row
+    walk computed it: the least L whose length-L paths all reduce to zero,
+    and every product of basis paths of length <= L reduced by
+    `reduce_mod` over the rows in lead order, pairs in basis order."""
+    field = presentation.field
+    L = 1
+    while True:
+        L += 1
+        ideal = _TruncatedIdeal(presentation, L, order=order)
+        if all(row_walk_contains(ideal, p) for p in ideal.paths if len(p) == L):
+            break
+    echelon = [ideal.rows[lead] for lead in sorted(ideal.rows)]
+    leads = {ideal.from_coord[min(row)] for row in echelon}
+    basis = sorted((p for p in ideal.ordered if p not in leads and len(p) < L),
+                   key=Path.sort_key)
+    index = {p: i for i, p in enumerate(basis)}
+    structure = {}
+    for p1 in basis:
+        for p2 in basis:
+            w = compose(p1, p2)
+            if w is None or len(w) > L:
+                continue
+            red = reduce_mod({ideal.coord[w]: field.one}, echelon, field)
+            if red:
+                structure[(index[p1], index[p2])] = {
+                    index[ideal.from_coord[c]]: v for c, v in red.items()}
+    return L, basis, structure
+
+
+def structure_entries(structure):
+    """A structure table with its key orders and scalar types spelled out,
+    so that == compares them too."""
+    return [(ij, [(k, type(v), v) for k, v in prod.items()])
+            for ij, prod in structure.items()]
 
 
 def nakayama_c_presentation(field=QQ):

@@ -5,14 +5,18 @@ import re
 import pytest
 
 from hochschild.algebra import (
-    AdmissibilityError, AlgElement, Algebra, algebra_morphism, build_algebra,
-    center_basis, is_triangular, system_of_relations,
+    AdmissibilityError, AlgElement, Algebra, _TruncatedIdeal, algebra_morphism,
+    build_algebra, center_basis, is_triangular, system_of_relations,
 )
-from hochschild.algfile import BUNDLED, load_bundled
-from hochschild.linalg import Mat, QQ, rank
+from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
+from hochschild.linalg import Mat, PrimeField, QQ, rank, reduce_mod
 from hochschild.quiver import Presentation, Quiver, parse_relation
+from hochschild.relext import relation_extension_algebra
 
-from conftest import PRESENTATIONS
+from conftest import (
+    PRESENTATIONS, FractionRationals, row_walk_algebra, row_walk_contains,
+    square_presentation, structure_entries,
+)
 
 
 def one_vertex_presentation():
@@ -176,6 +180,122 @@ def test_system_of_relations_needs_a_presentation(nakayama_c):
                    nakayama_c.idempotents, nakayama_c.peirce)
     with pytest.raises(ValueError, match="no presentation"):
         system_of_relations(bare)
+
+
+def mixed_length_presentations(field):
+    """Relations of mixed lengths: the length-3 lead x*x*x of the loops has
+    the row x*x*x - y*y; in the second, y*y or x*x has a normal form of
+    two terms, with keys out of order in revlex; the Kronecker-with-return
+    quiver has coefficients that turn into fractions."""
+    loops = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    kron = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"),
+                               ("c", "2", "1")])
+    return [
+        Presentation(loops, field, [parse_relation(t, loops, field) for t in
+                                    ("x*x*x - y*y", "x*y", "y*x")]),
+        Presentation(loops, field, [parse_relation(t, loops, field) for t in
+                                    ("y*y - x*x - 2*x*y", "y*x - 3*x*y",
+                                     "x*x*x", "x*x*y")]),
+        Presentation(kron, field, [parse_relation(t, kron, field) for t in
+                                   ("a*c - 2*b*c", "c*a*c*b",
+                                    "c*b*c*a - 3*c*a*c*a", "b*c*b")]),
+    ]
+
+
+def reference_presentations():
+    """The corpus, the bundled files over Q and GF(7), and the mixed-length
+    presentations over Q, GF(7), GF(2) and the all-Fraction Q."""
+    cases = [(name, make()) for name, make in PRESENTATIONS.items()]
+    for name in BUNDLED:
+        for tag in ("Q", "Fp:7"):
+            data = dict(load_bundled(name)[0], field=tag)
+            cases.append((f"{name} {tag}", parse_algebra_file(data)))
+    for field in (QQ, PrimeField(7), PrimeField(2), FractionRationals()):
+        for k, pres in enumerate(mixed_length_presentations(field)):
+            cases.append((f"mixed{k} {field!r}", pres))
+    return cases
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_structure_constants_equal_the_row_walk(order):
+    # pivot reads give the algebra that reducing every product over every
+    # row gave: same basis, bound, products in the same order, and each
+    # product's coordinates in the same key order with the same scalars
+    for name, pres in reference_presentations():
+        alg = build_algebra(pres, order=order)
+        nilpotency, basis, structure = row_walk_algebra(pres, order)
+        assert alg.nilpotency == nilpotency, name
+        assert alg.basis_paths == basis, name
+        assert structure_entries(alg.structure) == \
+            structure_entries(structure), name
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_admissibility_verdict_equals_the_row_walk(order):
+    # at every L up to the certified bound, each path's normal form is its
+    # reduction over all rows, so the length-L verdict is the row walk's
+    # and holds first at the bound
+    long_rows = 0
+    for name, pres in reference_presentations():
+        top = build_algebra(pres, order=order).nilpotency
+        for L in range(2, top + 1):
+            ideal = _TruncatedIdeal(pres, L, order=order)
+            field = ideal.field
+            echelon = [ideal.rows[lead] for lead in sorted(ideal.rows)]
+            for p in ideal.paths:
+                want = reduce_mod({ideal.coord[p]: field.one}, echelon, field)
+                got = ideal.normal_form(p)
+                assert [(ideal.coord[q], type(v), v) for q, v in got.items()] \
+                    == [(c, type(v), v) for c, v in want.items()], (name, p)
+            top_paths = [p for p in ideal.paths if len(p) == L]
+            verdict = not any(ideal.normal_form(p) for p in top_paths)
+            assert verdict == all(row_walk_contains(ideal, p)
+                                  for p in top_paths), (name, L)
+            assert verdict == (L == top), (name, L)
+            long_rows += sum(len(ideal.rows.get(ideal.coord[p], ())) > 1
+                             for p in top_paths)
+    # some length-L lead has a row of more than one entry
+    assert long_rows
+
+
+def test_truncated_ideal_keeps_one_table_of_rows():
+    ideal = _TruncatedIdeal(PRESENTATIONS["kite_b"](), 3)
+    for gone in ("reduce_path_sum", "contains", "all_length_paths_contained",
+                 "pivot_paths", "echelon"):
+        assert not hasattr(ideal, gone)
+    assert ideal.rows
+    for lead, row in ideal.rows.items():
+        assert min(row) == lead and row[lead] == ideal.field.one
+        assert not set(row) & (ideal.rows.keys() - {lead})
+
+
+def test_truncation_reads_the_completed_path_algebra():
+    # at L = 2 the term x*x*x is truncated away, so x*x lies in the span:
+    # the answer is k[x]/(x^2), the quotient of the completed path algebra,
+    # where 1 - x is a unit.  kQ/I = k[x]/(x^2 - x^3) is k[x]/(x^2) x k,
+    # which is not admissible
+    q = Quiver(["v"], [("x", "v", "v")])
+    alg = build_algebra(Presentation(q, relations=[
+        parse_relation("x*x - x*x*x", q)]))
+    assert (alg.dim, alg.nilpotency, alg.labels) == (2, 2, ["e_v", "x"])
+    assert (1, 1) not in alg.structure
+
+
+def test_relation_extension_keeps_its_square_generators():
+    got = {}
+    for name, pres in (("ex5_9_C", load_bundled("ex5_9_C")[1]),
+                       ("square", square_presentation())):
+        data, _ = relation_extension_algebra(pres)
+        got[name] = tuple(
+            [p.label() for ps in gens for p in ps.paths()]
+            for gens in (data.square_generators,
+                         data.implied_square_generators))
+    assert got == {
+        "ex5_9_C": (["rel0*gamma*rel0"], ["rel0*alpha*beta*rel0"]),
+        "square": ([], ["rel0*a*c*rel0", "rel0*a*c*rel1", "rel0*b*d*rel0",
+                        "rel0*b*d*rel1", "rel1*a*c*rel0", "rel1*a*c*rel1",
+                        "rel1*b*d*rel0", "rel1*b*d*rel1"]),
+    }
 
 
 def test_dimension_independent_of_order():

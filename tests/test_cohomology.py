@@ -199,6 +199,23 @@ def test_hh1_via_derivations_matches_bar(corpus):
         assert hh1_via_derivations(alg, dc).dim == hh(alg, dc, 1).dim
 
 
+def test_derivation_space_is_built_once_per_module(monkeypatch):
+    # like hh, the derivation route keeps its space on the module: a
+    # repeated question is the same space, with one Leibniz system
+    built = []
+    real = cohomology._leibniz_system
+    monkeypatch.setattr(cohomology, "_leibniz_system",
+                        lambda alg, mod: built.append(mod) or real(alg, mod))
+    alg = build_algebra(nakayama_b_presentation())
+    reg, dc = regular_bimodule(alg), dual_bimodule(alg)
+    space = hh1_via_derivations(alg, reg)
+    assert space.dim == hh(alg, reg, 1).dim
+    assert hh1_via_derivations(alg, reg) is space
+    assert built == [reg]
+    assert hh1_via_derivations(alg, dc) is not space
+    assert built == [reg, dc]
+
+
 def _old_derivation_reps(alg, module):
     """hh^1 by derivations as computed before it was a CohomologySpace:
     the normalized derivations modulo the inner span, by quotient_basis."""

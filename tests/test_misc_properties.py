@@ -202,6 +202,27 @@ def test_one_run_builds_each_extension_once(monkeypatch):
     assert len(used & ids["relext"]) == 1
 
 
+def test_one_run_builds_each_resolution_once(monkeypatch):
+    # the relext and oracles blocks both compare the resolution route on
+    # ex5_9_C; both read the resolution kept on the algebra, so a run
+    # builds one per algebra: the four monomial corpus members and the
+    # relation extension B
+    import hochschild.minres as minres
+    import hochschild.verification as verification
+
+    real = minres.PartialResolution.__post_init__
+    built = []
+
+    def counted(res):
+        built.append(res.algebra)
+        real(res)
+
+    monkeypatch.setattr(minres.PartialResolution, "__post_init__", counted)
+    assert verification.run_blocks()["pass"]
+    assert len(built) == 5
+    assert len({id(alg) for alg in built}) == 5
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps these by name, a method through its
     # class's own __dict__; a deletion or rename must not silently drop

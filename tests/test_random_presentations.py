@@ -16,6 +16,8 @@ from hochschild.minres import NotMonomial, build_partial_resolution, \
     hh_via_resolution
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
+from conftest import row_walk_algebra, structure_entries
+
 
 def random_monomial_presentation(seed):
     """A small random admissible presentation with monomial relations.
@@ -53,6 +55,17 @@ def random_monomial_presentation(seed):
 
 def build_or_skip(pres, cap=8):
     return build_algebra(pres, cap=cap)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_algebra_equals_the_row_walk(seed):
+    pres = random_monomial_presentation(seed)
+    for order in ("lex", "revlex"):
+        alg = build_algebra(pres, order=order)
+        nilpotency, basis, structure = row_walk_algebra(pres, order)
+        assert (alg.nilpotency, alg.basis_paths) == (nilpotency, basis)
+        assert structure_entries(alg.structure) == \
+            structure_entries(structure)
 
 
 @pytest.mark.parametrize("seed", range(10))
