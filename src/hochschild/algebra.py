@@ -103,8 +103,7 @@ class Algebra:
         self.presentation = presentation
         self.basis_paths = basis_paths
         self.nilpotency = nilpotency
-        self._left = {}
-        self._right = {}
+        self._tables = None  # (left, right) columns, built together
         idem = set(idx for _, idx in self.idempotents)
         self.radical_indices = [i for i in range(self.dim) if i not in idem]
         if check:
@@ -146,22 +145,27 @@ class Algebra:
                     axpy(field, out, field.mul(ci, cj), prod)
         return out
 
+    def _mult_tables(self):
+        """Sparse columns of left and right multiplication by every basis
+        vector, from one pass over the nonzero structure constants in key
+        order, so each table's columns come in increasing index order."""
+        if self._tables is None:
+            left = {i: {} for i in range(self.dim)}
+            right = {i: {} for i in range(self.dim)}
+            structure = self.structure
+            for i, j in sorted(k for k, p in structure.items() if p):
+                left[i][j] = dict(structure[(i, j)])
+                right[j][i] = dict(structure[(i, j)])
+            self._tables = left, right
+        return self._tables
+
     def left_mult(self, i):
         """Sparse columns of left multiplication by basis vector i."""
-        m = self._left.get(i)
-        if m is None:
-            m = {j: dict(self.structure.get((i, j), {})) for j in range(self.dim)
-                 if self.structure.get((i, j))}
-            self._left[i] = m
-        return m
+        return self._mult_tables()[0][i]
 
     def right_mult(self, i):
-        m = self._right.get(i)
-        if m is None:
-            m = {j: dict(self.structure.get((j, i), {})) for j in range(self.dim)
-                 if self.structure.get((j, i))}
-            self._right[i] = m
-        return m
+        """Sparse columns of right multiplication by basis vector i."""
+        return self._mult_tables()[1][i]
 
     def element_from_path(self, path):
         """Image of a quiver path in the algebra (needs provenance)."""

@@ -69,17 +69,22 @@ class Bimodule:
         return all(t is not None for t in self.peirce)
 
     def _peirce_tags(self):
+        """(x, y) with e_x . v_i . e_y = v_i for each basis vector, or None.
+
+        e_x applied to the unit vector v_i is column i of its action
+        matrix; a Mat keeps no zero entries, so the column is compared
+        with v_i as it is.
+        """
         tags = []
         idems = self.algebra.idempotents
         for i in range(self.dim):
             v = {i: self.field.one}
             tag = None
             for (x, xi) in idems:
-                lv = self.left[xi].matvec(v)
-                if lv != v:
+                if self.left[xi].column(i) != v:
                     continue
                 for (y, yi) in idems:
-                    if self.right[yi].matvec(v) == v:
+                    if self.right[yi].column(i) == v:
                         tag = (x, y)
                         break
                 break

@@ -10,13 +10,20 @@ P^3 by their overlaps; the differentials are
 for an overlap  x = r1 * tail = head * r2.  This is a second, bar-free
 route to hh^0..hh^2 used to cross-check the cochain engine.
 
+Each d^n is the A-A-bilinear extension of the images of the summand
+generators e_a (x) e_b, kept in `PartialResolution.terms`.
+`PartialResolution.certify` checks mu o d^1, d^1 o d^2 and d^2 o d^3 on
+the generators alone, which is enough (its docstring gives the
+argument), and exactness at P^0 and P^1 from the ranks of d^1 and d^2,
+the only differentials it builds as matrices over the basis b_i (x) b_j.
+
 The resolution is also the complex Hom_{A-A}(P^*, A) that the route
 reads: in degree n a vector lives on the Hom blocks (+) e_a A e_b over
 the summands of P^n (`PartialResolution._hom_blocks`), and its
 differential in degree n is Hom(d^{n+1}, A).  `hh_via_resolution` takes
 kernel modulo image of it with `cohomology.CohomologySpace`, as every
-engine does; its representatives are Hom-block vectors, since no
-cochain maps into it.
+engine does, one space per degree kept on the resolution; its
+representatives are Hom-block vectors, since no cochain maps into it.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from itertools import product
 from .algebra import system_of_relations
 from .bimodule import regular_bimodule
 from .cohomology import CohomologySpace, RankedComplex
-from .linalg import Mat, rank
+from .linalg import Mat, axpy, rank
 
 
 class NotMonomial(ValueError):
@@ -79,17 +86,9 @@ def chain_paths(algebra):
             if any(word[:len(k)] == k for k in kept):
                 continue
             kept.append(word)
-            overlaps.append(_mk_path(quiver, word))
+            overlaps.append(quiver.path(*word))
     overlaps.sort(key=lambda p: p.sort_key())
     return ChainSets(vertices, arrows, relations, overlaps)
-
-
-def _mk_path(quiver, word):
-    p = quiver.arrow_path(word[0])
-    for name in word[1:]:
-        from .quiver import compose
-        p = compose(p, quiver.arrow_path(name))
-    return p
 
 
 @dataclass
@@ -109,7 +108,13 @@ class PartialResolution(RankedComplex):
     def __post_init__(self):
         self._hom = {}   # n -> Hom(d^{n+1}, A)
         self._blocks = {}
+        self._spaces = {}  # n -> CohomologySpace, see hh_via_resolution
         self.ranks = {}
+        # basis indices of A by target and by source, for _sides
+        self._by_target, self._by_source = {}, {}
+        for i, (x, y) in enumerate(self.algebra.peirce):
+            self._by_target.setdefault(y, []).append(i)
+            self._by_source.setdefault(x, []).append(i)
 
     @property
     def module(self):
@@ -121,10 +126,12 @@ class PartialResolution(RankedComplex):
         (+) e_a A e_b over the summands, built once per n."""
         got = self._blocks.get(n)
         if got is None:
-            peirce = self.algebra.peirce
+            by_block = {}
+            for m, tag in enumerate(self.algebra.peirce):
+                by_block.setdefault(tag, []).append(m)
             got = self._blocks[n] = [
                 (s_idx, m) for s_idx, tag in enumerate(self.summands[n])
-                for m, t in enumerate(peirce) if t == tag]
+                for m in by_block.get(tag, ())]
         return got
 
     def dim(self, n):
@@ -143,9 +150,7 @@ class PartialResolution(RankedComplex):
 
     def _sides(self, a, b):
         """Basis indices i with t(b_i) = a, and j with s(b_j) = b."""
-        peirce = self.algebra.peirce
-        return ([i for i, t in enumerate(peirce) if t[1] == a],
-                [j for j, t in enumerate(peirce) if t[0] == b])
+        return self._by_target.get(a, []), self._by_source.get(b, [])
 
     def projective_basis(self, n):
         """Concrete basis (summand, i, j) of P^n: u (x) v with t(u) = a,
@@ -154,11 +159,31 @@ class PartialResolution(RankedComplex):
                 for s_idx, (a, b) in enumerate(self.summands[n])
                 for i, j in product(*self._sides(a, b))]
 
+    def _image(self, n, pos, terms):
+        """sum coeff * u (x) v over terms (y_index, u, v, coeff) of d^n, as
+        a vector on the concrete basis pos of P^{n-1}."""
+        field = self.algebra.field
+        col = {}
+        for y_idx, u, v, coeff in terms:
+            for bi, cu in u.items():
+                for bj, cv in v.items():
+                    key = pos.get((y_idx, bi, bj))
+                    if key is None:
+                        raise AssertionError(
+                            f"d^{n} left the basis of P^{n - 1} at "
+                            f"{(y_idx, bi, bj)}")
+                    w = field.add(col.get(key, field.zero),
+                                  field.mul(field.mul(cu, cv), coeff))
+                    if w:
+                        col[key] = w
+                    elif key in col:
+                        del col[key]
+        return col
+
     def differential_matrix(self, n):
         """d^n: P^n -> P^{n-1} on the concrete bases."""
         A = self.algebra
-        field = A.field
-        one = field.one
+        one = A.field.one
         pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
         cols = {}
         col_idx = 0
@@ -171,45 +196,64 @@ class PartialResolution(RankedComplex):
                       coeff)
                      for y_idx, u, v, coeff in self.terms[n][s_idx]]
             for i, j in product(lefts, rights):
-                col = {}
-                for y_idx, ui, vj, coeff in terms:
-                    for bi, cu in ui[i].items():
-                        for bj, cv in vj[j].items():
-                            key = pos.get((y_idx, bi, bj))
-                            if key is None:
-                                raise AssertionError(
-                                    f"d^{n} left the basis of P^{n - 1} at "
-                                    f"{(y_idx, bi, bj)}")
-                            w = field.add(col.get(key, field.zero),
-                                          field.mul(field.mul(cu, cv), coeff))
-                            if w:
-                                col[key] = w
-                            elif key in col:
-                                del col[key]
+                col = self._image(n, pos, [(y_idx, ui[i], vj[j], coeff)
+                                           for y_idx, ui, vj, coeff in terms])
                 if col:
                     cols[col_idx] = col
                 col_idx += 1
-        return Mat(len(pos), col_idx, field, cols)
+        return Mat(len(pos), col_idx, A.field, cols)
 
-    def augmentation_matrix(self):
-        """P^0 -> A, e_x (x) e_x -> e_x."""
+    def certify(self):
+        """Raise AssertionError unless P^3 -> P^2 -> P^1 -> P^0 -> A is a
+        complex, exact at P^0 and P^1.
+
+        The compositions are checked on the summand generators only:
+        mu(u (x) v) = uv summed over the terms of each d^1(e_a (x) e_b),
+        and the concrete d^{n-1} applied to each d^n(e_a (x) e_b) for n =
+        2, 3.  That is enough.  The column of d^n at b_i (x) b_j of a
+        summand is sum coeff * b_i u (x) v b_j over its terms, the
+        A-A-bilinear extension of the generator's image, and it is
+        bilinear because A is associative (certified when A is built);
+        mu is bilinear for the same reason.  A composite of bilinear maps
+        is bilinear, and b_i (x) b_j = b_i . (e_a (x) e_b) . b_j, so a
+        composite that kills every generator is zero.  Exactness needs the
+        ranks of d^1 and d^2, so those two are built as matrices; d^3 is
+        not.
+        """
         A = self.algebra
         field = A.field
-        src = self.projective_basis(0)
-        cols = {}
-        for col_idx, (s_idx, i, j) in enumerate(src):
-            prod = A.multiply_coords({i: field.one}, {j: field.one})
-            if prod:
-                cols[col_idx] = prod
-        return Mat(A.dim, len(src), field, cols)
+        for x, terms in enumerate(self.terms[1]):
+            out = {}
+            for _, u, v, coeff in terms:
+                axpy(field, out, coeff, A.multiply_coords(u, v))
+            if out:
+                raise AssertionError(
+                    f"augmentation does not kill d^1 of generator {x}")
+        d = {1: self.differential_matrix(1), 2: self.differential_matrix(2)}
+        for n in (2, 3):
+            pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
+            for x, terms in enumerate(self.terms[n]):
+                if d[n - 1].matvec(self._image(n, pos, terms)):
+                    raise AssertionError(
+                        f"d^{n - 1} o d^{n} is not zero on generator {x}")
+        # d^n has one row per basis vector of P^{n-1}
+        rank1 = rank(d[1])
+        if rank1 != d[1].rows - A.dim:
+            raise AssertionError("resolution is not exact at P^0")
+        if rank(d[2]) != d[2].rows - rank1:
+            raise AssertionError("resolution is not exact at P^1")
 
 
 def build_partial_resolution(algebra):
-    """P^0..P^3 with differentials; certifies d o d = 0 and exactness at
-    P^0 and P^1 against the multiplication augmentation."""
+    """P^0..P^3 with their differentials, certified by
+    `PartialResolution.certify`: the compositions vanish on the summand
+    generators, which suffices because each d^n is the A-A-bilinear
+    extension of its generator images, and the ranks of d^1 and d^2 give
+    exactness at P^0 and P^1."""
     chains = chain_paths(algebra)
     A = algebra
     field = A.field
+    quiver = A.presentation.quiver
 
     summands = {
         0: [(p.source, p.target) for p in chains.vertices],
@@ -218,36 +262,40 @@ def build_partial_resolution(algebra):
         3: [(p.source, p.target) for p in chains.overlaps],
     }
 
+    basis_index = {p: k for k, p in enumerate(A.basis_paths or ())}
+    elems = {}  # one coordinate dict per path, shared by the terms
+
     def elem(path):
-        return dict(A.element_from_path(path).coords)
+        got = elems.get(path)
+        if got is None:
+            k = basis_index.get(path)
+            got = elems[path] = {k: field.one} if k is not None else \
+                dict(A.element_from_path(path).coords)
+        return got
+
+    def word_path(word, vertex):
+        return quiver.path(*word) if word else quiver.trivial_path(vertex)
 
     terms = {0: [[] for _ in chains.vertices], 1: [], 2: [], 3: []}
     arrow_pos = {p.arrows[0]: k for k, p in enumerate(chains.arrows)}
     vertex_pos = {p.source: k for k, p in enumerate(chains.vertices)}
     rel_pos = {p.arrows: k for k, p in enumerate(chains.relations)}
-    quiver = A.presentation.quiver
 
     for p in chains.arrows:
-        name = p.arrows[0]
-        e_src = {idx: field.one for n2, idx in A.idempotents if n2 == p.source}
-        e_tgt = {idx: field.one for n2, idx in A.idempotents if n2 == p.target}
         a_elem = elem(p)
         terms[1].append([
-            (vertex_pos[p.target], a_elem, e_tgt, field.one),
-            (vertex_pos[p.source], e_src, a_elem, field.of(-1)),
+            (vertex_pos[p.target], a_elem,
+             elem(quiver.trivial_path(p.target)), field.one),
+            (vertex_pos[p.source], elem(quiver.trivial_path(p.source)),
+             a_elem, field.of(-1)),
         ])
 
     for p in chains.relations:
-        lst = []
         word = p.arrows
-        for k, name in enumerate(word):
-            prefix = (quiver.trivial_path(p.source) if k == 0
-                      else _mk_path(quiver, word[:k]))
-            suffix = (quiver.trivial_path(p.target) if k == len(word) - 1
-                      else _mk_path(quiver, word[k + 1:]))
-            lst.append((arrow_pos[name], elem(prefix), elem(suffix),
-                        field.one))
-        terms[2].append(lst)
+        terms[2].append([
+            (arrow_pos[name], elem(word_path(word[:k], p.source)),
+             elem(word_path(word[k + 1:], p.target)), field.one)
+            for k, name in enumerate(word)])
 
     for p in chains.overlaps:
         word = p.arrows
@@ -255,33 +303,17 @@ def build_partial_resolution(algebra):
                   if word[:len(r.arrows)] == r.arrows)
         r2 = next(r for r in chains.relations
                   if word[-len(r.arrows):] == r.arrows)
-        tail = word[len(r1.arrows):]
-        head = word[:-len(r2.arrows)]
-        tail_p = (_mk_path(quiver, tail) if tail
-                  else quiver.trivial_path(p.target))
-        head_p = (_mk_path(quiver, head) if head
-                  else quiver.trivial_path(p.source))
+        tail = word_path(word[len(r1.arrows):], p.target)
+        head = word_path(word[:-len(r2.arrows)], p.source)
         terms[3].append([
             (rel_pos[r1.arrows], elem(quiver.trivial_path(r1.source)),
-             elem(tail_p), field.one),
-            (rel_pos[r2.arrows], elem(head_p),
+             elem(tail), field.one),
+            (rel_pos[r2.arrows], elem(head),
              elem(quiver.trivial_path(r2.target)), field.of(-1)),
         ])
 
     res = PartialResolution(A, chains, summands, terms)
-    d1 = res.differential_matrix(1)
-    d2 = res.differential_matrix(2)
-    d3 = res.differential_matrix(3)
-    aug = res.augmentation_matrix()
-    if not d1.matmul(d2).is_zero() or not d2.matmul(d3).is_zero():
-        raise AssertionError("resolution differentials do not compose to zero")
-    if not aug.matmul(d1).is_zero():
-        raise AssertionError("augmentation does not kill the image of d1")
-    # d^n has one row per basis vector of P^{n-1}
-    if rank(d1) != d1.rows - A.dim:
-        raise AssertionError("resolution is not exact at P^0")
-    if rank(d2) != d2.rows - rank(d1):
-        raise AssertionError("resolution is not exact at P^1")
+    res.certify()
     return res
 
 
@@ -329,11 +361,14 @@ def _partial_resolution(algebra):
 
 def hh_via_resolution(algebra, n, resolution=None):
     """hh^n(A) for n <= 2 from the partial minimal resolution (built once
-    per algebra unless one is passed), with its representatives built."""
+    per algebra unless one is passed), with its representatives built;
+    one space per degree, kept on the resolution."""
     if n not in (0, 1, 2):
         raise ValueError("the partial resolution reaches degree 2 only")
     res = resolution if resolution is not None else \
         _partial_resolution(algebra)
-    space = CohomologySpace(res, n)
-    space.vectors()
+    space = res._spaces.get(n)
+    if space is None:
+        space = res._spaces[n] = CohomologySpace(res, n)
+        space.vectors()
     return space

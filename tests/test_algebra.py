@@ -14,8 +14,10 @@ from hochschild.quiver import Presentation, Quiver, parse_relation
 from hochschild.relext import relation_extension_algebra
 
 from conftest import (
-    PRESENTATIONS, FractionRationals, row_walk_algebra, row_walk_contains,
-    square_presentation, structure_entries,
+    PRESENTATIONS, FractionRationals, cyclic_nakayama_presentation,
+    hereditary_presentation, loops_presentation, quantum_plane_presentation,
+    row_walk_algebra, row_walk_contains, square_presentation,
+    structure_entries, truncated_presentation,
 )
 
 
@@ -308,6 +310,62 @@ def test_not_admissible_within_cap():
     q = Quiver(["v"], [("x", "v", "v")])
     with pytest.raises(AdmissibilityError):
         build_algebra(Presentation(q, relations=[]), cap=6)
+
+
+FAMILIES = {
+    "loops2": lambda field: loops_presentation(2, field),
+    "trunc4": lambda field: truncated_presentation(4, field),
+    "qplane3": lambda field: quantum_plane_presentation(3, field),
+    "nakayama3_3": lambda field: cyclic_nakayama_presentation(3, 3, field),
+    "A4": lambda field: hereditary_presentation(4, False, field),
+    "shortcut4": lambda field: hereditary_presentation(4, True, field),
+}
+FIELDS = {"Q": QQ, "GF7": PrimeField(7), "GF2": PrimeField(2)}
+
+
+def table_algebras():
+    """(name, a function building the algebra)."""
+    yield from ((name, lambda make=make: build_algebra(make()))
+                for name, make in PRESENTATIONS.items())
+    yield from ((name, lambda name=name: build_algebra(load_bundled(name)[1]))
+                for name in BUNDLED)
+    yield from ((f"{name}-{tag}",
+                 lambda make=make, field=field: build_algebra(make(field)))
+                for name, make in FAMILIES.items()
+                for tag, field in FIELDS.items())
+    yield from ((f"{name}-reversed", lambda name=name: reversed_keys(name))
+                for name in BUNDLED)
+
+
+def reversed_keys(name):
+    """The bundled algebra with its structure constants in reverse key
+    order."""
+    alg = build_algebra(load_bundled(name)[1])
+    return Algebra(alg.field, alg.labels,
+                   dict(reversed(alg.structure.items())), alg.idempotents,
+                   alg.peirce)
+
+
+@pytest.mark.parametrize("name, make", list(table_algebras()))
+def test_multiplication_tables_equal_the_per_index_scan(name, make):
+    # left_mult/right_mult come from one pass over the nonzero structure
+    # constants; they must equal the scan over every index pair, dicts,
+    # key order and scalar types included
+    alg = make()
+    st = alg.structure
+
+    def listed(columns):
+        return [(j, [(k, c, type(c)) for k, c in col.items()])
+                for j, col in columns.items()]
+
+    for i in range(alg.dim):
+        left = {j: dict(st.get((i, j), {})) for j in range(alg.dim)
+                if st.get((i, j))}
+        right = {j: dict(st.get((j, i), {})) for j in range(alg.dim)
+                 if st.get((j, i))}
+        assert listed(alg.left_mult(i)) == listed(left)
+        assert listed(alg.right_mult(i)) == listed(right)
+        assert alg.left_mult(i) is alg.left_mult(i)
 
 
 def test_peirce_grading(corpus):

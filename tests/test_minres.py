@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hochschild.linalg import (
@@ -5,12 +7,14 @@ from hochschild.linalg import (
 )
 
 from hochschild.algebra import build_algebra
-from hochschild.algfile import emit_algebra_file, parse_algebra_file
+from hochschild.algfile import (
+    emit_algebra_file, load_bundled, parse_algebra_file,
+)
 from hochschild.bimodule import regular_bimodule
 from hochschild.cohomology import Cochain, hh
 from hochschild.minres import (
-    NotMonomial, _hom_differential, build_partial_resolution, chain_paths,
-    hh_via_resolution,
+    NotMonomial, PartialResolution, _hom_differential,
+    build_partial_resolution, chain_paths, hh_via_resolution,
 )
 
 from conftest import (
@@ -159,6 +163,65 @@ def test_cached_resolution_gives_identical_hh(corpus, resolutions, name,
     for spaces in (again, fresh):
         assert [s.dim for s in spaces] == [s.dim for s in first]
         assert [s.vectors() for s in spaces] == [s.vectors() for s in first]
+
+
+@pytest.mark.parametrize("name", MONOMIAL)
+def test_repeated_request_returns_the_kept_space(name):
+    alg = build_algebra(PRESENTATIONS[name]())
+    first = [hh_via_resolution(alg, n) for n in (0, 1, 2)]
+    again = [hh_via_resolution(alg, n) for n in (0, 1, 2)]
+    assert all(a is b for a, b in zip(first, again))
+    res = alg._partial_resolution
+    assert all(hh_via_resolution(alg, n, res) is first[n] for n in (0, 1, 2))
+
+
+# the last degree with a generator: kite_c has no relations, triangle_c
+# and square have no overlaps
+TOP = {"nakayama_c": 3, "kite_c": 1, "triangle_c": 2, "triangle_b": 3,
+       "square": 2}
+PERTURBED = [(name, n) for name in MONOMIAL for n in range(1, TOP[name] + 1)]
+
+
+@pytest.mark.parametrize("name, n", PERTURBED)
+def test_certify_catches_a_scaled_coefficient(resolutions, name, n):
+    # one coefficient of d^n(e_a (x) e_b) doubled: the generator check of
+    # the composite that first reads d^n must fail
+    res = resolutions[name]
+    assert res.terms[n] and (n < TOP[name] or not res.terms.get(n + 1))
+    field = res.algebra.field
+    res.certify()
+    terms = {k: [list(generator) for generator in v]
+             for k, v in res.terms.items()}
+    y_idx, u, v, coeff = terms[n][0][0]
+    terms[n][0][0] = (y_idx, u, v, field.mul(field.of(2), coeff))
+    bad = PartialResolution(res.algebra, res.chains, res.summands, terms)
+    message = {1: "augmentation does not kill d^1 of generator 0",
+               2: "d^1 o d^2 is not zero on generator 0",
+               3: "d^2 o d^3 is not zero on generator 0"}[n]
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        bad.certify()
+
+
+@pytest.mark.parametrize("name", MONOMIAL + ["ex3_5_C", "ex5_9_C"])
+def test_certification_builds_only_d1_and_d2(corpus, monkeypatch, name):
+    # the compositions are checked on generator images, so d^3 and the
+    # augmentation are never built as matrices and nothing is multiplied
+    alg = corpus[name] if name in corpus else \
+        build_algebra(load_bundled(name)[1])
+    real = PartialResolution.differential_matrix
+    built = []
+
+    def counted(res, n):
+        built.append(n)
+        return real(res, n)
+
+    def matmul(*args):
+        raise AssertionError("the certification multiplied matrices")
+
+    monkeypatch.setattr(PartialResolution, "differential_matrix", counted)
+    monkeypatch.setattr(Mat, "matmul", matmul)
+    build_partial_resolution(alg)
+    assert built == [1, 2]
 
 
 def test_hom_differentials_are_built_once(monkeypatch):

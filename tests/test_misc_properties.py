@@ -12,7 +12,7 @@ from hochschild.extension import check_growth_bound, trivial_extension
 from hochschild.linalg import PrimeField
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
-from conftest import nakayama_c_presentation
+from conftest import nakayama_c_presentation, twisted_regular
 
 
 def test_prime_field_probe_matches_rationals():
@@ -221,6 +221,72 @@ def test_one_run_builds_each_resolution_once(monkeypatch):
     assert verification.run_blocks()["pass"]
     assert len(built) == 5
     assert len({id(alg) for alg in built}) == 5
+
+
+def test_one_run_builds_each_resolution_space_once(monkeypatch):
+    # the relext and oracles blocks both ask ex5_9_C for hh^0..hh^2 by
+    # the resolution route; the second block reads the spaces kept on its
+    # resolution, so 18 requests build 15 spaces
+    import hochschild.minres as minres
+    import hochschild.verification as verification
+
+    real_space, real_hh = minres.CohomologySpace, minres.hh_via_resolution
+    built, asked = [], []
+
+    def space(res, n, *args, **kwargs):
+        built.append((id(res.algebra), n))
+        return real_space(res, n, *args, **kwargs)
+
+    def hh_via_resolution(algebra, n, resolution=None):
+        asked.append((id(algebra), n))
+        return real_hh(algebra, n, resolution)
+
+    monkeypatch.setattr(minres, "CohomologySpace", space)
+    monkeypatch.setattr(verification, "hh_via_resolution", hh_via_resolution)
+    assert verification.run_blocks()["pass"]
+    assert len(asked) == 18
+    assert len(built) == 15
+    assert set(built) == set(asked)
+
+
+def test_peirce_tags_match_the_matvec_rule(monkeypatch, triangle_b):
+    # Bimodule._peirce_tags reads the columns of the idempotent actions;
+    # on every bimodule of a run it must tag as applying them to the unit
+    # vector does
+    from hochschild.bimodule import Bimodule
+    import hochschild.verification as verification
+
+    def matvec_tags(module):
+        tags = []
+        for i in range(module.dim):
+            v = {i: module.field.one}
+            tag = None
+            for x, xi in module.algebra.idempotents:
+                if module.left[xi].matvec(v) != v:
+                    continue
+                for y, yi in module.algebra.idempotents:
+                    if module.right[yi].matvec(v) == v:
+                        tag = (x, y)
+                        break
+                break
+            tags.append(tag)
+        return tags
+
+    real = Bimodule._peirce_tags
+    seen = []
+
+    def checked(module):
+        tags = real(module)
+        seen.append((tags, matvec_tags(module)))
+        return tags
+
+    monkeypatch.setattr(Bimodule, "_peirce_tags", checked)
+    assert verification.run_blocks()["pass"]
+    assert len(seen) > 50
+    # and on a module that is not Peirce-graded, which a run has none of
+    twisted_regular(triangle_b)
+    assert None in seen[-1][0]
+    assert all(tags == want for tags, want in seen)
 
 
 def test_tracer_targets_resolve():
