@@ -17,7 +17,7 @@ from .bimodule import (
 )
 from .cohomology import (
     BAR_CAP, CapExceeded, Cochain, CohomologySpace, bar_apply, bar_differential,
-    bracket1, class_equal, cup, der0_basis, derivation_from_arrow_values, hh,
+    bracket1, cup, der0_basis, derivation_from_arrow_values, hh,
     hh1_via_derivations, is_derivation,
 )
 from .extcohom import (

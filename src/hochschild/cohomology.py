@@ -56,6 +56,12 @@ coordinates are built on first use, from `linalg.quotient_basis` and
 `CohomologySpace.vector_coords` gives the class of a vector of the
 complex, `class_coords` that of a cochain.
 
+Products and projections of classes are formed on vectors of the complex:
+`NormalizedComplex.cup` is the cup product N^s x N^t -> N^{s+t}, and
+`extension.normalized_projection` the matrix of f -> p o f o q^{(x)n}.
+`cup` and `transport` stay the cochain forms, which the tests hold them
+to.
+
 Everything is deterministic: fixed basis orders and a fixed pivot rule.
 """
 
@@ -206,7 +212,7 @@ def _factorizations(algebra):
     return fact
 
 
-def _bar_column(algebra, module, n, args=None):
+def _bar_column(algebra, module, n, args=None, values=None):
     """The column kernel of b^{n+1}, the one place the bar formula lives.
 
     Returns column(t_idx, slots, m): the sparse image, in flat coordinates
@@ -214,23 +220,28 @@ def _bar_column(algebra, module, n, args=None):
     (basis indices slots) to e_m and every other tensor to 0.  With args
     (a list of basis indices) the image is restricted to tensors of
     arguments from args: the normalized and Ext complexes pass the
-    radical indices.
+    radical indices.  With values (a list of module indices) it is
+    restricted to terms whose value index is in values: the action
+    columns are filtered once, and the contractions, which keep m, are
+    skipped for m outside.
 
-    Each kernel is built once per (n, args) and cached on the module, so
-    its signed factorization tables and action lists are set up once per
-    run, not once per `bar_apply`.
+    Each kernel is built once per (n, args, values) and cached on the
+    module, so its signed factorization tables and action lists are set
+    up once per run, not once per `bar_apply`.
     """
     cache = getattr(module, "_bar_columns", None)
     if cache is None:
         cache = module._bar_columns = {}
-    key = (n, None if args is None else tuple(args))
+    key = (n, None if args is None else tuple(args),
+           None if values is None else tuple(values))
     column = cache.get(key)
     if column is None:
-        column = cache[key] = _column_kernel(algebra, module, n, args)
+        column = cache[key] = _column_kernel(algebra, module, n, args,
+                                             values)
     return column
 
 
-def _column_kernel(algebra, module, n, args):
+def _column_kernel(algebra, module, n, args, values=None):
     field = algebra.field
     d = algebra.dim
     dm = module.dim
@@ -261,15 +272,20 @@ def _column_kernel(algebra, module, n, args):
             k: [(xy * step, c) for xy, c in lst]
             for k, lst in (neg_pairs if p % 2 == 0 else pairs).items()}))
     # per value index m: (key offset, column) of the nonzero actions on e_m,
-    # in args order; read off the actions' nonzero columns.  The right
-    # action carries the sign (-1)^{n+1}
+    # in args order; read off the actions' nonzero columns, cut to values.
+    # The right action carries the sign (-1)^{n+1}
+    inner = None if values is None else set(values)
     lefts = [[] for _ in range(dm)]
     rights = [[] for _ in range(dm)]
     for c in args:
         for m, col in module.left[c].columns_items():
+            if inner is not None:
+                col = {k: v for k, v in col.items() if k in inner}
             if col:
                 lefts[m].append((c * top * dm, col))
         for m, col in module.right[c].columns_items():
+            if inner is not None:
+                col = {k: v for k, v in col.items() if k in inner}
             if col:
                 rights[m].append((c * dm, {k: neg(v) for k, v in col.items()}
                                   if n % 2 == 0 else col))
@@ -279,10 +295,12 @@ def _column_kernel(algebra, module, n, args):
         base = t_idx * dm
         col = {offset + base + m2: v
                for offset, lcol in lefts[m] for m2, v in lcol.items()}
-        # inner contractions slots[p] -> (x, y), then f(...) . c_n.  Every
-        # term is nonzero, so a new key takes its term as it is; only a
-        # repeated key is added up, and dropped if it cancels
-        for s, (sd, big, span, table) in zip(slots, contractions):
+        # inner contractions slots[p] -> (x, y), which keep m, then
+        # f(...) . c_n.  Every term is nonzero, so a new key takes its term
+        # as it is; only a repeated key is added up, and dropped if it
+        # cancels
+        for s, (sd, big, span, table) in zip(
+                slots, contractions if inner is None or m in inner else ()):
             terms = table.get(s)
             if terms:
                 base = t_idx // sd * big + t_idx % span * dm + m
@@ -384,14 +402,16 @@ def bar_apply(algebra, module, n, f):
     return Cochain.from_vec(algebra, module, n + 1, out)
 
 
-def _bar_apply_within(algebra, module, n, args):
-    """f -> b^{n+1}(f) on the tensors with every slot in args, 0 elsewhere.
+def _bar_apply_within(algebra, module, n, args, values=None):
+    """f -> b^{n+1}(f) on the tensors with every slot in args, 0 elsewhere,
+    and, with values, at the value indices in values alone.
 
     A term of b^{n+1}(f) copies all input slots but the one a contraction
     splits, so an input tensor with two slots outside args reaches no
     such tensor, and one with a single slot s outside only through the
     contraction of s into x y with x, y in args.  The restricted kernel
-    `_bar_column(..., args=args)` is evaluated on the remaining inputs; an
+    `_bar_column(..., args=args, values=values)` is evaluated on the
+    remaining inputs, and forms no term at a value outside values; an
     input with a slot outside also yields terms that keep s, which are
     dropped.
     """
@@ -399,7 +419,7 @@ def _bar_apply_within(algebra, module, n, args):
     dm = module.dim
     d = algebra.dim
     inside = set(args)
-    column = _bar_column(algebra, module, n, args=args)
+    column = _bar_column(algebra, module, n, args=args, values=values)
     # slot values that a contraction inside args reaches
     reach = {k for k, lst in _factorizations(algebra).items()
              if any(x in inside and y in inside for x, y, _ in lst)}
@@ -519,6 +539,7 @@ class NormalizedComplex(RankedComplex):
             self.m_blocks.setdefault(tag, []).append(m)
         self._chains = {}
         self._index = {}
+        self._keys = {}
         self._flat = {}
         self._diff = {}
         self.ranks = {}
@@ -572,6 +593,13 @@ class NormalizedComplex(RankedComplex):
             got = self._index[n] = dict(zip(keys, range(len(keys))))
         return got
 
+    def keys(self, n):
+        """The flat bar keys of the degree-n basis, in row order, cached."""
+        got = self._keys.get(n)
+        if got is None:
+            got = self._keys[n] = list(self.index(n))
+        return got
+
     def basis(self, n):
         """([(chain, m)] in row order, {flat bar key: row}), cached."""
         flat = self._flat.get(n)
@@ -619,6 +647,61 @@ class NormalizedComplex(RankedComplex):
                 if row is None:
                     return None
                 out[row] = v
+        return out
+
+    def cup(self, s, f, t, g):
+        """The cup product N^s x N^t -> N^{s+t} of vectors of the complex,
+        for coefficients with a product; `cup` on the embedded cochains,
+        projected back.
+
+        Row i of f (chain w, value m) and row j of g (chain w', value m')
+        give the tensor w w' and the value m m'.  The chains compose
+        exactly when the target block of m is the source block of m';
+        otherwise m m' = 0, since the product is balanced.  A composing
+        pair gives one structure-constant product, each of whose terms
+        lies at key (t1 * d^t + t2) * dm + m'' of N^{s+t}, t1 and t2 the
+        chains' tensor indices; a key outside the index raises
+        AssertionError.
+        """
+        product = self.graded.product
+        if product is None:
+            raise ValueError("coefficient bimodule lacks a product")
+        field = self.algebra.field
+        mul, add = field.mul, field.add
+        dm = self.graded.dim
+        shift = self.algebra.dim ** t
+        tags = self.graded.peirce
+        keys_f, keys_g = self.keys(s), self.keys(t)
+        pos = self.index(s + t)
+        by_source = {}
+        for j, c in g.items():
+            t2, m2 = divmod(keys_g[j], dm)
+            by_source.setdefault(tags[m2][0], []).append((t2, m2, c))
+        out = {}
+        for i, cf in f.items():
+            t1, m1 = divmod(keys_f[i], dm)
+            for t2, m2, cg in by_source.get(tags[m1][1], ()):
+                prod = product.get((m1, m2))
+                if not prod:
+                    continue
+                c = mul(cf, cg)
+                base = (t1 * shift + t2) * dm
+                for m, v in prod.items():
+                    row = pos.get(base + m)
+                    if row is None:
+                        raise AssertionError(
+                            f"cup product left the subcomplex at key "
+                            f"{base + m} in degree {s + t}")
+                    w = mul(c, v)
+                    cur = out.get(row)
+                    if cur is None:
+                        out[row] = w
+                    else:
+                        w = add(cur, w)
+                        if w:
+                            out[row] = w
+                        else:
+                            del out[row]
         return out
 
 
@@ -1056,14 +1139,6 @@ def bracket1(d1, d2):
     return out
 
 
-def class_equal(f, g, space=None):
-    """True iff f - g is a coboundary (both must be cocycles)."""
-    if space is None:
-        space = hh(f.algebra, f.module, f.degree)
-    diff = f.add(g, f.algebra.field.of(-1))
-    return space.class_is_zero(diff)
-
-
 def derivation_from_arrow_values(algebra, values):
     """The normalized derivation with prescribed values on arrows.
 
@@ -1126,27 +1201,26 @@ def random_cochain(algebra, module, n, rng=None, seed=0, density=6):
     return out
 
 
-def random_normalized_cochain(algebra, module, n, rng=None, seed=0, density=6):
-    """Deterministic pseudorandom cochain inside the normalized subcomplex."""
-    rng = rng or random.Random(seed)
-    nc = _normalized_complex(algebra, module)
-    flat, _ = nc.basis(n)
+def random_normalized_vector(complex_, n, rng):
+    """Deterministic pseudorandom vector of a complex in degree n: 6 (n + 1)
+    draws of a row and a coefficient in -4..4, as `random_cochain` makes."""
+    field = complex_.algebra.field
+    size = complex_.dim(n)
     out = {}
-    if not flat:
-        return Cochain(algebra, module, n)
-    for _ in range(density + n * density):
-        k = rng.randrange(len(flat))
+    if not size:
+        return out
+    for _ in range(6 * (n + 1)):
+        k = rng.randrange(size)
         c = rng.randint(-4, 4)
         if not c:
             continue
         cur = out.get(k)
-        v = algebra.field.of(c) if cur is None else algebra.field.add(
-            cur, algebra.field.of(c))
+        v = field.of(c) if cur is None else field.add(cur, field.of(c))
         if v:
             out[k] = v
         elif k in out:
             del out[k]
-    return nc.embed(n, out)
+    return out
 
 
 def transport(cochain, new_algebra, new_module, slot_t, value_map):

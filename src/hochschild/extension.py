@@ -4,6 +4,13 @@ B is C (+) E with product (c,e)(c',e') = (cc', ce' + ec' + ee'); p, q, i
 are the projection, section and inclusion.  The degree-n projection
 morphism maps the class of f to the class of p o f o q^{(x)n}; it is an
 algebra morphism for the cup product, and its rank decides surjectivity.
+
+phi^n and its cup compatibility are computed on the normalized complexes
+of the regular bimodules: `normalized_projection` is f -> p o f o q^{(x)n}
+as a matrix N^n(B) -> N^n(C), built once per degree and kept on the
+extension, and products are `NormalizedComplex.cup`.  The chain identity
+and the perturbations below degree 2 keep the cochain route, on purpose:
+they run on cochains outside the normalized complex.
 """
 
 import itertools
@@ -16,10 +23,10 @@ from .bimodule import (
     pullback_bimodule, regular_bimodule, sub_bimodule, tensor_over,
 )
 from .cohomology import (
-    Cochain, _bar_apply_within, bar_apply, cup, hh, random_cochain,
-    random_normalized_cochain, transport,
+    Cochain, _bar_apply_within, _normalized_complex, bar_apply, hh,
+    random_cochain, random_normalized_vector, transport,
 )
-from .linalg import Mat, axpy, kernel_basis_sparse, rank, scale
+from .linalg import Mat, axpy, dense, kernel_basis_sparse, rank, scale
 
 
 class SplitExtensionData:
@@ -40,6 +47,8 @@ class SplitExtensionData:
         self.idempotent_compatible = idempotent_compatible
         self._E_as_B = None
         self._C_as_B = None
+        # degree -> normalized_projection; Mats only, so no cycle back here
+        self._projections = {}
         self._verify()
 
     # -- derived bimodules -----------------------------------------------------
@@ -255,19 +264,84 @@ def inflate_cochain(ext, f):
     return transport(f, ext.B, ext.C_as_B_bimodule(), ext.p_t, ident)
 
 
+def normalized_projection(ext, n):
+    """P^n: N^n(B) -> N^n(C), f -> p o f o q^{(x)n}, as a Mat on the rows
+    of the normalized complexes of the regular bimodules.
+
+    Column j is project(transport(embed(e_j))), read off the tables that
+    `transport` reads: the chain w_1..w_n goes to each tensor of C-indices
+    u_1..u_n with every b_{w_i} in the support of q(b_{u_i}) (the slot's
+    column of q_t), with the product of those entries as coefficient, and
+    the value e_m goes to the column m of p.  When q sends idempotents to
+    idempotents and p sends each to an idempotent or 0
+    (`idempotent_compatible`), that image is normalized, so each term is
+    one lookup in N^n(C)'s index, and a key outside it raises
+    AssertionError; otherwise ValueError is raised.  Built once per
+    (ext, n) and kept on ext.
+    """
+    got = ext._projections.get(n)
+    if got is not None:
+        return got
+    if not ext.idempotent_compatible:
+        raise ValueError("P^n needs p and q compatible with the "
+                         "idempotents")
+    B, C = ext.B, ext.C
+    field = C.field
+    mul = field.mul
+    flat, pos_b = _normalized_complex(B, regular_bimodule(B)).basis(n)
+    pos_c = _normalized_complex(C, regular_bimodule(C)).index(n)
+    d = dm = C.dim  # dim of C and of its regular bimodule
+    # B slot value -> its options [(C index, coefficient)], as `transport`
+    table = {s: list(col.items()) for s, col in ext.q_t.columns_items()
+             if col}
+    cols = {}
+    prev = images = None
+    for j, (chain, m) in enumerate(flat):
+        if chain != prev:
+            prev = chain
+            # [(C tensor index, coefficient)] over the options of each slot
+            images = [(0, field.one)]
+            for s in chain:
+                options = table.get(s)
+                if options is None:
+                    images = []
+                    break
+                images = [(t * d + u, mul(c, cu))
+                          for t, c in images for u, cu in options]
+        value = ext.p.column(m)
+        if not images or not value:
+            continue
+        col = {}
+        for t, c in images:
+            base = t * dm
+            for m2, v in value.items():
+                row = pos_c.get(base + m2)
+                if row is None:
+                    raise AssertionError(
+                        f"P^{n} left the normalized complex of C at key "
+                        f"{base + m2}")
+                col[row] = mul(c, v)
+        cols[j] = col
+    got = ext._projections[n] = Mat(len(pos_c), len(pos_b), field, cols)
+    return got
+
+
 def projection_morphism(ext, n, cap=None):
-    """The matrix of [f] -> [p f q^{(x)n}] on class bases."""
+    """The matrix of [f] -> [p f q^{(x)n}] on class bases: the class of
+    P^n v for each representative vector v of hh^n(B)."""
     kwargs = {} if cap is None else {"cap": cap}
     HB = hh(ext.B, regular_bimodule(ext.B), n, **kwargs)
     HC = hh(ext.C, regular_bimodule(ext.C), n, **kwargs)
+    P = normalized_projection(ext, n)
     entries = {}
     # representatives first: building them fills the rank cache that
     # HB.dim reads, where reading dim first would pay a rank sweep too
-    for j, rep in enumerate(HB.representatives):
-        g = project_cochain(ext, rep)
-        for r, v in enumerate(HC.class_coords(g)):
-            if v:
-                entries[(r, j)] = v
+    for j, vec in enumerate(HB.vectors()):
+        found = HC.vector_coords(P.matvec(vec))
+        if found is None:
+            raise AssertionError(f"P^{n} sent a cocycle to a non-cocycle")
+        for r in sorted(found):
+            entries[(r, j)] = found[r]
     matrix = Mat.from_entries(HC.dim, HB.dim, ext.C.field, entries)
     return ProjectionMatrix(n, matrix, HB, HC)
 
@@ -275,23 +349,32 @@ def projection_morphism(ext, n, cap=None):
 def projection_respects_representatives(ext, n, trials=5, seed=1):
     """Perturbing each representative by a coboundary leaves phi^n alone.
 
-    Below degree 2 the coboundary is b^1 of an arbitrary cochain, which
-    leaves the normalized complex; class coordinates take it back.
+    From degree 2 on the representative is a vector of N^n(B), perturbed
+    by d^{n-1} of a random vector of N^{n-1}(B).  Below degree 2 the
+    coboundary is b^n of an arbitrary cochain, which leaves the normalized
+    complex; class coordinates take it back.
     """
     base = projection_morphism(ext, n)
     HB, HC = base.source, base.target
     regB = regular_bimodule(ext.B)
+    field = ext.B.field
+    nc = HB.complex
+    P = normalized_projection(ext, n) if n > 1 else None
     rng = random.Random(seed)
     for j in range(HB.dim):
-        f = HB.representative(j)
+        want = tuple(base.matrix.entry(r, j) for r in range(HC.dim))
+        f = HB.representative(j) if P is None else HB.vectors()[j]
         for _ in range(trials):
-            if n > 1:
-                g = random_normalized_cochain(ext.B, regB, n - 1, rng=rng)
-            else:
+            if P is None:
                 g = random_cochain(ext.B, regB, n - 1, rng=rng)
-            shifted = f.add(bar_apply(ext.B, regB, n - 1, g))
-            got = HC.class_coords(project_cochain(ext, shifted))
-            want = tuple(base.matrix.entry(r, j) for r in range(HC.dim))
+                shifted = f.add(bar_apply(ext.B, regB, n - 1, g))
+                got = HC.class_coords(project_cochain(ext, shifted))
+            else:
+                shifted = dict(f)
+                axpy(field, shifted, field.one, nc.differential(n - 1).matvec(
+                    random_normalized_vector(nc, n - 1, rng)))
+                found = HC.vector_coords(P.matvec(shifted))
+                got = None if found is None else dense(found, HC.dim, field)
             if got != want:
                 return False
     return True
@@ -301,11 +384,14 @@ def _projected_bar(ext, n):
     """f -> p b_B(f) q^{(x)(n+1)} for degree-n cochains f over B.
 
     The projection reads b_B(f) only on tensors with every slot in S, the
-    B-indices in the support of q (the nonempty columns of q_t), so b_B is
+    B-indices in the support of q (the nonempty columns of q_t), and only
+    at the values in the support of p (its nonempty columns), so b_B is
     evaluated there alone (`_bar_apply_within`).
     """
     support = sorted(s for s, col in ext.q_t.columns_items() if col)
-    b_B = _bar_apply_within(ext.B, regular_bimodule(ext.B), n, support)
+    values = sorted(m for m, col in ext.p.columns_items() if col)
+    b_B = _bar_apply_within(ext.B, regular_bimodule(ext.B), n, support,
+                            values)
     return lambda f: project_cochain(ext, b_B(f))
 
 
@@ -328,32 +414,39 @@ def check_projection_chain_identity(ext, n, trials=20, seed=11):
 
 def check_cup_compatibility(ext, max_total_degree, cap=None):
     """phi is an algebra morphism: phi(x u y) = phi(x) u phi(y), classwise,
-    over all basis class pairs with total degree within the bound."""
+    over all basis class pairs with total degree within the bound.
+
+    On vectors: P^{s+t}(f u g) - P^s f u P^t g must have class 0, for the
+    representative vectors f, g of hh^s(B), hh^t(B).
+    """
     kwargs = {} if cap is None else {"cap": cap}
     regB = regular_bimodule(ext.B)
     regC = regular_bimodule(ext.C)
-    HB = {s: hh(ext.B, regB, s, **kwargs)
-          for s in range(max_total_degree + 1)}
-    HC = {s: hh(ext.C, regC, s, **kwargs)
-          for s in range(max_total_degree + 1)}
+    field = ext.C.field
+    degrees = range(max_total_degree + 1)
+    HB = {s: hh(ext.B, regB, s, **kwargs) for s in degrees}
+    HC = {s: hh(ext.C, regC, s, **kwargs) for s in degrees}
     pairs = 0
-    # each representative is projected once and reused in every pair
-    reps = {s: HB[s].representatives for s in HB}
-    projected = {s: [project_cochain(ext, f) for f in reps[s]] for s in HB}
     # unit goes to unit
     unit_b = Cochain.from_values(ext.B, regB, 0, {(): ext.B.unit_coords()})
     unit_c = Cochain.from_values(ext.C, regC, 0, {(): ext.C.unit_coords()})
     if HC[0].class_coords(project_cochain(ext, unit_b)) != \
             HC[0].class_coords(unit_c):
         return {"holds": False, "pairs": 0, "failed": "unit"}
-    for s in range(max_total_degree + 1):
+    P = {s: normalized_projection(ext, s) for s in degrees}
+    nc_b, nc_c = HB[0].complex, HC[0].complex
+    # each representative is projected once and reused in every pair
+    reps = {s: HB[s].vectors() for s in degrees}
+    projected = {s: [P[s].matvec(f) for f in reps[s]] for s in degrees}
+    minus = field.of(-1)
+    for s in degrees:
         for t in range(max_total_degree + 1 - s):
             for f, pf in zip(reps[s], projected[s]):
                 for g, pg in zip(reps[t], projected[t]):
-                    lhs = project_cochain(ext, cup(f, g))
-                    rhs = cup(pf, pg)
-                    diff = lhs.add(rhs, ext.C.field.of(-1))
-                    if not HC[s + t].class_is_zero(diff):
+                    diff = P[s + t].matvec(nc_b.cup(s, f, t, g))
+                    axpy(field, diff, minus, nc_c.cup(s, pf, t, pg))
+                    # a zero difference has class 0 without a lookup
+                    if diff and HC[s + t].vector_coords(diff) != {}:
                         return {"holds": False, "pairs": pairs,
                                 "failed": (s, t)}
                     pairs += 1

@@ -3,7 +3,8 @@ presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n) and a twisted, non-Peirce-graded regular
 module; the all-Fraction Q field; the row-walk reference of build_algebra;
-the hypothesis profile of the suite."""
+the forward-row reference of the kernel sweep; the hypothesis profile of
+the suite."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import settings
 from hochschild.algebra import _TruncatedIdeal, algebra_morphism, build_algebra
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
-from hochschild.linalg import QQ, Mat, Rationals, reduce_mod
+from hochschild.linalg import QQ, Mat, Rationals, Sweep, reduce_mod
 from hochschild.quiver import Path, Presentation, Quiver, compose, parse_relation
 
 # Property tests draw the same examples on every run, and a fixed number
@@ -87,6 +88,27 @@ def row_walk_algebra(presentation, order="lex"):
                 structure[(index[p1], index[p2])] = {
                     index[ideal.from_coord[c]]: v for c, v in red.items()}
     return L, basis, structure
+
+
+def forward_kernel(m):
+    """kernel_basis_sparse as it swept before it renumbered rows: columns
+    in forward order, each fed with its own row indices."""
+    field = m.field
+    sweep = Sweep(field)
+    out = []
+    for j in range(m.cols):
+        lead, vec, track = sweep.reduce(m.column(j), {j: field.one})
+        if lead is None:
+            out.append(field.normalized(track, track[j]))
+        else:
+            sweep.adopt(lead, vec, track)
+    return out
+
+
+def same_vectors(got, want):
+    """Equal lists of sparse vectors, scalar types included."""
+    return got == want and all(type(a[k]) is type(b[k])
+                               for a, b in zip(got, want) for k in a)
 
 
 def structure_entries(structure):

@@ -6,6 +6,8 @@ Peirce-graded data) are recomputed from the raw differential matrices by
 rank counting.
 """
 
+import random
+
 import pytest
 
 from hochschild.algebra import build_algebra
@@ -67,13 +69,14 @@ def test_normalized_class_membership_matches_full(corpus):
     reg = regular_bimodule(alg)
     space = hh(alg, reg, 2)
     b2 = bar_differential(alg, reg, 1)
-    from hochschild.cohomology import random_normalized_cochain
+    from hochschild.cohomology import random_normalized_vector
     from hochschild.linalg import Sweep
     sweep = Sweep(alg.field)
     for _, col in b2.columns_items():
         sweep.insert(dict(col))
+    nc = space.complex
     for seed in range(5):
-        g = random_normalized_cochain(alg, reg, 1, seed=seed)
+        g = nc.embed(1, random_normalized_vector(nc, 1, random.Random(seed)))
         shift = b2.matvec(g.vec())
         from hochschild.cohomology import Cochain
         cochain = Cochain.from_vec(alg, reg, 2, shift)

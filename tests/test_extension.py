@@ -205,13 +205,35 @@ def test_phi1_independence_perturbs_off_the_normalized_complex(
         raise AssertionError("degree-1 perturbation drawn normalized")
 
     monkeypatch.setattr(extension, "random_cochain", counted)
-    monkeypatch.setattr(extension, "random_normalized_cochain", refused)
+    monkeypatch.setattr(extension, "random_normalized_vector", refused)
     assert projection_respects_representatives(nak_ext, 1, trials=3)
     B = nak_ext.B
     regB = regular_bimodule(B)
     nc = _normalized_complex(B, regB)
     assert drawn
     assert any(nc.project(bar_apply(B, regB, 0, g)) is None for g in drawn)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_independence_perturbs_vectors_from_degree_2(
+        monkeypatch, nak_ext, kite_ext, n):
+    # from degree 2 on each representative vector is perturbed by d^{n-1}
+    # of a random vector of N^{n-1}(B), with no cochain drawn
+    real = extension.random_normalized_vector
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("perturbation drawn as a cochain")
+
+    monkeypatch.setattr(extension, "random_normalized_vector", counted)
+    monkeypatch.setattr(extension, "random_cochain", refused)
+    for ext in (nak_ext, kite_ext):
+        assert projection_respects_representatives(ext, n, trials=3)
+    assert any(drawn)
 
 
 def test_phi0_report_fields(nak_ext):
@@ -282,6 +304,30 @@ def test_restricted_evaluation_with_a_slot_outside(nak_ext, n):
         assert within(f).data == want
 
 
+@pytest.mark.parametrize("which", ["presented", "trivial"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_restricted_evaluation_cut_to_values(which, n, nak_ext, kite_c):
+    # with the support V of p as values, no term is formed at a value
+    # outside V, and every term at a value in V is bar_apply's
+    ext = nak_ext if which == "presented" else \
+        trivial_extension(kite_c, dual_bimodule(kite_c))
+    B = ext.B
+    regB = regular_bimodule(B)
+    S = sorted(s for s, col in ext.q_t.columns_items() if col)
+    V = sorted(m for m, col in ext.p.columns_items() if col)
+    assert len(V) < B.dim
+    within = _bar_apply_within(B, regB, n, S, V)
+    for seed in range(20):
+        f = random_cochain(B, regB, n, seed=seed)
+        full = bar_apply(B, regB, n, f)
+        want = {}
+        for t, col in full.data.items():
+            col = {m: v for m, v in col.items() if m in V}
+            if col and all(s in S for s in full.decode(t)):
+                want[t] = col
+        assert within(f).data == want
+
+
 def test_chain_identity_fails_on_a_corrupted_product(kite_c):
     # a product of two C-basis vectors inside B, doubled after B is built:
     # b_B then disagrees with b_C on q's image, and the check must say so
@@ -324,9 +370,9 @@ def test_setups_are_made_once_per_run(monkeypatch):
         builds, keys = [], set()
         transposes = []
 
-        def column(algebra, module, n, args=None):
+        def column(algebra, module, n, args=None, values=None):
             keys.add((id(module), n, None if args is None else tuple(args)))
-            return real_column(algebra, module, n, args)
+            return real_column(algebra, module, n, args, values)
 
         def kernel(*args):
             builds.append(args)

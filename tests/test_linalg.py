@@ -9,7 +9,7 @@ from hochschild.linalg import (
     kernel_basis_sparse, quotient_basis, rank, same_subspace, solve,
 )
 
-from conftest import FractionRationals
+from conftest import FractionRationals, forward_kernel, same_vectors
 
 
 def mat(rows):
@@ -490,3 +490,61 @@ def test_rank_feeds_columns_last_to_first(monkeypatch):
     m = mat([[1, 0, 0, 1, 0], [0, 0, 2, 0, 1], [0, 0, 1, 3, 0]])
     assert rank(m) == 3
     assert fed == [m.column(j) for j in (4, 3, 2, 0)]
+
+
+# -- the row order of the kernel sweep ---------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw, entry):
+    """Sparse matrices up to 12 x 14, with empty, repeated and scaled
+    columns, so that rows are met in scattered order."""
+    rows = draw(st.integers(1, 12))
+    cols = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "empty",
+                                     "repeat"]))
+        if kind == "repeat" and cols:
+            src = cols[draw(st.integers(0, len(cols) - 1))]
+            k = draw(st.sampled_from([1, -1, 2, Fraction(3, 5)]))
+            cols.append({r: k * v for r, v in src.items()})
+        elif kind == "empty":
+            cols.append({})
+        else:
+            cols.append(draw(st.dictionaries(st.integers(0, rows - 1), entry,
+                                             max_size=4)))
+    return rows, cols
+
+
+SPARSE_FIELDS = {"QQ": (QQ, ENTRY), "GF(7)": (PrimeField(7), st.integers(-9, 9))}
+
+
+@pytest.mark.parametrize("name", SPARSE_FIELDS)
+@given(data=st.data())
+def test_kernel_matches_the_forward_row_sweep(name, data):
+    field, entry = SPARSE_FIELDS[name]
+    rows, cols = data.draw(sparse_matrices(entry))
+    vecs = [{r: field.of(v) for r, v in c.items() if field.of(v)}
+            for c in cols]
+    m = Mat(rows, len(vecs), field, {j: v for j, v in enumerate(vecs) if v})
+    got = kernel_basis_sparse(m)
+    assert same_vectors(got, forward_kernel(m))
+    _check_types(field, got)
+
+
+def test_kernel_numbers_rows_latest_first(monkeypatch):
+    # the renumbering is the whole of the gain and invisible in the
+    # kernel: reverting it must fail here, not only in a timing
+    fed = []
+    reduce = Sweep.reduce
+
+    def spy(self, vec, track=None):
+        fed.append(dict(vec))
+        return reduce(self, vec, track)
+
+    monkeypatch.setattr(Sweep, "reduce", spy)
+    m = mat([[0, 1, 1], [1, 0, 1], [0, 0, 0], [2, 3, 5]])
+    assert kernel_basis_sparse(m) == [{0: -1, 1: -1, 2: 1}]
+    # column 0 numbers rows 1 and 3 as 0 and -1; column 1 meets row 0,
+    # new, numbered -2, so it leads there at once
+    assert fed == [{0: 1, -1: 2}, {-2: 1, -1: 3}, {-2: 1, 0: 1, -1: 5}]
