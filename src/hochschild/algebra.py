@@ -1,12 +1,13 @@
 """Finite-dimensional algebras from bound-quiver presentations.
 
-`build_algebra` works in the truncated path space: for growing L it spans
-the ideal by all truncated products u*r*v and stops at the least L for
-which every path of length L falls into that span.  The span is kept as
-canonical RREF rows keyed by their lead path, so a path's normal form is
-one row lookup.  The quotient basis is the set of paths leading no row,
-which for all the worked examples is a monomial basis, and structure
-constants are the normal forms of products of basis paths.
+`build_algebra` reads kQ/I off the reduced Gröbner basis of I for a
+length-first path order: the basis is the normal words (the paths with no
+tip inside), and structure constants are the normal forms of products of
+basis paths, which for monomial relations are the concatenation or zero.
+The nilpotency bound certifies that I is admissible; input that is not is
+refused with AdmissibilityError.  A presented algebra's associativity is
+checked with the idempotents and arrows as middle factors only (Light's
+test), after certifying that they generate.
 
 Abstract algebras (split extensions, trivial extensions by arbitrary
 bimodules) are first-class: anything with structure constants and a
@@ -204,12 +205,25 @@ class Algebra:
                 if prod != want:
                     raise ValueError(f"idempotents {n1!r},{n2!r} not orthogonal")
         # the unit is the sum of the idempotents, so 1.b_j and b_j.1 are
-        # sums of structure constants
+        # sums of structure constants, gathered in the one pass over the
+        # nonzero products that also indexes them for associativity
         structure = self.structure
         idem = [idx for _, idx in self.idempotents]
+        is_idem = set(idem)
+        by_left = {}   # i -> [(j, b_i b_j)], nonzero products
+        by_right = {}  # j -> [(i, b_i b_j)]
+        unit_left = {}   # j -> the nonzero e b_j
+        unit_right = {}  # i -> the nonzero b_i e
+        for (i, j), prod in structure.items():
+            if prod:
+                by_left.setdefault(i, []).append((j, prod))
+                by_right.setdefault(j, []).append((i, prod))
+                if i in is_idem:
+                    unit_left.setdefault(j, []).append(prod)
+                if j in is_idem:
+                    unit_right.setdefault(i, []).append(prod)
 
         def unit_times(prods):
-            prods = [p for p in prods if p]
             if len(prods) == 1:
                 return prods[0]
             out = {}
@@ -219,19 +233,21 @@ class Algebra:
 
         for j in range(self.dim):
             b = {j: field.one}
-            if unit_times(structure.get((e, j)) for e in idem) != b or \
-               unit_times(structure.get((j, e)) for e in idem) != b:
+            if unit_times(unit_left.get(j, ())) != b or \
+               unit_times(unit_right.get(j, ())) != b:
                 raise ValueError("unit is not a two-sided identity")
-        # associativity on all basis triples: (b_i b_j) b_k and b_i (b_j b_k)
-        # both vanish unless b_i b_j or b_j b_k is nonzero, so per middle
-        # factor j only the nonzero products through j are expanded
-        by_left = {}   # i -> [(j, b_i b_j)], nonzero products
-        by_right = {}  # j -> [(i, b_i b_j)]
-        for (i, j), prod in self.structure.items():
-            if prod:
-                by_left.setdefault(i, []).append((j, prod))
-                by_right.setdefault(j, []).append((i, prod))
-        for j in range(self.dim):
+        # associativity: (b_i b_j) b_k = b_i (b_j b_k).  The middle factors
+        # s with (x s) y = x (s y) for all x, y form a subalgebra (Light's
+        # test), so when the idempotents and arrows generate, they suffice
+        # as middle factors; an algebra with no basis paths keeps them all.
+        # Both bracketings vanish unless b_i b_j or b_j b_k is nonzero, so
+        # per middle factor j only the nonzero products through j are
+        # expanded
+        middles = range(self.dim)
+        if self.basis_paths is not None:
+            self._check_generation()
+            middles = sorted(is_idem | set(self._arrow_indices().values()))
+        for j in middles:
             left = {}   # (i, k) -> (b_i b_j) b_k
             for i, ij in by_right.get(j, ()):
                 for m, c in ij.items():
@@ -261,6 +277,21 @@ class Algebra:
                structure.get((i, named[y])) != b:
                 raise ValueError(f"bad Peirce tag for basis vector {i}")
 
+    def _check_generation(self):
+        """Raise unless every basis path of length >= 2 is its first arrow
+        times the rest, so that the idempotents and arrows generate."""
+        if len(self.basis_paths) != self.dim:
+            raise ValueError("one basis path per basis vector is needed")
+        index = {p.arrows: k for k, p in enumerate(self.basis_paths)
+                 if p.arrows}
+        for k, p in enumerate(self.basis_paths):
+            if len(p) < 2:
+                continue
+            pair = (index.get(p.arrows[:1]), index.get(p.arrows[1:]))
+            if self.structure.get(pair) != {k: self.field.one}:
+                raise ValueError(f"basis vector {k} is not its first arrow "
+                                 "times the rest")
+
     def is_peirce_graded(self):
         return all(t is not None for t in self.peirce)
 
@@ -282,8 +313,235 @@ class Algebra:
 # bound quiver -> algebra
 
 
+def _word_key(quiver, order):
+    """Sort key of arrow words in the path order `build_algebra` uses:
+    length first, then the arrow names as `Path.sort_key` compares them
+    ("lex") or the reverse of that ("revlex").  Both are admissible
+    orders: a product of words keeps the order of its factors."""
+    if order not in ("lex", "revlex"):
+        raise ValueError(order)
+    sign = 1 if order == "lex" else -1
+    rank = {name: sign * k
+            for k, name in enumerate(sorted(quiver.arrow_by_name))}
+    return lambda word: (len(word), [rank[a] for a in word])
+
+
+def _contains(word, sub):
+    n = len(sub)
+    return any(word[s:s + n] == sub for s in range(len(word) - n + 1))
+
+
+class _GroebnerBasis:
+    """The reduced Gröbner basis of the two-sided ideal of kQ that the
+    polynomials {arrow word: scalar} generate, for the order of `key`.
+
+    `tails[tip]` is the normal form of the tip, so the basis element is
+    tip - tail: monic, no tip inside another tip, every tail normal.
+    Polynomials that are all monomials are their own basis once the words
+    containing another are dropped, with no linear algebra.  Otherwise
+    Buchberger's completion runs on the overlaps of tips, shortest overlap
+    first (Green, *Noncommutative Gröbner bases, and projective
+    resolutions*, 1999); a tip longer than cap ends it with
+    AdmissibilityError.
+    """
+
+    def __init__(self, field, key, polys, cap):
+        self.field, self.key = field, key
+        self.tails = {}
+        self.lengths = []  # the tip lengths, ascending
+        if all(len(p) == 1 for p in polys):
+            for (word,) in sorted(polys, key=lambda p: len(next(iter(p)))):
+                if self.find(word) is None:
+                    self._adopt(word, {})
+        else:
+            self._complete(polys, cap)
+        self.monomial = not any(self.tails.values())
+        self.homogeneous = all(len(w) == len(tip)
+                               for tip, tail in self.tails.items()
+                               for w in tail)
+
+    def _adopt(self, tip, tail):
+        self.tails[tip] = tail
+        if len(tip) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(tip)])
+
+    def find(self, word):
+        """(start, tip) of the leftmost tip inside word, or None."""
+        tails, size = self.tails, len(word)
+        for s in range(size):
+            for n in self.lengths:
+                if s + n > size:
+                    break
+                if word[s:s + n] in tails:
+                    return s, word[s:s + n]
+        return None
+
+    def ends_in_tip(self, word):
+        tails = self.tails
+        return any(word[-n:] in tails for n in self.lengths if n <= len(word))
+
+    def reduce(self, poly):
+        """The normal form of {word: scalar}, terms in decreasing order."""
+        field, tails = self.field, self.tails
+        poly = dict(poly)
+        out = {}
+        while poly:
+            word = max(poly, key=self.key)
+            c = poly.pop(word)
+            hit = self.find(word)
+            if hit is None:
+                out[word] = c
+                continue
+            s, tip = hit
+            u, v = word[:s], word[s + len(tip):]
+            axpy(field, poly, c, {u + w + v: d for w, d in tails[tip].items()})
+        return out
+
+    def _complete(self, polys, cap):
+        field, tails = self.field, self.tails
+        # smallest tip first, from the end of the list
+        pending = sorted(polys, key=lambda p: max(map(self.key, p)),
+                         reverse=True)
+        pairs = set()  # (overlap length, tip, tip, shared length)
+        while pending or pairs:
+            if not pending:
+                pair = min(pairs)
+                pairs.remove(pair)
+                _, a, b, k = pair
+                if a in tails and b in tails:
+                    # (a - tail_a) v - u (b - tail_b) with a v = u b
+                    u, v = a[:len(a) - k], b[k:]
+                    s = {u + w: d for w, d in tails[b].items()}
+                    axpy(field, s, field.of(-1),
+                         {w + v: d for w, d in tails[a].items()})
+                    pending.append(s)
+                continue
+            poly = self.reduce(pending.pop())
+            if not poly:
+                continue
+            tip = next(iter(poly))
+            if len(tip) > cap:
+                raise AdmissibilityError(
+                    f"Gröbner completion met a tip longer than {cap}: "
+                    "either the ideal is not admissible or the cap is too "
+                    "small")
+            scale_by = field.neg(field.inv(poly.pop(tip)))
+            # tips that contain the new one leave, and come back reduced
+            for old in [t for t in tails if _contains(t, tip)]:
+                back = {old: field.one}
+                axpy(field, back, field.of(-1), tails.pop(old))
+                pending.append(back)
+            self.lengths = sorted({len(t) for t in tails})
+            self._adopt(tip, scale(field, poly, scale_by))
+            for old, tail in tails.items():
+                if old != tip and any(_contains(w, tip) for w in tail):
+                    tails[old] = self.reduce(tail)
+            for old in tails:
+                for a, b in dict.fromkeys([(tip, old), (old, tip)]):
+                    for k in range(1, min(len(a), len(b))):
+                        if a[len(a) - k:] == b[:k]:
+                            pairs.add((len(a) + len(b) - k, a, b, k))
+
+
+def _words(presentation):
+    """The relations as {arrow word: scalar}."""
+    return [{p.arrows: c for p, c in r.terms.items()}
+            for r in presentation.relations]
+
+
+def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
+    """Concrete algebra for a bound-quiver presentation kQ/I.
+
+    The basis is the normal words of the reduced Gröbner basis of I in
+    the path order of `order` (see `_word_key`), grown arrow by arrow from
+    the vertices: a word is dropped as soon as a tip is its suffix.  A
+    product of basis paths is their concatenation, looked up among the
+    basis words, and reduced only when it is not normal; for monomial
+    relations that reduction is zero, with no linear algebra.
+
+    The nilpotency is the least L >= 2 at which every path of length L
+    reduces to zero.  With homogeneous relations that is one more than the
+    longest basis word; otherwise the powers of the arrow span are swept
+    until they vanish, which can take longer.  kQ/I must be admissible:
+    AdmissibilityError is raised when no L <= cap certifies it.  So the
+    loop x with relation x*x - x*x*x, whose kQ/I = k[x]/(x^2 - x^3) is
+    k[x]/(x^2) x k, is refused rather than read in the completed path
+    algebra, where 1 - x is a unit and the quotient is k[x]/(x^2).
+    """
+    for r in presentation.relations:
+        if not r.is_relation_form():
+            raise ValueError("relations must lie in the square of the arrow ideal")
+    quiver, field = presentation.quiver, presentation.field
+    one = field.one
+    gb = _GroebnerBasis(field, _word_key(quiver, order), _words(presentation),
+                        cap)
+    refused = AdmissibilityError(
+        f"no nilpotency bound found with L <= {cap}: "
+        "either the ideal is not admissible or the cap is too small")
+
+    basis = [quiver.trivial_path(v) for v in sorted(quiver.vertices)]
+    layer = basis
+    while layer:
+        grown = sorted((p.arrows + (a.name,), p.source, a.target)
+                       for p in layer for a in quiver.arrows_from(p.target)
+                       if not gb.ends_in_tip(p.arrows + (a.name,)))
+        if grown and len(grown[0][0]) >= cap:
+            raise refused
+        layer = [Path(s, t, word) for word, s, t in grown]
+        basis.extend(layer)
+    index = {p.arrows: k for k, p in enumerate(basis) if p.arrows}
+
+    by_source = {}
+    for j, p in enumerate(basis):
+        by_source.setdefault(p.source, []).append((j, p.arrows))
+    forms = {}  # non-normal product word -> its coordinates
+    structure = {}
+    for i, p1 in enumerate(basis):
+        w1 = p1.arrows
+        for j, w2 in by_source[p1.target]:
+            if not w1 or not w2:
+                structure[(i, j)] = {j if not w1 else i: one}
+                continue
+            w = w1 + w2
+            k = index.get(w)
+            if k is not None:
+                structure[(i, j)] = {k: one}
+            elif not gb.monomial:
+                got = forms.get(w)
+                if got is None:
+                    # coordinates in increasing path order
+                    got = forms[w] = {index[x]: c for x, c in
+                                      reversed(gb.reduce({w: one}).items())}
+                if got:
+                    structure[(i, j)] = got
+
+    idempotents = [(p.source, k) for k, p in enumerate(basis) if not p.arrows]
+    peirce = [(p.source, p.target) for p in basis]
+    labels = [p.label() for p in basis]
+    algebra = Algebra(field, labels, structure, idempotents, peirce,
+                      presentation=presentation, basis_paths=basis,
+                      nilpotency=max(2, len(basis[-1]) + 1))
+    if not gb.homogeneous:
+        # the products of L arrows span the L-th power of the arrow ideal;
+        # sweep the powers until one vanishes
+        arrows = [{index[(a.name,)]: one} for a in quiver.arrows]
+        level, nilpotency = arrows, 1
+        while level:
+            nilpotency += 1
+            if nilpotency > cap:
+                raise refused
+            level = echelon_basis([algebra.multiply_coords(v, a)
+                                   for v in level for a in arrows], field)
+        algebra.nilpotency = nilpotency
+    return algebra
+
+
 class _TruncatedIdeal:
-    """Span of the relation ideal inside paths of length <= L.
+    """Span of the relation ideal inside paths of length <= L, which is
+    the ideal of the completed path algebra read modulo paths longer than
+    L.  Kept for relext's membership test of its square generators, whose
+    meaning is this truncation, and as the tests' row-walk reference of
+    `build_algebra`.
 
     `rows[lead]` is the span's canonical RREF row with that lead
     coordinate: 1 at its lead and 0 at every other lead.  A coordinate is
@@ -314,8 +572,7 @@ class _TruncatedIdeal:
         n = len(ordered)
         self.coord = {p: n - 1 - i for i, p in enumerate(ordered)}
         self.from_coord = {c: p for p, c in self.coord.items()}
-        self.gen_vectors = []          # plain ideal generators u*r*v
-        self.gen_meta = []             # (len(u) + len(v), (source, target))
+        self.gen_vectors = []          # the truncated products u*r*v
         self._build_generators(presentation)
         self.rows = {min(row): row
                      for row in echelon_basis(self.gen_vectors, self.field)}
@@ -347,20 +604,6 @@ class _TruncatedIdeal:
                                 del vec[self.coord[w]]
                     if vec:
                         self.gen_vectors.append(vec)
-                        self.gen_meta.append((len(u) + len(v), (u.source, v.target)))
-
-    def path_sum_vector(self, ps):
-        vec = {}
-        for p, c in ps.terms.items():
-            if len(p) > self.L:
-                continue
-            cur = vec.get(self.coord[p])
-            c2 = self.field.add(cur, c) if cur is not None else c
-            if c2:
-                vec[self.coord[p]] = c2
-            elif self.coord[p] in vec:
-                del vec[self.coord[p]]
-        return vec
 
     def normal_form(self, path):
         """{path: scalar}, the normal form of a path of length <= L: the
@@ -373,74 +616,6 @@ class _TruncatedIdeal:
             return {path: self.field.one}
         neg, from_coord = self.field.neg, self.from_coord
         return {from_coord[k]: neg(v) for k, v in row.items() if k != c}
-
-
-def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
-    """Concrete algebra for a bound-quiver presentation.
-
-    Certifies admissibility by locating the least L <= cap with every
-    length-L path inside the truncated ideal span, and records that L as
-    the nilpotency bound.
-
-    The truncated span computes the quotient of the completed path
-    algebra, in which 1 - x is a unit for x in the arrow ideal, not kQ/I
-    itself: the loop x with relation x*x - x*x*x gives k[x]/(x^2) (dim 2,
-    nilpotency 2), because x^3 is truncated away at L = 2, whereas
-    kQ/I = k[x]/(x^2 - x^3) is k[x]/(x^2) x k, which is not admissible.
-    """
-    for r in presentation.relations:
-        if not r.is_relation_form():
-            raise ValueError("relations must lie in the square of the arrow ideal")
-    last = None
-    for L in range(2, cap + 1):
-        ideal = _TruncatedIdeal(presentation, L, order=order)
-        # a length-L path lies in the span iff it leads a row of itself alone
-        if not any(ideal.normal_form(p) for p in ideal.paths if len(p) == L):
-            last = ideal
-            break
-    if last is None:
-        raise AdmissibilityError(
-            f"no nilpotency bound found with L <= {cap}: "
-            "either the ideal is not admissible or the cap is too small")
-    basis = [p for p in last.ordered
-             if last.coord[p] not in last.rows and len(p) < last.L]
-    basis.sort(key=Path.sort_key)
-    index = {p: i for i, p in enumerate(basis)}
-    # sanity: all trivial paths and all arrows survive in an admissible quotient
-    for v in presentation.quiver.vertices:
-        if presentation.quiver.trivial_path(v) not in index:
-            raise AdmissibilityError("a trivial path died; presentation inconsistent")
-
-    field = presentation.field
-    one = field.one
-    by_source = {}
-    for j, p in enumerate(basis):
-        by_source.setdefault(p.source, []).append((j, p))
-    structure = {}
-    for i, p1 in enumerate(basis):
-        for j, p2 in by_source.get(p1.target, ()):
-            w = compose(p1, p2)
-            k = index.get(w)
-            if k is not None:
-                structure[(i, j)] = {k: one}
-            elif len(w) <= last.L:
-                # (a longer product contains a length-L subpath, hence lies
-                # in the ideal)
-                coords = {index[p]: c for p, c in last.normal_form(w).items()}
-                if coords:
-                    structure[(i, j)] = coords
-
-    idempotents = [(v, index[presentation.quiver.trivial_path(v)])
-                   for v in sorted(presentation.quiver.vertices)]
-    peirce = [(p.source, p.target) for p in basis]
-    labels = [p.label() for p in basis]
-    algebra = Algebra(field, labels, structure, idempotents, peirce,
-                      presentation=presentation, basis_paths=basis,
-                      nilpotency=last.L)
-    # the certified ideal, kept for system_of_relations, which reads it in
-    # lex order
-    algebra._lex_ideal = last if order == "lex" else None
-    return algebra
 
 
 def multiply(a, b):
@@ -481,7 +656,12 @@ def system_of_relations(source, cap=DEFAULT_CAP):
     building it again; cap is then unused).  Lifts a basis of
     I/(J*I + I*J), J the arrow ideal, preferring the input relations as
     lifts while they stay independent; works per (source, target) graded
-    piece in vertex order.
+    piece in vertex order.  The input relations span that quotient, so the
+    lifts are the relations independent of the ones before them modulo
+    J*I + I*J, read from normal forms modulo its reduced Gröbner basis.
+    For monomial relations no such basis is needed: the lifts are the
+    relations containing no other relation as a proper subword (the tips
+    of the basis of I), each kept at its first occurrence.
     """
     if isinstance(source, Algebra):
         algebra, presentation = source, source.presentation
@@ -489,27 +669,41 @@ def system_of_relations(source, cap=DEFAULT_CAP):
             raise ValueError("algebra has no presentation")
     else:
         algebra, presentation = build_algebra(source, cap=cap), source
-    ideal = getattr(algebra, "_lex_ideal", None) or \
-        _TruncatedIdeal(presentation, algebra.nilpotency)
-    field = presentation.field
-
-    # span of J*I + I*J in the truncated model: padded generators suffice,
-    # because the truncation kernel I n (kQ+)^{L+1} already lies in J*I
-    top = [v for v, (pad, _) in zip(ideal.gen_vectors, ideal.gen_meta) if pad >= 1]
-    top_ech = echelon_basis(top, field)
-
-    # I/(J*I + I*J) is spanned by the classes of the input relations, so a
-    # minimal generating set is an independent subset of them, per piece
+    quiver, field = presentation.quiver, presentation.field
+    key = _word_key(quiver, "lex")
+    rels = _words(presentation)
     pieces = sorted({r.endpoints() for r in presentation.relations})
     chosen = []
+    if all(len(poly) == 1 for poly in rels):
+        # J*I + I*J is spanned by the paths with a relation as a proper
+        # subword, so a relation lies outside it exactly when its word is
+        # a tip of the basis of I; a repeated word is dependent
+        tips = set(_GroebnerBasis(field, key, rels, cap).tails)
+        for piece in pieces:
+            for rel, (word,) in zip(presentation.relations, rels):
+                if rel.endpoints() == piece and word in tips:
+                    tips.remove(word)
+                    chosen.append(rel)
+        return chosen
+    # J*I + I*J is generated by a*r and r*a, a an arrow and r a relation
+    padded = []
+    for rel, poly in zip(presentation.relations, rels):
+        src, tgt = rel.endpoints()
+        for a in quiver.arrows:
+            if a.target == src:
+                padded.append({(a.name,) + w: c for w, c in poly.items()})
+            if a.source == tgt:
+                padded.append({w + (a.name,): c for w, c in poly.items()})
+    # it contains every path longer than the nilpotency bound, so its
+    # reduced basis has tips at most one longer; the completion gets room
+    # for padded relations longer than that
+    longest = max((len(w) for poly in padded for w in poly), default=0)
+    gb = _GroebnerBasis(field, key, padded, algebra.nilpotency + longest)
     for piece in pieces:
         sweep = Sweep(field)
-        for row in top_ech:
-            sweep.insert(row)
-        for rel in presentation.relations:
-            if rel.endpoints() != piece:
-                continue
-            if sweep.insert(ideal.path_sum_vector(rel)) is not None:
+        for rel, poly in zip(presentation.relations, rels):
+            if rel.endpoints() == piece and \
+               sweep.insert(gb.reduce(poly)) is not None:
                 chosen.append(rel)
     return chosen
 

@@ -181,27 +181,52 @@ class PartialResolution(RankedComplex):
         return col
 
     def differential_matrix(self, n):
-        """d^n: P^n -> P^{n-1} on the concrete bases."""
+        """d^n: P^n -> P^{n-1} on the concrete bases.
+
+        The column at b_i (x) b_j of a summand is sum coeff * b_i u (x)
+        v b_j over its terms.  b_i u and v b_j are read from the algebra's
+        multiplication tables once per term, and each summand's columns
+        are written in one pass over its terms, at base + i_pos *
+        len(rights) + j_pos.
+        """
         A = self.algebra
-        one = A.field.one
+        field = A.field
+        left, right = A._mult_tables()
         pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
         cols = {}
-        col_idx = 0
+        base = 0
         for s_idx, (a, b) in enumerate(self.summands[n]):
             lefts, rights = self._sides(a, b)
-            # b_i u and v b_j once per term of this summand, not per column
-            terms = [(y_idx,
-                      {i: A.multiply_coords({i: one}, u) for i in lefts},
-                      {j: A.multiply_coords(v, {j: one}) for j in rights},
-                      coeff)
-                     for y_idx, u, v, coeff in self.terms[n][s_idx]]
-            for i, j in product(lefts, rights):
-                col = self._image(n, pos, [(y_idx, ui[i], vj[j], coeff)
-                                           for y_idx, ui, vj, coeff in terms])
-                if col:
-                    cols[col_idx] = col
-                col_idx += 1
-        return Mat(len(pos), col_idx, A.field, cols)
+            width = len(rights)
+            block = {}
+            for y_idx, u, v, coeff in self.terms[n][s_idx]:
+                us = [(p, _times(field, left[i], u))
+                      for p, i in enumerate(lefts)]
+                vs = [(q, _times(field, right[j], v))
+                      for q, j in enumerate(rights)]
+                vs = [(q, vj) for q, vj in vs if vj]
+                for p, ui in us:
+                    for q, vj in (vs if ui else ()):
+                        col = block.setdefault(base + p * width + q, {})
+                        for bi, cu in ui.items():
+                            for bj, cv in vj.items():
+                                key = pos.get((y_idx, bi, bj))
+                                if key is None:
+                                    raise AssertionError(
+                                        f"d^{n} left the basis of P^{n - 1} "
+                                        f"at {(y_idx, bi, bj)}")
+                                w = field.add(
+                                    col.get(key, field.zero),
+                                    field.mul(field.mul(cu, cv), coeff))
+                                if w:
+                                    col[key] = w
+                                elif key in col:
+                                    del col[key]
+            for c in sorted(block):
+                if block[c]:
+                    cols[c] = block[c]
+            base += len(lefts) * width
+        return Mat(len(pos), base, field, cols)
 
     def certify(self):
         """Raise AssertionError unless P^3 -> P^2 -> P^1 -> P^0 -> A is a
@@ -242,6 +267,17 @@ class PartialResolution(RankedComplex):
             raise AssertionError("resolution is not exact at P^0")
         if rank(d[2]) != d[2].rows - rank1:
             raise AssertionError("resolution is not exact at P^1")
+
+
+def _times(field, table, x):
+    """sum of x[m] * table[m]: a basis vector times the element x, read
+    from the basis vector's row of a multiplication table."""
+    out = {}
+    for m, c in x.items():
+        prod = table.get(m)
+        if prod:
+            axpy(field, out, c, prod)
+    return out
 
 
 def build_partial_resolution(algebra):

@@ -1,11 +1,12 @@
 """Shared corpus: the six bundled algebras, built once per session; the
 presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
-Nakayama, hereditary A_n) and a twisted, non-Peirce-graded regular
-module; the all-Fraction Q field; the row-walk reference of build_algebra;
-the forward-row reference of the kernel sweep; the hypothesis profile of
-the suite."""
+Nakayama, hereditary A_n, commutative ladders, seeded random monomial)
+and a twisted, non-Peirce-graded regular module; the all-Fraction Q
+field; the row-walk reference of build_algebra; the forward-row
+reference of the kernel sweep; the hypothesis profile of the suite."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from hochschild.algebra import _TruncatedIdeal, algebra_morphism, build_algebra
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
 from hochschild.linalg import QQ, Mat, Rationals, Sweep, reduce_mod
-from hochschild.quiver import Path, Presentation, Quiver, compose, parse_relation
+from hochschild.quiver import (
+    Path, PathSum, Presentation, Quiver, compose, parse_relation, paths_up_to,
+)
 
 # Property tests draw the same examples on every run, and a fixed number
 # of them, so the suite stays deterministic and its wall time steady.
@@ -249,6 +252,32 @@ def hereditary_arrows(n, shortcut=False):
 
 def hereditary_presentation(n, shortcut=False, field=QQ):
     return family_presentation(*hereditary_arrows(n, shortcut), [], field)
+
+
+def commutative_ladder_presentation(m, field=QQ):
+    """Two rows of m vertices, arrows along the rows and down the rungs,
+    every square commuting: the incidence algebra of the poset 2 x m."""
+    vertices = [f"{i}_{j}" for i in range(2) for j in range(m)]
+    arrows = [(f"h{i}_{j}", f"{i}_{j}", f"{i}_{j + 1}")
+              for i in range(2) for j in range(m - 1)]
+    arrows += [(f"v{j}", f"0_{j}", f"1_{j}") for j in range(m)]
+    rels = [f"h0_{j}*v{j + 1} - v{j}*h1_{j}" for j in range(m - 1)]
+    return family_presentation(vertices, arrows, rels, field)
+
+
+def random_monomial_presentation(seed, field=QQ):
+    """Eight random arrows between six vertices, each from a lower vertex
+    to a higher one, and each path of length 2 or 3 a relation with
+    probability 0.4, so some relations contain others."""
+    rng = random.Random(seed)
+    arrows = []
+    for k in range(8):
+        s = rng.randrange(5)
+        arrows.append((f"a{k}", str(s), str(rng.randrange(s + 1, 6))))
+    quiver = Quiver([str(v) for v in range(6)], arrows)
+    return Presentation(quiver, field, [
+        PathSum({p: 1}, field) for p in paths_up_to(quiver, 3)
+        if len(p) >= 2 and rng.random() < 0.4])
 
 
 def twisted_regular(alg):

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from hochschild.algebra import (
-    AdmissibilityError, AlgElement, Algebra, _TruncatedIdeal, algebra_morphism,
+    DEFAULT_CAP, AdmissibilityError, AlgElement, Algebra, _GroebnerBasis,
+    _TruncatedIdeal, _contains, _word_key, _words, algebra_morphism,
     build_algebra, center_basis, is_triangular, system_of_relations,
 )
 from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
@@ -14,10 +15,11 @@ from hochschild.quiver import Presentation, Quiver, parse_relation
 from hochschild.relext import relation_extension_algebra
 
 from conftest import (
-    PRESENTATIONS, FractionRationals, cyclic_nakayama_presentation,
-    hereditary_presentation, loops_presentation, quantum_plane_presentation,
-    row_walk_algebra, row_walk_contains, square_presentation,
-    structure_entries, truncated_presentation,
+    PRESENTATIONS, FractionRationals, commutative_ladder_presentation,
+    cyclic_nakayama_presentation, hereditary_presentation,
+    loops_presentation, quantum_plane_presentation,
+    random_monomial_presentation, row_walk_algebra, row_walk_contains,
+    square_presentation, structure_entries, truncated_presentation,
 )
 
 
@@ -142,6 +144,16 @@ def test_system_of_relations_loop():
     assert rels[0].paths()[0].arrows == ("x", "x")
 
 
+def test_system_of_relations_commutative_square():
+    # a commutativity relation with no arrow into its source or out of its
+    # target: J*I + I*J is zero, and the relation is its own lift
+    q = Quiver(["1", "2", "3", "4"], [
+        ("a", "1", "2"), ("b", "1", "3"), ("c", "2", "4"), ("d", "3", "4")])
+    pres = Presentation(q, relations=[parse_relation("a*c - b*d", q),
+                                      parse_relation("2*b*d - 2*a*c", q)])
+    assert system_of_relations(pres) == pres.relations[:1]
+
+
 def test_redundant_relation_dropped():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     pres = Presentation(q, relations=[
@@ -159,22 +171,21 @@ def test_system_of_relations_of_the_algebra(corpus):
 
 
 def test_system_of_relations_reuses_the_certified_ideal(monkeypatch):
-    # a lex-built algebra carries the ideal build_algebra certified; a
-    # revlex-built one is rebuilt in lex order, and gives the same list
+    # the list is read from Gröbner normal forms: no truncated span is
+    # built for the algebra or for the list, in either order, and both
+    # orders give the same list
     import hochschild.algebra as algebra_module
     real = algebra_module._TruncatedIdeal
     built = []
+    monkeypatch.setattr(algebra_module, "_TruncatedIdeal",
+                        lambda *args, **kw: built.append(args[1]) or
+                        real(*args, **kw))
     for make in PRESENTATIONS.values():
         pres = make()
         lex, revlex = build_algebra(pres), build_algebra(pres, order="revlex")
-        built.clear()
-        monkeypatch.setattr(algebra_module, "_TruncatedIdeal",
-                            lambda *args: built.append(args[1]) or real(*args))
-        got = system_of_relations(lex)
-        assert built == []
-        assert system_of_relations(revlex) == got
-        assert built == [revlex.nilpotency]
-        monkeypatch.undo()
+        assert system_of_relations(revlex) == system_of_relations(lex)
+        assert system_of_relations(pres) == system_of_relations(lex)
+    assert built == []
 
 
 def test_system_of_relations_needs_a_presentation(nakayama_c):
@@ -205,8 +216,10 @@ def mixed_length_presentations(field):
 
 
 def reference_presentations():
-    """The corpus, the bundled files over Q and GF(7), and the mixed-length
-    presentations over Q, GF(7), GF(2) and the all-Fraction Q."""
+    """The corpus, the bundled files over Q and GF(7), the mixed-length
+    presentations over Q, GF(7), GF(2) and the all-Fraction Q, the
+    generated families over Q, GF(7) and GF(2), a commutative ladder and
+    three seeded random monomial presentations."""
     cases = [(name, make()) for name, make in PRESENTATIONS.items()]
     for name in BUNDLED:
         for tag in ("Q", "Fp:7"):
@@ -215,6 +228,12 @@ def reference_presentations():
     for field in (QQ, PrimeField(7), PrimeField(2), FractionRationals()):
         for k, pres in enumerate(mixed_length_presentations(field)):
             cases.append((f"mixed{k} {field!r}", pres))
+    cases += [(f"{name}-{tag}", make(field))
+              for name, make in FAMILIES.items()
+              for tag, field in FIELDS.items()]
+    cases.append(("ladder3", commutative_ladder_presentation(3)))
+    cases += [(f"random{seed}", random_monomial_presentation(seed))
+              for seed in (1, 2, 3)]
     return cases
 
 
@@ -230,6 +249,65 @@ def test_structure_constants_equal_the_row_walk(order):
         assert alg.basis_paths == basis, name
         assert structure_entries(alg.structure) == \
             structure_entries(structure), name
+
+
+def _groebner(pres, order):
+    return _GroebnerBasis(pres.field, _word_key(pres.quiver, order),
+                          _words(pres), DEFAULT_CAP)
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_groebner_basis_is_reduced(order):
+    # tip - tail is monic with its tip leading, no tip lies inside another
+    # tip, every tail is normal; the relations reduce to zero, and so does
+    # every overlap of two tips (Buchberger's criterion)
+    tails_seen = 0
+    for name, pres in reference_presentations():
+        gb = _groebner(pres, order)
+        key, tails = gb.key, gb.tails
+        for tip, tail in tails.items():
+            assert all(key(w) < key(tip) for w in tail), (name, tip)
+            assert all(gb.find(w) is None for w in tail), (name, tip)
+            assert not [t for t in tails if t != tip and _contains(tip, t)]
+            tails_seen += bool(tail)
+        for rel in _words(pres):
+            assert gb.reduce(rel) == {}, name
+        for a in tails:
+            for b in tails:
+                for k in range(1, min(len(a), len(b))):
+                    if a[len(a) - k:] != b[:k]:
+                        continue
+                    u, v = a[:len(a) - k], b[k:]
+                    lhs = gb.reduce({x + v: c for x, c in tails[a].items()})
+                    rhs = gb.reduce({u + x: c for x, c in tails[b].items()})
+                    assert lhs == rhs, (name, a, b, k)
+    # some basis element has a tail
+    assert tails_seen
+
+
+def test_monomial_basis_is_its_subword_minimal_relations(monkeypatch):
+    # a monomial presentation is its own basis once relations containing
+    # another are dropped, and building the algebra reduces nothing
+    steps = []
+    real = _GroebnerBasis.reduce
+    monkeypatch.setattr(_GroebnerBasis, "reduce",
+                        lambda self, poly: steps.append(poly) or
+                        real(self, poly))
+    dropped = 0
+    for name, pres in reference_presentations():
+        words = [w for poly in _words(pres) for w in poly]
+        if len(words) != len(pres.relations):
+            continue
+        minimal = {w for w in words
+                   if not any(len(x) < len(w) and _contains(w, x)
+                              for x in words)}
+        dropped += len(set(words) - minimal)
+        for order in ("lex", "revlex"):
+            assert _groebner(pres, order).tails == \
+                {w: {} for w in minimal}, name
+            build_algebra(pres, order=order)
+            assert steps == [], name
+    assert dropped
 
 
 @pytest.mark.parametrize("order", ["lex", "revlex"])
@@ -271,16 +349,18 @@ def test_truncated_ideal_keeps_one_table_of_rows():
         assert not set(row) & (ideal.rows.keys() - {lead})
 
 
-def test_truncation_reads_the_completed_path_algebra():
-    # at L = 2 the term x*x*x is truncated away, so x*x lies in the span:
-    # the answer is k[x]/(x^2), the quotient of the completed path algebra,
-    # where 1 - x is a unit.  kQ/I = k[x]/(x^2 - x^3) is k[x]/(x^2) x k,
-    # which is not admissible
+def test_non_admissible_presentation_is_refused():
+    # kQ/I = k[x]/(x^2 - x^3) is k[x]/(x^2) x k: x*x reduces to x*x*x and
+    # never to zero, so no nilpotency bound exists and the input is refused
+    # (the truncated span would read k[x]/(x^2), the quotient of the
+    # completed path algebra, where 1 - x is a unit)
     q = Quiver(["v"], [("x", "v", "v")])
-    alg = build_algebra(Presentation(q, relations=[
-        parse_relation("x*x - x*x*x", q)]))
-    assert (alg.dim, alg.nilpotency, alg.labels) == (2, 2, ["e_v", "x"])
-    assert (1, 1) not in alg.structure
+    pres = Presentation(q, relations=[parse_relation("x*x - x*x*x", q)])
+    for order in ("lex", "revlex"):
+        with pytest.raises(AdmissibilityError, match="not admissible"):
+            build_algebra(pres, order=order)
+    with pytest.raises(AdmissibilityError):
+        system_of_relations(pres)
 
 
 def test_relation_extension_keeps_its_square_generators():
@@ -466,6 +546,57 @@ def test_associativity_failure_names_a_failing_triple(n):
         assert triple in failing
         raised += 1
     assert raised >= 2
+
+
+@pytest.mark.parametrize("name", ["A_8", "ex3_8_B"])
+def test_light_test_catches_what_every_middle_factor_caught(name):
+    # A presented algebra is checked with idempotent and arrow middle
+    # factors only, once every basis path is certified to be its first
+    # arrow times the rest.  Products with a factor of length >= 2 are
+    # raised by one at one coordinate: on A_8 b_{a1} * b_{a2 a3} and
+    # b_{a1 a2} * b_{a3} first, then random ones.  Whenever some basis
+    # triple fails, the check over every middle factor raises, and so
+    # does the presented check: from the certificate, or naming a failing
+    # triple whose middle factor is an idempotent or an arrow.
+    alg = _linear_a(8) if name == "A_8" else \
+        build_algebra(load_bundled(name)[1])
+    field = alg.field
+    index = {p.label(): k for k, p in enumerate(alg.basis_paths)}
+    generators = {k for k, p in enumerate(alg.basis_paths) if len(p) < 2}
+    longer = [(i, j) for (i, j), prod in alg.structure.items()
+              if prod and {i, j} <= set(alg.radical_indices)
+              and not {i, j} <= generators]
+    first = [(index["a1"], index["a2*a3"]), (index["a1*a2"], index["a3"])] \
+        if name == "A_8" else []
+    caught = set()
+    rng = random.Random(alg.dim)
+    for key in first + rng.sample(longer, min(10, len(longer))):
+        structure = {pair: dict(prod) for pair, prod in alg.structure.items()}
+        prod = structure[key]
+        k = next(iter(prod))
+        prod[k] = field.add(prod[k], field.one)
+        if not prod[k]:
+            del prod[k]
+        args = (field, alg.labels, structure, alg.idempotents, alg.peirce)
+        failing = _failing_triples(Algebra(*args, check=False))
+        if not failing:
+            continue
+        with pytest.raises(ValueError, match="associativity fails"):
+            Algebra(*args)
+        with pytest.raises(ValueError) as info:
+            Algebra(*args, presentation=alg.presentation,
+                    basis_paths=alg.basis_paths, nilpotency=alg.nilpotency)
+        message = str(info.value)
+        if "first arrow times the rest" in message:
+            caught.add("certificate")
+            continue
+        assert "associativity fails" in message
+        triple = tuple(int(x) for x in re.findall(r"\d+", message))
+        assert triple in failing and triple[1] in generators
+        caught.add("middle factor")
+    # ex3_8_B has no certified product with a factor of length >= 2
+    assert caught == {"certificate", "middle factor"} if name == "A_8" \
+        else caught == {"middle factor"}
 
 
 # -- unit and Peirce checks ------------------------------------------------

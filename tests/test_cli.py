@@ -257,6 +257,22 @@ def test_bimodule_file_with_bad_labels_exits_2(tmp_path, capsys, labels):
     assert "labels" in capsys.readouterr().err
 
 
+def test_non_admissible_presentation_exits_2(tmp_path):
+    # k[x]/(x^2 - x^3) is k[x]/(x^2) x k, not admissible: refused
+    f = tmp_path / "idempotent_quotient.json"
+    f.write_text(json.dumps({
+        "field": "Q", "vertices": ["v"],
+        "arrows": [{"name": "x", "from": "v", "to": "v"}],
+        "relations": ["x*x - x*x*x"],
+    }))
+    proc = run_cli("hh", str(f))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "not admissible" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 def test_cap_exceeded_exits_2():
     proc = run_cli("hh", data_path("ex3_5_C"), "--max-degree", "3",
                    "--cap", "100")

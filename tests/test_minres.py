@@ -370,6 +370,49 @@ def test_builders_match_per_column_loops(corpus, name):
             _reference_hom_differential(res, n)
 
 
+def _per_column_differential(res, n):
+    """d^n as it was assembled one column at a time: b_i u and v b_j by
+    multiply_coords once per summand, and one image per column."""
+    A = res.algebra
+    one = A.field.one
+    pos = {t: k for k, t in enumerate(res.projective_basis(n - 1))}
+    cols = {}
+    col_idx = 0
+    for s_idx, (a, b) in enumerate(res.summands[n]):
+        lefts, rights = res._sides(a, b)
+        terms = [(y_idx,
+                  {i: A.multiply_coords({i: one}, u) for i in lefts},
+                  {j: A.multiply_coords(v, {j: one}) for j in rights},
+                  coeff)
+                 for y_idx, u, v, coeff in res.terms[n][s_idx]]
+        for i in lefts:
+            for j in rights:
+                col = res._image(n, pos, [(y_idx, ui[i], vj[j], coeff)
+                                          for y_idx, ui, vj, coeff in terms])
+                if col:
+                    cols[col_idx] = col
+                col_idx += 1
+    return Mat(len(pos), col_idx, A.field, cols)
+
+
+@pytest.mark.parametrize("name", MONOMIAL + list(GENERATED))
+def test_differentials_equal_the_per_column_assembly(corpus, name):
+    # each summand's columns are written in one pass over its terms; the
+    # matrices equal the per-column assembly entry for entry, with the
+    # same column order, entry order and scalar types
+    alg = corpus[name] if name in corpus else \
+        build_algebra(GENERATED[name]())
+    res = build_partial_resolution(alg)
+
+    def listed(m):
+        return (m.rows, m.cols, [(j, [(k, type(v), v) for k, v in col.items()])
+                                 for j, col in m.columns_items()])
+
+    for n in (1, 2, 3):
+        assert listed(res.differential_matrix(n)) == \
+            listed(_per_column_differential(res, n))
+
+
 @pytest.mark.parametrize("name", MONOMIAL + list(GENERATED))
 def test_resolution_representatives_are_the_old_quotient(corpus, name):
     # CohomologySpace on the resolution gives the representatives the
