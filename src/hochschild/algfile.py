@@ -13,7 +13,7 @@ an already-built algebra:
      "right": [matrix, ...],
      "labels": [...optional...]}
 
-with matrices as nested lists of exact rational strings.
+with matrices as nested lists of exact rational strings (or integers).
 """
 
 import hashlib
@@ -56,11 +56,11 @@ def parse_algebra_file(data, expect_field=None):
         raise AlgebraFileError(f"field tag must be a string, not {field_tag!r}")
     field = field_from_tag(field_tag)
     # vertex and arrow names are sorted and joined into labels
-    if not isinstance(vertices, list) or not (
+    if not isinstance(vertices, list) or not vertices or not (
             all(type(v) is str for v in vertices)
             or all(type(v) is int for v in vertices)):
-        raise AlgebraFileError("vertices must be a list of all strings or "
-                               "all integers")
+        raise AlgebraFileError("vertices must be a nonempty list of all "
+                               "strings or all integers")
     try:
         arrows = [(a["name"], a["from"], a["to"]) for a in arrows]
         for name, _, _ in arrows:
@@ -124,6 +124,10 @@ def parse_bimodule_file(data, algebra):
                 or not all(isinstance(r, list) and len(r) == dim
                            for r in rows):
             raise AlgebraFileError("action matrix has the wrong shape")
+        # exact entries only: a float or a bool would be coerced silently
+        if not all(type(v) in (str, int) for row in rows for v in row):
+            raise AlgebraFileError("action matrix entries must be rational "
+                                   "strings or integers")
         try:
             return Mat.from_rows([[field.of(v) for v in row] for row in rows],
                                  field)

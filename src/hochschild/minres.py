@@ -13,9 +13,11 @@ route to hh^0..hh^2 used to cross-check the cochain engine.
 Each d^n is the A-A-bilinear extension of the images of the summand
 generators e_a (x) e_b, kept in `PartialResolution.terms`.
 `PartialResolution.certify` checks mu o d^1, d^1 o d^2 and d^2 o d^3 on
-the generators alone, which is enough (its docstring gives the
-argument), and exactness at P^0 and P^1 from the ranks of d^1 and d^2,
-the only differentials it builds as matrices over the basis b_i (x) b_j.
+the generators alone, by bilinear products of their terms, and exactness
+at P^0 and P^1 from the ranks of d^1 and d^2 on the one-sided complex
+P^* (x)_A A/J = A (x)_E kAP_n, the minimal resolution of A/J of
+Green-Happel-Zacharia; its docstring gives both arguments.  No matrix is
+built over the bimodule basis b_i (x) b_j.
 
 The resolution is also the complex Hom_{A-A}(P^*, A) that the route
 reads: in degree n a vector lives on the Hom blocks (+) e_a A e_b over
@@ -27,7 +29,6 @@ representatives are Hom-block vectors, since no cochain maps into it.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import system_of_relations
 from .bimodule import regular_bimodule
@@ -110,11 +111,6 @@ class PartialResolution(RankedComplex):
         self._blocks = {}
         self._spaces = {}  # n -> CohomologySpace, see hh_via_resolution
         self.ranks = {}
-        # basis indices of A by target and by source, for _sides
-        self._by_target, self._by_source = {}, {}
-        for i, (x, y) in enumerate(self.algebra.peirce):
-            self._by_target.setdefault(y, []).append(i)
-            self._by_source.setdefault(x, []).append(i)
 
     @property
     def module(self):
@@ -148,85 +144,46 @@ class PartialResolution(RankedComplex):
     def embed(self, n, vec):
         return dict(vec)
 
-    def _sides(self, a, b):
-        """Basis indices i with t(b_i) = a, and j with s(b_j) = b."""
-        return self._by_target.get(a, []), self._by_source.get(b, [])
+    def _one_sided(self, n):
+        """d^n (x)_A A/J: P^n (x)_A A/J -> P^{n-1} (x)_A A/J.
 
-    def projective_basis(self, n):
-        """Concrete basis (summand, i, j) of P^n: u (x) v with t(u) = a,
-        s(v) = b."""
-        return [(s_idx, i, j)
-                for s_idx, (a, b) in enumerate(self.summands[n])
-                for i, j in product(*self._sides(a, b))]
-
-    def _image(self, n, pos, terms):
-        """sum coeff * u (x) v over terms (y_index, u, v, coeff) of d^n, as
-        a vector on the concrete basis pos of P^{n-1}."""
-        field = self.algebra.field
-        col = {}
-        for y_idx, u, v, coeff in terms:
-            for bi, cu in u.items():
-                for bj, cv in v.items():
-                    key = pos.get((y_idx, bi, bj))
-                    if key is None:
-                        raise AssertionError(
-                            f"d^{n} left the basis of P^{n - 1} at "
-                            f"{(y_idx, bi, bj)}")
-                    w = field.add(col.get(key, field.zero),
-                                  field.mul(field.mul(cu, cv), coeff))
-                    if w:
-                        col[key] = w
-                    elif key in col:
-                        del col[key]
-        return col
-
-    def differential_matrix(self, n):
-        """d^n: P^n -> P^{n-1} on the concrete bases.
-
-        The column at b_i (x) b_j of a summand is sum coeff * b_i u (x)
-        v b_j over its terms.  b_i u and v b_j are read from the algebra's
-        multiplication tables once per term, and each summand's columns
-        are written in one pass over its terms, at base + i_pos *
-        len(rights) + j_pos.
+        A e_a (x) e_b A (x)_A A/J is A e_a (x) k e_b, with the basis
+        (summand s, i) over the b_i with t(b_i) = a_s.  The column at
+        (s, i) is sum c * eps(v) * b_i u over the terms (y, u, v, c) of
+        d^n(e_a (x) e_b), at (y, .), where eps(v) is v's coefficient on
+        its vertex idempotent: only terms whose right factor is not in J
+        survive.
         """
         A = self.algebra
         field = A.field
-        left, right = A._mult_tables()
-        pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
+        by_target = {}
+        for i, (_, t) in enumerate(A.peirce):
+            by_target.setdefault(t, []).append(i)
+        idem = [k for _, k in A.idempotents]
+
+        def basis(m):
+            return [(s, i) for s, (a, _) in enumerate(self.summands[m])
+                    for i in by_target.get(a, ())]
+
+        # per summand, the terms whose right factor has a vertex part
+        kept = [[(y, u, field.mul(c, v[k])) for y, u, v, c in terms
+                 for k in idem if k in v] for terms in self.terms[n]]
+        pos = {t: k for k, t in enumerate(basis(n - 1))}
+        src = basis(n)
         cols = {}
-        base = 0
-        for s_idx, (a, b) in enumerate(self.summands[n]):
-            lefts, rights = self._sides(a, b)
-            width = len(rights)
-            block = {}
-            for y_idx, u, v, coeff in self.terms[n][s_idx]:
-                us = [(p, _times(field, left[i], u))
-                      for p, i in enumerate(lefts)]
-                vs = [(q, _times(field, right[j], v))
-                      for q, j in enumerate(rights)]
-                vs = [(q, vj) for q, vj in vs if vj]
-                for p, ui in us:
-                    for q, vj in (vs if ui else ()):
-                        col = block.setdefault(base + p * width + q, {})
-                        for bi, cu in ui.items():
-                            for bj, cv in vj.items():
-                                key = pos.get((y_idx, bi, bj))
-                                if key is None:
-                                    raise AssertionError(
-                                        f"d^{n} left the basis of P^{n - 1} "
-                                        f"at {(y_idx, bi, bj)}")
-                                w = field.add(
-                                    col.get(key, field.zero),
-                                    field.mul(field.mul(cu, cv), coeff))
-                                if w:
-                                    col[key] = w
-                                elif key in col:
-                                    del col[key]
-            for c in sorted(block):
-                if block[c]:
-                    cols[c] = block[c]
-            base += len(lefts) * width
-        return Mat(len(pos), base, field, cols)
+        for col_idx, (s, i) in enumerate(src):
+            col = {}
+            for y, u, c in kept[s]:
+                image = {}
+                for m, w in A.multiply_coords({i: field.one}, u).items():
+                    if (y, m) not in pos:
+                        raise AssertionError(
+                            f"d^{n} left the basis of P^{n - 1} at {(y, m)}")
+                    image[pos[(y, m)]] = w
+                axpy(field, col, c, image)
+            if col:
+                cols[col_idx] = col
+        return Mat(len(pos), len(src), field, cols)
 
     def certify(self):
         """Raise AssertionError unless P^3 -> P^2 -> P^1 -> P^0 -> A is a
@@ -234,16 +191,32 @@ class PartialResolution(RankedComplex):
 
         The compositions are checked on the summand generators only:
         mu(u (x) v) = uv summed over the terms of each d^1(e_a (x) e_b),
-        and the concrete d^{n-1} applied to each d^n(e_a (x) e_b) for n =
-        2, 3.  That is enough.  The column of d^n at b_i (x) b_j of a
-        summand is sum coeff * b_i u (x) v b_j over its terms, the
+        and for n = 2, 3 each term (y, u, v, c) of d^n(e_a (x) e_b) and
+        each term (z, u', v', c') of d^{n-1}(g_y) add c c' (u u') (x)
+        (v' v) at summand z of P^{n-2}, collected on the basis (z, i, j)
+        of b_i (x) b_j.  That is enough.  d^n sends b_i (x) b_j of a
+        summand to sum coeff * b_i u (x) v b_j over its terms, the
         A-A-bilinear extension of the generator's image, and it is
         bilinear because A is associative (certified when A is built);
         mu is bilinear for the same reason.  A composite of bilinear maps
         is bilinear, and b_i (x) b_j = b_i . (e_a (x) e_b) . b_j, so a
-        composite that kills every generator is zero.  Exactness needs the
-        ranks of d^1 and d^2, so those two are built as matrices; d^3 is
-        not.
+        composite that kills every generator is zero.
+
+        Exactness is read on P^* (x)_A A/J -> A/J (`_one_sided`).  Each
+        P^n and A are projective right modules, and J is nilpotent.
+        Filter the augmented complex C by the subcomplexes C J^k.  Since
+        projectives are flat, each layer C J^k / C J^{k+1} is
+        C (x)_A J^k/J^{k+1}, a sum of copies of the C (x)_A S_v, which are
+        summands of C (x)_A A/J.  If C (x)_A A/J is exact at a position,
+        so is every layer, and the long exact sequences of 0 -> C J^{k+1}
+        -> C J^k -> layer -> 0, from J^N = 0 down to k = 0, show that C
+        is exact there.  Conversely, C exact at A, P^0 and P^1 is split
+        exact there as a complex of right projectives, and a right-split
+        exact complex stays exact under (x)_A A/J.  So the check has the
+        strength of the ranks over b_i (x) b_j.  A (x)_A A/J = A/J has
+        dimension |Q_0| and mu (x) A/J is onto, so exactness at P^0
+        reads rank d^1 = rows - |Q_0|, and at P^1 rank d^2 = rows -
+        rank d^1.  d^1 has one row per basis vector of A.
         """
         A = self.algebra
         field = A.field
@@ -254,38 +227,32 @@ class PartialResolution(RankedComplex):
             if out:
                 raise AssertionError(
                     f"augmentation does not kill d^1 of generator {x}")
-        d = {1: self.differential_matrix(1), 2: self.differential_matrix(2)}
         for n in (2, 3):
-            pos = {t: k for k, t in enumerate(self.projective_basis(n - 1))}
             for x, terms in enumerate(self.terms[n]):
-                if d[n - 1].matvec(self._image(n, pos, terms)):
+                out = {}
+                for y, u, v, c in terms:
+                    for z, u2, v2, c2 in self.terms[n - 1][y]:
+                        right = A.multiply_coords(v2, v)
+                        for i, ci in A.multiply_coords(u, u2).items():
+                            axpy(field, out, field.mul(field.mul(c, c2), ci),
+                                 {(z, i, j): cj for j, cj in right.items()})
+                if out:
                     raise AssertionError(
                         f"d^{n - 1} o d^{n} is not zero on generator {x}")
-        # d^n has one row per basis vector of P^{n-1}
-        rank1 = rank(d[1])
-        if rank1 != d[1].rows - A.dim:
+        d1, d2 = self._one_sided(1), self._one_sided(2)
+        rank1 = rank(d1)
+        if rank1 != d1.rows - len(A.idempotents):
             raise AssertionError("resolution is not exact at P^0")
-        if rank(d[2]) != d[2].rows - rank1:
+        if rank(d2) != d2.rows - rank1:
             raise AssertionError("resolution is not exact at P^1")
-
-
-def _times(field, table, x):
-    """sum of x[m] * table[m]: a basis vector times the element x, read
-    from the basis vector's row of a multiplication table."""
-    out = {}
-    for m, c in x.items():
-        prod = table.get(m)
-        if prod:
-            axpy(field, out, c, prod)
-    return out
 
 
 def build_partial_resolution(algebra):
     """P^0..P^3 with their differentials, certified by
     `PartialResolution.certify`: the compositions vanish on the summand
     generators, which suffices because each d^n is the A-A-bilinear
-    extension of its generator images, and the ranks of d^1 and d^2 give
-    exactness at P^0 and P^1."""
+    extension of its generator images, and the ranks of d^1 and d^2 on
+    the one-sided complex P^* (x)_A A/J give exactness at P^0 and P^1."""
     chains = chain_paths(algebra)
     A = algebra
     field = A.field

@@ -345,3 +345,104 @@ def triangle_b(corpus):
 @pytest.fixture(scope="session")
 def square(corpus):
     return corpus["square"]
+
+
+def peirce_matvec_tags(module):
+    """The Peirce tag of each basis vector of a bimodule, found by applying
+    the idempotent actions to it: the rule Bimodule._peirce_tags keeps."""
+    tags = []
+    for i in range(module.dim):
+        v = {i: module.field.one}
+        tag = None
+        for x, xi in module.algebra.idempotents:
+            if module.left[xi].matvec(v) != v:
+                continue
+            for y, yi in module.algebra.idempotents:
+                if module.right[yi].matvec(v) == v:
+                    tag = (x, y)
+                    break
+            break
+        tags.append(tag)
+    return tags
+
+
+@pytest.fixture(scope="session")
+def instrumented_run():
+    """One in-process verify-paper run, `verification.run_blocks()`, with
+    every spy the run-wide tests read installed for that run only.
+
+    Its records: `report`; `extensions`, block name -> the extensions
+    `extension._build_extension` built in it; `chained`, id -> extension
+    for each extension the projection chain identity read; `resolutions`,
+    the algebra of each `PartialResolution` made; `spaces` and `asked`,
+    (algebra id, n) of each resolution space built and of each
+    `hh_via_resolution` request of the blocks; `peirce`, per bimodule
+    made, its `_peirce_tags` and the matvec rule's tags; `kernels`, each
+    matrix given to `kernel_basis_sparse` with the kernel returned.
+    """
+    import sys
+    from types import SimpleNamespace
+
+    import hochschild.extension as extension
+    import hochschild.linalg as linalg
+    import hochschild.minres as minres
+    import hochschild.verification as verification
+
+    rec = SimpleNamespace(extensions={}, chained={}, resolutions=[],
+                          spaces=[], asked=[], peirce=[], kernels=[])
+    current = []
+    real_build = extension._build_extension
+    real_chain = verification.check_projection_chain_identity
+    real_post_init = minres.PartialResolution.__post_init__
+    real_space, real_hh = minres.CohomologySpace, minres.hh_via_resolution
+    real_tags = Bimodule._peirce_tags
+    real_kernel = linalg.kernel_basis_sparse
+
+    def build(*args, **kwargs):
+        ext = real_build(*args, **kwargs)
+        rec.extensions.setdefault(current[-1], []).append(ext)
+        return ext
+
+    def chain(ext, n, **kwargs):
+        rec.chained[id(ext)] = ext
+        return real_chain(ext, n, **kwargs)
+
+    def post_init(res):
+        rec.resolutions.append(res.algebra)
+        real_post_init(res)
+
+    def space(res, n, *args, **kwargs):
+        rec.spaces.append((id(res.algebra), n))
+        return real_space(res, n, *args, **kwargs)
+
+    def hh_via_resolution(algebra, n, resolution=None):
+        rec.asked.append((id(algebra), n))
+        return real_hh(algebra, n, resolution)
+
+    def tags(module):
+        got = real_tags(module)
+        rec.peirce.append((got, peirce_matvec_tags(module)))
+        return got
+
+    def kernel(m):
+        rec.kernels.append((m, real_kernel(m)))
+        return rec.kernels[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extension, "_build_extension", build)
+        mp.setattr(verification, "check_projection_chain_identity", chain)
+        mp.setattr(minres.PartialResolution, "__post_init__", post_init)
+        mp.setattr(minres, "CohomologySpace", space)
+        mp.setattr(verification, "hh_via_resolution", hh_via_resolution)
+        mp.setattr(Bimodule, "_peirce_tags", tags)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hochschild") and \
+                    getattr(module, "kernel_basis_sparse", None) is real_kernel:
+                mp.setattr(module, "kernel_basis_sparse", kernel)
+        for name, run in list(verification.BLOCKS.items()):
+            def entered(suite, name=name, run=run):
+                current.append(name)
+                return run(suite)
+            mp.setitem(verification.BLOCKS, name, entered)
+        rec.report = verification.run_blocks()
+    return rec

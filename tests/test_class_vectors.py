@@ -11,7 +11,6 @@ kernel of one verification run.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -159,23 +158,11 @@ def test_projection_matrix_needs_compatible_idempotents():
         projection_morphism(ext, 1)
 
 
-def test_kernels_of_a_run_match_the_forward_row_sweep(monkeypatch):
+def test_kernels_of_a_run_match_the_forward_row_sweep(instrumented_run):
     # every kernel of one verify-paper run, entries and scalar types: the
     # row renumbering changes the fill-in only
-    import hochschild.linalg as linalg
-    real = linalg.kernel_basis_sparse
-    seen = []
-
-    def recorded(m):
-        seen.append((m, real(m)))
-        return seen[-1][1]
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hochschild") and \
-                getattr(module, "kernel_basis_sparse", None) is real:
-            monkeypatch.setattr(module, "kernel_basis_sparse", recorded)
-    assert verification.run_blocks()["pass"]
-    monkeypatch.undo()
+    seen = instrumented_run.kernels
+    assert instrumented_run.report["pass"]
     assert len(seen) > 150
     assert sum(m.cols for m, _ in seen) > 10_000
     for m, got in seen:

@@ -191,9 +191,10 @@ def _square_vertices(relabel):
     _square_with(vertices=["1", "2", "3", "4", None]),
     _square_with(vertices=["1", "2", "3", "4", 1.5]),
     _square_vertices(lambda v: v if v != "4" else 4),
+    {"field": "Q", "vertices": [], "arrows": []},
 ], ids=["field 7", "field null", "relation 5", "relation null",
         "zero denominator", "arrow name 7", "arrow name null",
-        "vertex null", "vertex 1.5", "mixed vertices"])
+        "vertex null", "vertex 1.5", "mixed vertices", "no vertices"])
 def test_malformed_algebra_file_exits_2(tmp_path, capsys, data):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(data))
@@ -237,6 +238,31 @@ def test_malformed_bimodule_file_exits_2(tmp_path, capsys, data):
     f.write_text(json.dumps(data))
     assert cli.main(["hh", data_path("ex3_8_C"), "--module",
                      f"file:{f}"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [float, bool], ids=["float", "bool"])
+def test_bimodule_file_with_inexact_entries_exits_2(tmp_path, capsys, entry):
+    # the regular bimodule of ex3_8_C, its 0/1 entries written as JSON
+    # floats or booleans, is refused; with rational strings it is read
+    from hochschild.algebra import build_algebra
+    from hochschild.bimodule import regular_bimodule
+    algebra = build_algebra(algfile.load_bundled("ex3_8_C")[1])
+    reg = regular_bimodule(algebra)
+    assert {x for m in reg.left + reg.right for row in m.to_dense()
+            for x in row} == {0, 1}
+
+    def hh_with(convert):
+        f = tmp_path / "regular.json"
+        f.write_text(json.dumps({"dimension": reg.dim, **{
+            side: [[[convert(x) for x in row] for row in m.to_dense()]
+                   for m in mats]
+            for side, mats in (("left", reg.left), ("right", reg.right))}}))
+        return cli.main(["hh", data_path("ex3_8_C"), "--module", f"file:{f}"])
+
+    assert hh_with(algebra.field.to_str) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dims"] == [1, 2, 0]
+    assert hh_with(entry) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -12,7 +12,9 @@ from hochschild.extension import check_growth_bound, trivial_extension
 from hochschild.linalg import PrimeField
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
-from conftest import nakayama_c_presentation, twisted_regular
+from conftest import (
+    nakayama_c_presentation, peirce_matvec_tags, twisted_regular,
+)
 
 
 def test_prime_field_probe_matches_rationals():
@@ -160,133 +162,60 @@ def test_raising_block_names_where_it_raised(monkeypatch):
     assert check["error"] == f"test_misc_properties.py:{line}: no pivot"
 
 
-def test_one_run_builds_each_extension_once(monkeypatch):
+def test_one_run_builds_each_extension_once(instrumented_run):
     # the trivial extensions of the corpus are built once, in the
     # surjectivity block (dual, regular, E_0..E_2 where nonzero) and the
     # relext block (E_2 of ex5_9_C, which the surjectivity block reuses),
     # and the identities block reads those same objects
-    import hochschild.extension as extension
-    import hochschild.verification as verification
-
-    real_build = extension._build_extension
-    real_chain = verification.check_projection_chain_identity
-    built, current = {}, []
-
-    def build(*args, **kwargs):
-        ext = real_build(*args, **kwargs)
-        built.setdefault(current[-1], []).append(ext)
-        return ext
-
-    def chain(ext, n, **kwargs):
-        used.add(id(ext))
-        return real_chain(ext, n, **kwargs)
-
-    used = set()
-    monkeypatch.setattr(extension, "_build_extension", build)
-    monkeypatch.setattr(verification, "check_projection_chain_identity", chain)
-    for name, run in list(verification.BLOCKS.items()):
-        def entered(suite, name=name, run=run):
-            current.append(name)
-            return run(suite)
-        monkeypatch.setitem(verification.BLOCKS, name, entered)
-    report = verification.run_blocks()
-    assert report["pass"]
+    run = instrumented_run
+    built = run.extensions
+    assert run.report["pass"]
     assert sum(len(exts) for exts in built.values()) == 24
     assert "identities" not in built
     ids = {block: {id(ext) for ext in exts} for block, exts in built.items()}
     # the identities run over two presented extensions, made by maps, and
     # 13 trivial ones: the 12 dual and regular ones of the surjectivity
     # block and the E_2 one of the relext block
+    used = set(run.chained)
     assert len(used) == 15
     assert len(used & ids["surjectivity"]) == 12
     assert len(used & ids["relext"]) == 1
 
 
-def test_one_run_builds_each_resolution_once(monkeypatch):
+def test_one_run_builds_each_resolution_once(instrumented_run):
     # the relext and oracles blocks both compare the resolution route on
     # ex5_9_C; both read the resolution kept on the algebra, so a run
     # builds one per algebra: the four monomial corpus members and the
     # relation extension B
-    import hochschild.minres as minres
-    import hochschild.verification as verification
-
-    real = minres.PartialResolution.__post_init__
-    built = []
-
-    def counted(res):
-        built.append(res.algebra)
-        real(res)
-
-    monkeypatch.setattr(minres.PartialResolution, "__post_init__", counted)
-    assert verification.run_blocks()["pass"]
+    built = instrumented_run.resolutions
+    assert instrumented_run.report["pass"]
     assert len(built) == 5
     assert len({id(alg) for alg in built}) == 5
 
 
-def test_one_run_builds_each_resolution_space_once(monkeypatch):
+def test_one_run_builds_each_resolution_space_once(instrumented_run):
     # the relext and oracles blocks both ask ex5_9_C for hh^0..hh^2 by
     # the resolution route; the second block reads the spaces kept on its
     # resolution, so 18 requests build 15 spaces
-    import hochschild.minres as minres
-    import hochschild.verification as verification
-
-    real_space, real_hh = minres.CohomologySpace, minres.hh_via_resolution
-    built, asked = [], []
-
-    def space(res, n, *args, **kwargs):
-        built.append((id(res.algebra), n))
-        return real_space(res, n, *args, **kwargs)
-
-    def hh_via_resolution(algebra, n, resolution=None):
-        asked.append((id(algebra), n))
-        return real_hh(algebra, n, resolution)
-
-    monkeypatch.setattr(minres, "CohomologySpace", space)
-    monkeypatch.setattr(verification, "hh_via_resolution", hh_via_resolution)
-    assert verification.run_blocks()["pass"]
+    built, asked = instrumented_run.spaces, instrumented_run.asked
+    assert instrumented_run.report["pass"]
     assert len(asked) == 18
     assert len(built) == 15
     assert set(built) == set(asked)
 
 
-def test_peirce_tags_match_the_matvec_rule(monkeypatch, triangle_b):
+def test_peirce_tags_match_the_matvec_rule(instrumented_run, triangle_b):
     # Bimodule._peirce_tags reads the columns of the idempotent actions;
     # on every bimodule of a run it must tag as applying them to the unit
     # vector does
-    from hochschild.bimodule import Bimodule
-    import hochschild.verification as verification
-
-    def matvec_tags(module):
-        tags = []
-        for i in range(module.dim):
-            v = {i: module.field.one}
-            tag = None
-            for x, xi in module.algebra.idempotents:
-                if module.left[xi].matvec(v) != v:
-                    continue
-                for y, yi in module.algebra.idempotents:
-                    if module.right[yi].matvec(v) == v:
-                        tag = (x, y)
-                        break
-                break
-            tags.append(tag)
-        return tags
-
-    real = Bimodule._peirce_tags
-    seen = []
-
-    def checked(module):
-        tags = real(module)
-        seen.append((tags, matvec_tags(module)))
-        return tags
-
-    monkeypatch.setattr(Bimodule, "_peirce_tags", checked)
-    assert verification.run_blocks()["pass"]
+    seen = instrumented_run.peirce
+    assert instrumented_run.report["pass"]
     assert len(seen) > 50
-    # and on a module that is not Peirce-graded, which a run has none of
-    twisted_regular(triangle_b)
-    assert None in seen[-1][0]
     assert all(tags == want for tags, want in seen)
+    # and on a module that is not Peirce-graded, which a run has none of
+    module = twisted_regular(triangle_b)
+    assert None in module.peirce
+    assert module.peirce == peirce_matvec_tags(module)
 
 
 def test_tracer_targets_resolve():
