@@ -13,7 +13,9 @@ an already-built algebra:
      "right": [matrix, ...],
      "labels": [...optional...]}
 
-with matrices as nested lists of exact rational strings (or integers).
+with matrices as nested lists of integers, or of strings written as an
+optional sign, digits and an optional /digits (the grammar of relation
+coefficients).
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import json
 from importlib import resources
 
 from .bimodule import Bimodule
-from .linalg import Mat, field_from_tag
+from .linalg import Mat, field_from_tag, parse_scalar
 from .quiver import Presentation, Quiver, parse_relation
 
 BUNDLED = ["ex3_5_C", "ex3_5_B", "ex3_8_C", "ex3_8_B", "ex5_9_C", "square"]
@@ -129,8 +131,9 @@ def parse_bimodule_file(data, algebra):
             raise AlgebraFileError("action matrix entries must be rational "
                                    "strings or integers")
         try:
-            return Mat.from_rows([[field.of(v) for v in row] for row in rows],
-                                 field)
+            return Mat.from_rows([[parse_scalar(field, v) if type(v) is str
+                                   else field.of(v) for v in row]
+                                  for row in rows], field)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise AlgebraFileError(f"bad action matrix entry: {exc}")
 

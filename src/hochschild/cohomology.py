@@ -11,21 +11,26 @@ to radical arguments.  `extcohom` computes E_m = Ext^m_C(DC, C) as a
 `CohomologySpace` of the `NormalizedComplex` with coefficients
 C (x)_k C.
 
-`hh` takes kernel modulo image of one complex per space, in every degree
-and on every input: the subcomplex of idempotent-normalized cochains,
-maps vanishing whenever an argument is one of the orthogonal
+`hh` takes its representatives, in every degree and on every input,
+from one complex per space: the subcomplex of idempotent-normalized
+cochains, maps vanishing whenever an argument is one of the orthogonal
 idempotents, supported on composable radical tuples with matching value
-blocks.  For a separable span of idempotents that subcomplex is the
-S-relative bar complex and its inclusion is a quasi-isomorphism, so
-dimensions and classes agree, and its representatives are genuine bar
-cocycles.  The algebra must be Peirce-graded with radical products off
-the idempotents, or `NormalizedComplex` raises ValueError.  The module
-need not be: the complex is assembled on its graded twin
+blocks.  Its dims come from that complex too, except for the regular
+bimodule of a presented algebra with quadratic relations and J^2 != 0:
+there a dim read before any representative comes from the Koszul
+resolution (`minres.koszul_route`) wherever it is certified exact, and
+`vectors` checks the representatives' count against it.  For a
+separable span of idempotents that subcomplex is the S-relative bar
+complex and its inclusion is a quasi-isomorphism, so dimensions and
+classes agree, and its representatives are genuine bar cocycles.  The
+algebra must be Peirce-graded with radical products off the
+idempotents, or `NormalizedComplex` raises ValueError.  The module need
+not be: the complex is assembled on its graded twin
 (`bimodule.peirce_regrade`), and its cochains go in and come out in the
 module's own basis.
 
-That complex holds the dims, the representatives, `is_cocycle` and the
-class coordinates, so `hh` builds no bar matrix in any degree.  A
+That complex holds the representatives, `is_cocycle` and the class
+coordinates, so `hh` builds no bar matrix in any degree.  A
 cochain given in degree 0 or 1 need not be normalized: a cocycle outside
 the complex is first moved into it by a coboundary (`_normalize_degree1`,
 one sweep of its system per module; in degree 0 every cocycle already
@@ -46,13 +51,14 @@ term at a new key as it is: only a repeated key is added up.
 `CohomologySpace` is the one object that turns a complex into dims,
 representatives and class coordinates, for every engine: the normalized
 complex, the two-term `DerivationComplex` (derivations modulo inner
-derivations, `hh1_via_derivations`) and the Hom complex of the minimal
-resolution (`minres.PartialResolution`).  Its docstring names what it
-reads of a complex.  It is rank-first: dim hh^n = dim C^n - rank d^n -
-rank d^{n-1}, from untracked sweeps (`linalg.rank`) cached by
-`RankedComplex`, with no kernel basis.  Representatives and class
-coordinates are built on first use, from `linalg.quotient_basis` and
-`linalg.SubspaceCoords`, and from then on dim is their count;
+derivations, `hh1_via_derivations`) and the Hom complexes of the
+Bardzell and Koszul resolutions (`minres.PartialResolution`), the last
+one for dims alone.  Its docstring names what it reads of a complex.
+It is rank-first: dim hh^n = dim C^n - rank d^n - rank d^{n-1}, from
+untracked sweeps (`linalg.rank`) cached by `RankedComplex`, with no
+kernel basis.  Representatives and class coordinates are built on first
+use, from `linalg.quotient_basis` and `linalg.SubspaceCoords`, and from
+then on dim is their count;
 `CohomologySpace.vector_coords` gives the class of a vector of the
 complex, `class_coords` that of a cochain.
 
@@ -86,8 +92,8 @@ def _check_cap(algebra, module, n, cap):
     quantity = algebra.dim ** (n + 1) * module.dim
     if quantity > cap:
         raise CapExceeded(
-            f"bar complex at degree {n} needs {quantity} rows > cap {cap}; "
-            "for monomial algebras the minimal-resolution route goes further")
+            f"degree {n} refused: the bar complex size (dim A)^(n+1) * "
+            f"dim M = {quantity} exceeds the cap {cap}")
 
 
 class Cochain:
@@ -733,24 +739,34 @@ class CohomologySpace:
     `minres.PartialResolution`.
 
     Until the representatives exist, dim is dim C^n - rank d^n -
-    rank d^{n-1} from the complex's cached ranks.  `vectors` builds the
-    representatives on first use, and from then on dim is their count;
-    the class-coordinate sweep is built on the first class asked for.  A
-    space whose dim is all that is read does no kernel or quotient work.
+    rank d^{n-1} from cached ranks: those of the complex, or, when the
+    constructor is given dims, a function called on the first dim read,
+    those of the complex it returns (`hh` passes the Koszul resolution
+    this way; None keeps the complex's own).  Then no differential of the
+    complex is built until the representatives are.  `vectors` builds
+    the representatives on the complex on first use, checks their count
+    against the ranks of both complexes, and from then on dim is their
+    count; the class-coordinate sweep is built on the first class asked
+    for.  A space whose dim is all that is read does no kernel or
+    quotient work.
     On the normalized complex, in degrees 0 and 1, `is_cocycle` and
     `class_coords` also take a cochain outside it; from degree 2 on they
     refuse it.
     """
 
-    def __init__(self, complex_, degree):
+    def __init__(self, complex_, degree, dims=None):
         self.complex = complex_
         self.algebra = complex_.algebra
         self.module = complex_.module
         self.degree = degree
-        # built now, so that a subcomplex that does not close raises here
-        complex_.differential(degree)
-        if degree:
-            complex_.differential(degree - 1)
+        self._dims = dims
+        self._dims_complex = complex_
+        if dims is None:
+            # built now, so that a subcomplex that does not close raises
+            # here
+            complex_.differential(degree)
+            if degree:
+                complex_.differential(degree - 1)
         self._reps_vecs = None
         self._boundaries = None
 
@@ -758,16 +774,19 @@ class CohomologySpace:
     def backend(self):
         return self.complex.backend
 
-    def _rank_dim(self):
+    def _rank_dim(self, complex_):
         n = self.degree
-        ranks = self.complex.rank(n) + (self.complex.rank(n - 1) if n else 0)
-        return self.complex.dim(n) - ranks
+        ranks = complex_.rank(n) + (complex_.rank(n - 1) if n else 0)
+        return complex_.dim(n) - ranks
 
     @property
     def dim(self):
         if self._reps_vecs is not None:
             return len(self._reps_vecs)
-        return self._rank_dim()
+        if self._dims is not None:
+            self._dims_complex = self._dims() or self.complex
+            self._dims = None
+        return self._rank_dim(self._dims_complex)
 
     def _cocycle_matrix(self):
         return self.complex.differential(self.degree)
@@ -794,11 +813,14 @@ class CohomologySpace:
         ranks.setdefault(n, cocycles.cols - len(cycles))
         if n:
             ranks.setdefault(n - 1, len(self._boundaries))
-        want = self._rank_dim()
-        if len(reps) != want:
-            raise AssertionError(
-                f"hh^{n} on the {self.backend} complex: {len(reps)} "
-                f"representatives but dim {want} from its ranks")
+        for complex_ in (self.complex, self._dims_complex):
+            want = self._rank_dim(complex_)
+            if len(reps) != want:
+                source = "its ranks" if complex_ is self.complex else \
+                    f"the {complex_.backend} complex"
+                raise AssertionError(
+                    f"hh^{n} on the {self.backend} complex: {len(reps)} "
+                    f"representatives but dim {want} from {source}")
         self._reps_vecs = reps
         return reps
 
@@ -939,8 +961,10 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
+    from .minres import koszul_route
     space = cache[(n, cap)] = CohomologySpace(
-        _normalized_complex(algebra, module), n)
+        _normalized_complex(algebra, module), n,
+        koszul_route(algebra, module, n))
     return space
 
 

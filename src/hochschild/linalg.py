@@ -23,6 +23,7 @@ them; its output does not depend on that order).  Repeated calls on equal
 inputs give identical output.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -248,6 +249,24 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_scalar(field, text):
+    """The scalar that text writes as an optional sign, ASCII digits and
+    an optional /digits: the one grammar of relation coefficients and of
+    bimodule-file entries.  ValueError on any other text, and
+    ZeroDivisionError on a denominator that is zero in the field."""
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise ValueError(f"{text!r} is not an integer or a fraction of "
+                         "integers")
+    num, den = m.groups()
+    den = field.of(int(den or 1))
+    if not den:
+        raise ZeroDivisionError(f"zero denominator in {text}")
+    return field.div(field.of(int(num)), den)
 
 
 def field_from_tag(tag):

@@ -1,7 +1,10 @@
-"""Partial minimal projective bimodule resolution for monomial algebras.
+"""Partial projective bimodule resolutions, certified, and the complex
+Hom_{A-A}(P^*, A) that a resolution route reads.
 
-P^0 is indexed by vertices, P^1 by arrows, P^2 by the relation paths and
-P^3 by their overlaps; the differentials are
+For a monomial algebra, `build_partial_resolution` builds P^3 -> P^2 ->
+P^1 -> P^0 of Bardzell's minimal resolution: P^0 is indexed by vertices,
+P^1 by arrows, P^2 by the relation paths and P^3 by their overlaps; the
+differentials are
 
     d1(e (x) e) = a (x) e - e (x) a
     d2(e (x) e) = sum over arrow positions of prefix (x) suffix
@@ -10,14 +13,18 @@ P^3 by their overlaps; the differentials are
 for an overlap  x = r1 * tail = head * r2.  This is a second, bar-free
 route to hh^0..hh^2 used to cross-check the cochain engine.
 
+For a presentation whose relations are all quadratic, `KoszulResolution`
+builds Priddy's complex A (x)_E K_n (x)_E A, K_n the intersection of the
+V^i R V^j in V^{(x)n}, one degree at a time; `hh` reads its dims when it
+is certified exact far enough (`koszul_route`).
+
 Each d^n is the A-A-bilinear extension of the images of the summand
 generators e_a (x) e_b, kept in `PartialResolution.terms`.
-`PartialResolution.certify` checks mu o d^1, d^1 o d^2 and d^2 o d^3 on
+`PartialResolution.certify` checks mu o d^1 and each d^{n-1} o d^n on
 the generators alone, by bilinear products of their terms, and exactness
-at P^0 and P^1 from the ranks of d^1 and d^2 on the one-sided complex
-P^* (x)_A A/J = A (x)_E kAP_n, the minimal resolution of A/J of
-Green-Happel-Zacharia; its docstring gives both arguments.  No matrix is
-built over the bimodule basis b_i (x) b_j.
+at every P^n below the top from the ranks of d^n and d^{n+1} on the
+one-sided complex P^* (x)_A A/J; its docstring gives both arguments.  No
+matrix is built over the bimodule basis b_i (x) b_j.
 
 The resolution is also the complex Hom_{A-A}(P^*, A) that the route
 reads: in degree n a vector lives on the Hom blocks (+) e_a A e_b over
@@ -33,11 +40,15 @@ from dataclasses import dataclass
 from .algebra import system_of_relations
 from .bimodule import regular_bimodule
 from .cohomology import CohomologySpace, RankedComplex
-from .linalg import Mat, axpy, rank
+from .linalg import Mat, SubspaceCoords, axpy, kernel_basis_sparse, rank
 
 
 class NotMonomial(ValueError):
     pass
+
+
+class NotExact(AssertionError):
+    """A complex that `PartialResolution.certify` found not exact."""
 
 
 def _monomial_relations(algebra):
@@ -94,9 +105,10 @@ def chain_paths(algebra):
 
 @dataclass
 class PartialResolution(RankedComplex):
-    """Summand data and differentials of P^3 -> P^2 -> P^1 -> P^0 -> A,
-    and the complex Hom_{A-A}(P^*, A) of degrees 0..3 that
-    `CohomologySpace` reads (no `project`: its vectors are not cochains).
+    """Summand data and differentials of P^top -> ... -> P^0 -> A, and
+    the complex Hom_{A-A}(P^*, A) that `CohomologySpace` reads (no
+    `project`: its vectors are not cochains).  chains is the Bardzell
+    resolution's `ChainSets`, None for the Koszul one.
     """
 
     algebra: object
@@ -111,6 +123,8 @@ class PartialResolution(RankedComplex):
         self._blocks = {}
         self._spaces = {}  # n -> CohomologySpace, see hh_via_resolution
         self.ranks = {}
+        # n -> rank of d^n (x)_A A/J; d^0 is the augmentation onto A/J
+        self._sided = {0: len(self.algebra.idempotents)}
 
     @property
     def module(self):
@@ -185,13 +199,38 @@ class PartialResolution(RankedComplex):
                 cols[col_idx] = col
         return Mat(len(pos), len(src), field, cols)
 
-    def certify(self):
-        """Raise AssertionError unless P^3 -> P^2 -> P^1 -> P^0 -> A is a
-        complex, exact at P^0 and P^1.
+    def _composes(self, n):
+        """Raise AssertionError unless mu o d^1 (n = 1) or d^{n-1} o d^n
+        kills every generator of P^n."""
+        A = self.algebra
+        field = A.field
+        times = _memo_product(A)
+        for x, terms in enumerate(self.terms[n]):
+            out = {}
+            for y, u, v, c in terms:
+                if n == 1:
+                    axpy(field, out, c, times(u, v))
+                    continue
+                for z, u2, v2, c2 in self.terms[n - 1][y]:
+                    right = times(v2, v)
+                    for i, ci in times(u, u2).items():
+                        axpy(field, out, field.mul(field.mul(c, c2), ci),
+                             {(z, i, j): cj for j, cj in right.items()})
+            if out:
+                raise AssertionError(
+                    f"augmentation does not kill d^1 of generator {x}"
+                    if n == 1 else
+                    f"d^{n - 1} o d^{n} is not zero on generator {x}")
+
+    def certify(self, start=1):
+        """Raise AssertionError unless P^top -> ... -> P^0 -> A is a
+        complex, exact at P^0..P^{top-1}; NotExact if only exactness
+        fails.  Degrees below start are taken as certified by an earlier
+        call, so a resolution extended by one degree certifies that one.
 
         The compositions are checked on the summand generators only:
         mu(u (x) v) = uv summed over the terms of each d^1(e_a (x) e_b),
-        and for n = 2, 3 each term (y, u, v, c) of d^n(e_a (x) e_b) and
+        and for n >= 2 each term (y, u, v, c) of d^n(e_a (x) e_b) and
         each term (z, u', v', c') of d^{n-1}(g_y) add c c' (u u') (x)
         (v' v) at summand z of P^{n-2}, collected on the basis (z, i, j)
         of b_i (x) b_j.  That is enough.  d^n sends b_i (x) b_j of a
@@ -210,49 +249,31 @@ class PartialResolution(RankedComplex):
         summands of C (x)_A A/J.  If C (x)_A A/J is exact at a position,
         so is every layer, and the long exact sequences of 0 -> C J^{k+1}
         -> C J^k -> layer -> 0, from J^N = 0 down to k = 0, show that C
-        is exact there.  Conversely, C exact at A, P^0 and P^1 is split
+        is exact there.  Conversely, C exact at A, P^0, ..., P^n is split
         exact there as a complex of right projectives, and a right-split
         exact complex stays exact under (x)_A A/J.  So the check has the
         strength of the ranks over b_i (x) b_j.  A (x)_A A/J = A/J has
-        dimension |Q_0| and mu (x) A/J is onto, so exactness at P^0
-        reads rank d^1 = rows - |Q_0|, and at P^1 rank d^2 = rows -
-        rank d^1.  d^1 has one row per basis vector of A.
+        dimension |Q_0| and mu (x) A/J is onto, so with rank d^0 = |Q_0|
+        exactness at P^n reads rank d^n + rank d^{n+1} = rows of
+        P^n (x)_A A/J.  d^1 has one row per basis vector of A.
         """
-        A = self.algebra
-        field = A.field
-        for x, terms in enumerate(self.terms[1]):
-            out = {}
-            for _, u, v, coeff in terms:
-                axpy(field, out, coeff, A.multiply_coords(u, v))
-            if out:
-                raise AssertionError(
-                    f"augmentation does not kill d^1 of generator {x}")
-        for n in (2, 3):
-            for x, terms in enumerate(self.terms[n]):
-                out = {}
-                for y, u, v, c in terms:
-                    for z, u2, v2, c2 in self.terms[n - 1][y]:
-                        right = A.multiply_coords(v2, v)
-                        for i, ci in A.multiply_coords(u, u2).items():
-                            axpy(field, out, field.mul(field.mul(c, c2), ci),
-                                 {(z, i, j): cj for j, cj in right.items()})
-                if out:
-                    raise AssertionError(
-                        f"d^{n - 1} o d^{n} is not zero on generator {x}")
-        d1, d2 = self._one_sided(1), self._one_sided(2)
-        rank1 = rank(d1)
-        if rank1 != d1.rows - len(A.idempotents):
-            raise AssertionError("resolution is not exact at P^0")
-        if rank(d2) != d2.rows - rank1:
-            raise AssertionError("resolution is not exact at P^1")
+        degrees = range(start, max(self.summands) + 1)
+        for n in degrees:
+            self._composes(n)
+        for n in degrees:
+            d = self._one_sided(n)
+            self._sided[n] = rank(d)
+            if self._sided[n - 1] + self._sided[n] != d.rows:
+                raise NotExact(f"resolution is not exact at P^{n - 1}")
 
 
 def build_partial_resolution(algebra):
     """P^0..P^3 with their differentials, certified by
     `PartialResolution.certify`: the compositions vanish on the summand
     generators, which suffices because each d^n is the A-A-bilinear
-    extension of its generator images, and the ranks of d^1 and d^2 on
-    the one-sided complex P^* (x)_A A/J give exactness at P^0 and P^1."""
+    extension of its generator images, and the ranks of d^1, d^2 and d^3
+    on the one-sided complex P^* (x)_A A/J give exactness at P^0, P^1
+    and P^2."""
     chains = chain_paths(algebra)
     A = algebra
     field = A.field
@@ -320,6 +341,22 @@ def build_partial_resolution(algebra):
     return res
 
 
+def _memo_product(A):
+    """A.multiply_coords, kept per pair of factors by identity: the
+    factors of the terms are dicts shared among them, alive while the
+    caller reads them, and each product is a fresh dict, kept too."""
+    memo = {}
+
+    def times(a, b):
+        key = (id(a), id(b))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = A.multiply_coords(a, b)
+        return got
+
+    return times
+
+
 def _hom_differential(resolution, n):
     """Hom(P^{n-1}, A) -> Hom(P^n, A) induced by d^n."""
     A = resolution.algebra
@@ -332,11 +369,13 @@ def _hom_differential(resolution, n):
     for x_idx, lst in enumerate(resolution.terms[n]):
         for y_idx, u, v, coeff in lst:
             by_target.setdefault(y_idx, []).append((x_idx, u, v, coeff))
+    times = _memo_product(A)
+    basis = [{m: field.one} for m in range(A.dim)]
     cols = {}
     for col_idx, (y_idx, m) in enumerate(src):
         col = {}
         for x_idx, u, v, coeff in by_target.get(y_idx, ()):
-            val = A.multiply_coords(A.multiply_coords(u, {m: field.one}), v)
+            val = times(times(u, basis[m]), v)
             for m2, c in val.items():
                 key = tgt_pos.get((x_idx, m2))
                 if key is None:
@@ -375,3 +414,148 @@ def hh_via_resolution(algebra, n, resolution=None):
         space = res._spaces[n] = CohomologySpace(res, n)
         space.vectors()
     return space
+
+
+class KoszulResolution(PartialResolution):
+    """Priddy's complex A (x)_E K_n (x)_E A of a presented algebra whose
+    relations are all quadratic, built one degree at a time by `reach`.
+
+    V is the arrow span, R = ker(V (x)_E V -> A) the span of the
+    relations, K_0 = E, K_1 = V and K_n = (K_{n-1} (x) V) n (V^{n-2} (x)
+    R), so K_n is the kernel of K_{n-1} (x) V -> V^{n-2} (x) A, x (x) a
+    -> (all but the last two arrows) (x) their product in A.  It is
+    taken block by Peirce block, each basis vector a combination of
+    pairs (g, a), g a basis vector of K_{n-1}, and kept as a vector on
+    the paths of length n, a path coded in base |Q_1| over the arrow
+    order, first arrow most significant.  Its differential is
+
+        d_n(1 (x) x (x) 1) = sum_a a (x) x_a (x) 1
+                             + (-1)^n sum_(g, a) c_(g,a) 1 (x) g (x) a,
+
+    with x = sum_a a x_a split after its first arrow, each x_a read in
+    the basis of K_{n-1}.  It is a complex for every quadratic
+    algebra, and a resolution where the algebra is Koszul; `certify`
+    decides it degree by degree.
+    """
+
+    backend = "koszul"
+
+    def __init__(self, algebra):
+        A = algebra
+        quiver = A.presentation.quiver
+        paths = sorted((quiver.arrow_path(a.name) for a in quiver.arrows),
+                       key=lambda p: p.sort_key())
+        index = A._arrow_indices()
+        vertices = sorted(quiver.vertices)
+        self._idem = {v: {k: A.field.one} for v, k in A.idempotents}
+        self._arrows = [({index[p.arrows[0]]: A.field.one}, p.source,
+                         p.target) for p in paths]
+        self._paths = {1: [{k: A.field.one} for k in range(len(paths))]}
+        pos = {v: k for k, v in enumerate(vertices)}
+        super().__init__(A, None, {
+            0: [(v, v) for v in vertices],
+            1: [(s, t) for _, s, t in self._arrows]}, {
+            0: [[] for _ in vertices],
+            1: [[(pos[t], a, self._idem[t], A.field.one),
+                 (pos[s], self._idem[s], a, A.field.of(-1))]
+                for a, s, t in self._arrows]})
+        self.exact_to = -1   # exact at P^0..P^exact_to, certified
+        self.stuck = False   # certify found a P^n not exact
+        self._certify_top(1)
+
+    def _certify_top(self, n):
+        try:
+            self.certify(start=n)
+        except NotExact:
+            self.stuck = True
+        else:
+            self.exact_to = n - 1
+
+    def reach(self, n):
+        """Whether P^0..P^n are certified exact, extending the complex
+        one degree at a time while each new position is exact."""
+        while self.exact_to < n and not self.stuck:
+            self._extend(max(self.summands) + 1)
+        return self.exact_to >= n
+
+    def _extend(self, n):
+        """Build K_n, P^n and d^n from K_{n-1}, then certify them."""
+        A = self.algebra
+        field = A.field
+        arrows, width = self._arrows, len(self._arrows)
+        prev = self._paths[n - 1]
+        from_vertex = {}
+        for a, (_, s, _) in enumerate(arrows):
+            from_vertex.setdefault(s, []).append(a)
+        pairs = {}  # block (s, t) -> [(g, a)]
+        for g, (s, u) in enumerate(self.summands[n - 1]):
+            for a in from_vertex.get(u, ()):
+                pairs.setdefault((s, arrows[a][2]), []).append((g, a))
+        times = _memo_product(A)
+        split = SubspaceCoords(field, prev)
+        weight = width ** (n - 1)  # of a path's first arrow in its code
+        sign = field.of(-1 if n % 2 else 1)
+        summands, terms, paths = [], [], []
+        for (s, t), block in sorted(pairs.items()):
+            cols = {}
+            for j, (g, a) in enumerate(block):
+                col = {}
+                for code, c in prev[g].items():
+                    head, last = divmod(code, width)
+                    axpy(field, col, c, {
+                        head * A.dim + k: w for k, w in
+                        times(arrows[last][0], arrows[a][0]).items()})
+                if col:
+                    cols[j] = col
+            for x in kernel_basis_sparse(
+                    Mat(weight // width * A.dim, len(block), field, cols)):
+                path, firsts, gen, lasts = {}, {}, [], []
+                for j, c in x.items():
+                    g, a = block[j]
+                    axpy(field, path, c, {code * width + a: w
+                                          for code, w in prev[g].items()})
+                    lasts.append((g, self._idem[s], arrows[a][0],
+                                  field.mul(sign, c)))
+                for code, c in path.items():
+                    first, rest = divmod(code, weight)
+                    firsts.setdefault(first, {})[rest] = c
+                for first, rest in sorted(firsts.items()):
+                    found = split.find(rest)
+                    if found is None:
+                        raise AssertionError(
+                            f"K_{n} does not lie in V (x) K_{n - 1}")
+                    gen += [(g, arrows[first][0], self._idem[t], c)
+                            for g, c in found.items()]
+                summands.append((s, t))
+                terms.append(gen + lasts)
+                paths.append(path)
+        self.summands[n], self.terms[n], self._paths[n] = \
+            summands, terms, paths
+        self._certify_top(n)
+
+
+def _koszul_resolution(algebra):
+    """The KoszulResolution of algebra, built once per algebra."""
+    res = getattr(algebra, "_koszul_resolution", None)
+    if res is None:
+        res = algebra._koszul_resolution = KoszulResolution(algebra)
+    return res
+
+
+def koszul_route(algebra, module, n):
+    """For hh^n(algebra, module): None unless module is the regular
+    bimodule of a presented algebra whose relations are all quadratic and
+    whose J^2 is not zero (otherwise the Koszul complex is the normalized
+    one); else a function that returns the Koszul resolution when it is
+    certified exact through P^n, and None when it is not."""
+    pres = algebra.presentation
+    if pres is None or algebra.nilpotency <= 2 \
+            or module is not getattr(algebra, "_regular_bimodule", None) \
+            or any(len(p) != 2 for r in pres.relations for p in r.terms):
+        return None
+
+    def resolution():
+        res = _koszul_resolution(algebra)
+        return res if res.reach(n) else None
+
+    return resolution

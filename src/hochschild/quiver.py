@@ -9,7 +9,7 @@ from this single choice.
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import QQ
+from .linalg import QQ, parse_scalar
 
 
 class RelationSyntaxError(ValueError):
@@ -244,7 +244,7 @@ def paths_up_to(quiver, length):
     return out
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[*/+-])")
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[*/+-])")
 
 
 def _tokenize(text):
@@ -303,20 +303,18 @@ def parse_path_sum(text, quiver, field=QQ):
 def _parse_term(tokens, i, quiver, field):
     coeff = field.one
     if tokens[i].isdigit():
-        num = int(tokens[i])
+        text = tokens[i]
         i += 1
         if i < len(tokens) and tokens[i] == "/":
-            i += 1
-            if i >= len(tokens) or not tokens[i].isdigit():
+            if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
                 raise RelationSyntaxError("bad fraction coefficient")
-            den = field.of(int(tokens[i]))
-            if not den:
-                raise RelationSyntaxError(
-                    f"zero denominator in coefficient {num}/{tokens[i]}")
-            coeff = field.div(field.of(num), den)
-            i += 1
-        else:
-            coeff = field.of(num)
+            text += "/" + tokens[i + 1]
+            i += 2
+        try:
+            coeff = parse_scalar(field, text)
+        except ZeroDivisionError:
+            raise RelationSyntaxError(
+                f"zero denominator in coefficient {text}") from None
         if i >= len(tokens) or tokens[i] != "*":
             raise RelationSyntaxError("coefficient must be followed by *")
         i += 1

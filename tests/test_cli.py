@@ -241,10 +241,14 @@ def test_malformed_bimodule_file_exits_2(tmp_path, capsys, data):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", [float, bool, "1e5", "1_0", " 3 ", "2.5"],
+                         ids=["float", "bool", "1e5", "1_0", "spaced 3",
+                              "2.5"])
 def test_bimodule_file_with_inexact_entries_exits_2(tmp_path, capsys, entry):
     # the regular bimodule of ex3_8_C, its 0/1 entries written as JSON
-    # floats or booleans, is refused; with rational strings it is read
+    # floats or booleans, or its first entry as a string outside the
+    # grammar of relation coefficients, is refused; with rational strings
+    # it is read
     from hochschild.algebra import build_algebra
     from hochschild.bimodule import regular_bimodule
     algebra = build_algebra(algfile.load_bundled("ex3_8_C")[1])
@@ -262,8 +266,14 @@ def test_bimodule_file_with_inexact_entries_exits_2(tmp_path, capsys, entry):
 
     assert hh_with(algebra.field.to_str) == 0
     assert json.loads(capsys.readouterr().out)["results"]["dims"] == [1, 2, 0]
-    assert hh_with(entry) == 2
-    assert "error:" in capsys.readouterr().err
+    if isinstance(entry, str):
+        first = iter([entry])
+        assert hh_with(lambda x: next(first, algebra.field.to_str(x))) == 2
+        assert f"error: bad action matrix entry: {entry!r}" in \
+            capsys.readouterr().err
+    else:
+        assert hh_with(entry) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("labels", [5, ["a", "b"], [None]],

@@ -349,8 +349,13 @@ def test_cap_guard():
     reg = regular_bimodule(alg)
     with pytest.raises(CapExceeded):
         bar_differential(alg, reg, 2, cap=10)
-    with pytest.raises(CapExceeded):
+    # the message states the gate and nothing else: dim A = 3, so the
+    # bar quantity at degree 2 is 3^3 * 3
+    with pytest.raises(CapExceeded) as refused:
         hh(alg, reg, 2, cap=10)
+    assert str(refused.value) == (
+        "degree 2 refused: the bar complex size (dim A)^(n+1) * dim M = 81 "
+        "exceeds the cap 10")
 
 
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])

@@ -203,10 +203,11 @@ def test_certify_catches_a_scaled_coefficient(resolutions, name, n):
 
 
 @pytest.mark.parametrize("name", MONOMIAL + ["ex3_5_C", "ex5_9_C"])
-def test_certification_builds_only_d1_and_d2(corpus, monkeypatch, name):
-    # the compositions are checked on generator images, so d^3 and the
-    # augmentation are never built as matrices and nothing is multiplied;
-    # the two ranks read d^1 and d^2 on the one-sided complex
+def test_certification_builds_only_one_sided_differentials(corpus,
+                                                           monkeypatch, name):
+    # the compositions are checked on generator images, so the
+    # augmentation is never built as a matrix and nothing is multiplied;
+    # the three ranks read d^1, d^2 and d^3 on the one-sided complex
     # P^* (x)_A A/J, whose P^n has one basis vector per (summand, b_i)
     # with t(b_i) the summand's source
     from hochschild import minres
@@ -231,7 +232,8 @@ def test_certification_builds_only_d1_and_d2(corpus, monkeypatch, name):
 
     assert one_sided(0) == alg.dim
     assert [(m.rows, m.cols) for m in ranked] == \
-        [(alg.dim, one_sided(1)), (one_sided(1), one_sided(2))]
+        [(alg.dim, one_sided(1)), (one_sided(1), one_sided(2)),
+         (one_sided(2), one_sided(3))]
 
 
 def test_hom_differentials_are_built_once(monkeypatch):
@@ -407,7 +409,8 @@ def test_resolution_representatives_are_the_old_quotient(corpus, name):
 def _reference_verdict(res):
     """The certificate over the bimodule basis b_i (x) b_j: mu and each
     d^n as concrete matrices, the composites by matmul, and exactness at
-    P^0 and P^1 from the bimodule ranks of d^1 and d^2.  The message
+    P^0, P^1 and P^2 from the bimodule ranks of d^1, d^2 and d^3.  The
+    message
     certify() raises, without its generator, or None when it accepts."""
     A = res.algebra
     field = A.field
@@ -423,8 +426,11 @@ def _reference_verdict(res):
     rank1 = rank(d[1])
     if rank1 != d[1].rows - A.dim:
         return "resolution is not exact at P^0"
-    if rank(d[2]) != d[2].rows - rank1:
+    rank2 = rank(d[2])
+    if rank2 != d[2].rows - rank1:
         return "resolution is not exact at P^1"
+    if rank(d[3]) != d[3].rows - rank2:
+        return "resolution is not exact at P^2"
     return None
 
 
@@ -467,12 +473,12 @@ AGREEMENT = {
 }
 
 # a dropped arrow summand is caught at d^1 o d^2 or at P^0, a dropped
-# relation summand at d^2 o d^3 or at P^1; P^2 is not certified, so a
-# dropped overlap summand is accepted
+# relation summand at d^2 o d^3 or at P^1, and a dropped overlap summand
+# at P^2
 DROPPED = {
     1: {"d^1 o d^2 is not zero", "resolution is not exact at P^0"},
     2: {"d^2 o d^3 is not zero", "resolution is not exact at P^1"},
-    3: {None},
+    3: {"resolution is not exact at P^2"},
 }
 
 
