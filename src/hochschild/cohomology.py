@@ -16,12 +16,13 @@ from one complex per space: the subcomplex of idempotent-normalized
 cochains, maps vanishing whenever an argument is one of the orthogonal
 idempotents, supported on composable radical tuples with matching value
 blocks.  Its dims come from that complex too, except for the regular
-bimodule of a presented algebra with quadratic relations and J^2 != 0:
-there a dim read before any representative comes from the Koszul
-resolution (`minres.koszul_route`) wherever it is certified exact, and
-`vectors` checks the representatives' count against it.  For a
-separable span of idempotents that subcomplex is the S-relative bar
-complex and its inclusion is a quasi-isomorphism, so dimensions and
+bimodule of a presented algebra with J^2 != 0 and quadratic or monomial
+relations: there a dim read before any representative comes from the
+Koszul resolution wherever it is certified exact, or from Bardzell's
+(`minres.resolution_route`), and `vectors` checks the representatives'
+count against it.  For a separable span of idempotents that subcomplex
+is the S-relative bar complex and its inclusion is a
+quasi-isomorphism, so dimensions and
 classes agree, and its representatives are genuine bar cocycles.  The
 algebra must be Peirce-graded with radical products off the
 idempotents, or `NormalizedComplex` raises ValueError.  The module need
@@ -52,8 +53,9 @@ term at a new key as it is: only a repeated key is added up.
 representatives and class coordinates, for every engine: the normalized
 complex, the two-term `DerivationComplex` (derivations modulo inner
 derivations, `hh1_via_derivations`) and the Hom complexes of the
-Bardzell and Koszul resolutions (`minres.PartialResolution`), the last
-one for dims alone.  Its docstring names what it reads of a complex.
+Bardzell and Koszul resolutions (`minres.PartialResolution`), which
+also give `hh` its dims where they apply.  Its docstring names what it
+reads of a complex.
 It is rank-first: dim hh^n = dim C^n - rank d^n - rank d^{n-1}, from
 untracked sweeps (`linalg.rank`) cached by `RankedComplex`, with no
 kernel basis.  Representatives and class coordinates are built on first
@@ -741,14 +743,15 @@ class CohomologySpace:
     Until the representatives exist, dim is dim C^n - rank d^n -
     rank d^{n-1} from cached ranks: those of the complex, or, when the
     constructor is given dims, a function called on the first dim read,
-    those of the complex it returns (`hh` passes the Koszul resolution
-    this way; None keeps the complex's own).  Then no differential of the
-    complex is built until the representatives are.  `vectors` builds
-    the representatives on the complex on first use, checks their count
-    against the ranks of both complexes, and from then on dim is their
-    count; the class-coordinate sweep is built on the first class asked
-    for.  A space whose dim is all that is read does no kernel or
-    quotient work.
+    those of the complex it returns (`hh` passes the Koszul or Bardzell
+    resolution this way, `minres.resolution_route`; None keeps the
+    complex's own).  So `dim` is answered by that resolution, and no
+    differential of the complex is built until the representatives
+    are.  `vectors` builds the representatives on the complex on first
+    use, checks their count against the ranks of both complexes, and
+    from then on dim is their count; the class-coordinate sweep is built
+    on the first class asked for.  A space whose dim is all that is read
+    does no kernel or quotient work.
     On the normalized complex, in degrees 0 and 1, `is_cocycle` and
     `class_coords` also take a cochain outside it; from degree 2 on they
     refuse it.
@@ -961,10 +964,10 @@ def hh(algebra, module, n, cap=BAR_CAP):
     if got is not None:
         return got
     _check_cap(algebra, module, n, cap)
-    from .minres import koszul_route
+    from .minres import resolution_route
     space = cache[(n, cap)] = CohomologySpace(
         _normalized_complex(algebra, module), n,
-        koszul_route(algebra, module, n))
+        resolution_route(algebra, module, n))
     return space
 
 

@@ -1,22 +1,13 @@
-"""Partial projective bimodule resolutions, certified, and the complex
+"""Projective bimodule resolutions, certified, and the complex
 Hom_{A-A}(P^*, A) that a resolution route reads.
 
-For a monomial algebra, `build_partial_resolution` builds P^3 -> P^2 ->
-P^1 -> P^0 of Bardzell's minimal resolution: P^0 is indexed by vertices,
-P^1 by arrows, P^2 by the relation paths and P^3 by their overlaps; the
-differentials are
-
-    d1(e (x) e) = a (x) e - e (x) a
-    d2(e (x) e) = sum over arrow positions of prefix (x) suffix
-    d3(e (x) e) = (e (x) e).tail - head.(e (x) e)
-
-for an overlap  x = r1 * tail = head * r2.  This is a second, bar-free
-route to hh^0..hh^2 used to cross-check the cochain engine.
-
-For a presentation whose relations are all quadratic, `KoszulResolution`
-builds Priddy's complex A (x)_E K_n (x)_E A, K_n the intersection of the
-V^i R V^j in V^{(x)n}, one degree at a time; `hh` reads its dims when it
-is certified exact far enough (`koszul_route`).
+`BardzellResolution` builds Bardzell's minimal resolution of a monomial
+algebra (*J. Algebra* 188, 1997), `KoszulResolution` Priddy's complex
+A (x)_E K_n (x)_E A of a quadratic one, K_n the intersection of the
+V^i R V^j in V^{(x)n}; both one degree at a time, as far as asked.
+`hh` reads the dims of the regular bimodule off the one that applies,
+where it is certified exact (`resolution_route`); `hh_via_resolution`
+reads Bardzell's too, one instance kept on the algebra for both.
 
 Each d^n is the A-A-bilinear extension of the images of the summand
 generators e_a (x) e_b, kept in `PartialResolution.terms`.
@@ -35,6 +26,7 @@ engine does, one space per degree kept on the resolution; its
 representatives are Hom-block vectors, since no cochain maps into it.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .algebra import system_of_relations
@@ -61,58 +53,32 @@ def _monomial_relations(algebra):
             raise NotMonomial("a relation has more than one term")
         (path,) = r.terms
         paths.append(path)
-    paths.sort(key=lambda p: p.sort_key())
     return paths
 
 
-@dataclass
-class ChainSets:
-    """g^0..g^3 of the minimal-resolution combinatorics."""
-
-    vertices: list   # trivial paths
-    arrows: list     # arrow paths
-    relations: list  # the monomial relations
-    overlaps: list   # paths carrying a prefix relation and an overlapping
-                     # suffix relation, minimal among their prefixes
+# AP_0..AP_3 of Bardzell's resolution as paths: the vertices, the
+# arrows, the monomial relations and their overlaps
+ChainSets = namedtuple("ChainSets", "vertices arrows relations overlaps")
 
 
 def chain_paths(algebra):
-    """The four chain sets; relations must be monomial."""
-    quiver = algebra.presentation.quiver
-    relations = _monomial_relations(algebra)
-    vertices = [quiver.trivial_path(v) for v in sorted(quiver.vertices)]
-    arrows = [quiver.arrow_path(a.name) for a in quiver.arrows]
-    arrows.sort(key=lambda p: p.sort_key())
-    overlaps = []
-    for r1 in relations:
-        candidates = []
-        for r2 in relations:
-            top = min(len(r1), len(r2))
-            for ell in range(1, top + 1):
-                if r1.arrows[-ell:] == r2.arrows[:ell] and len(r2) > ell:
-                    candidates.append((r1.arrows + r2.arrows[ell:], r2, ell))
-        # keep the minimal ones: no accepted overlap is a proper prefix
-        candidates.sort(key=lambda t: (len(t[0]), t[0]))
-        kept = []
-        for word, _, _ in candidates:
-            if any(word[:len(k)] == k for k in kept):
-                continue
-            kept.append(word)
-            overlaps.append(quiver.path(*word))
-    overlaps.sort(key=lambda p: p.sort_key())
-    return ChainSets(vertices, arrows, relations, overlaps)
+    """AP_0..AP_3 of the algebra's Bardzell resolution (the one kept on
+    it); relations must be monomial."""
+    res = _partial_resolution(algebra)
+    return ChainSets(*([p for p, _ in res.chains[n]] for n in range(4)))
 
 
 @dataclass
 class PartialResolution(RankedComplex):
     """Summand data and differentials of P^top -> ... -> P^0 -> A, and
     the complex Hom_{A-A}(P^*, A) that `CohomologySpace` reads (no
-    `project`: its vectors are not cochains).  chains is the Bardzell
-    resolution's `ChainSets`, None for the Koszul one.
+    `project`: its vectors are not cochains).  chains is n -> AP_n of
+    the Bardzell resolution, each chain with the length of its prefix
+    chain; None for the Koszul one.
     """
 
     algebra: object
-    chains: ChainSets
+    chains: dict
     summands: dict   # n -> [(source idempotent, target idempotent)]
     terms: dict      # n -> [per generator: list of (y_index, u, v, coeff)]
 
@@ -125,6 +91,8 @@ class PartialResolution(RankedComplex):
         self.ranks = {}
         # n -> rank of d^n (x)_A A/J; d^0 is the augmentation onto A/J
         self._sided = {0: len(self.algebra.idempotents)}
+        self.exact_to = -1   # exact at P^0..P^exact_to, certified
+        self.stuck = False   # certify found a P^n not exact
 
     @property
     def module(self):
@@ -265,79 +233,116 @@ class PartialResolution(RankedComplex):
             self._sided[n] = rank(d)
             if self._sided[n - 1] + self._sided[n] != d.rows:
                 raise NotExact(f"resolution is not exact at P^{n - 1}")
+        self.exact_to = max(self.summands) - 1
+
+    def reach(self, n):
+        """Whether P^0..P^n are certified exact, extending the complex
+        one degree at a time (`_extend`) while each new position is
+        exact."""
+        while self.exact_to < n and not self.stuck:
+            self._extend(max(self.summands) + 1)
+        return self.exact_to >= n
+
+
+class BardzellResolution(PartialResolution):
+    """Bardzell's minimal resolution of a monomial algebra, built one
+    degree at a time by `reach`.
+
+    A chain of AP_n is a path w with the length pl of its prefix chain
+    in AP_{n-1}: AP_0 is the vertices and AP_1 the arrows (pl = 0).  For
+    each w of AP_n (n >= 1), AP_{n+1} has the paths w[:p] + r, r a
+    relation, pl <= p < len(w) and w[p:] a proper prefix of r, that have
+    no other such path as a proper prefix, each with pl = len(w); so AP_2
+    is the relations.  Each degree is sorted by `Path.sort_key`.  The
+    differentials are Skoeldberg's (*Proc. AMS* 127, 1999):
+
+        d^1(e (x) e) = a (x) e - e (x) a,
+        d^n(e (x) e) = e (x) w[pl:] - w[:j] (x) e     (n odd, n >= 3),
+        d^n(e (x) e) = sum over w = L q R of L (x) R  (n even),
+
+    at the summands of the prefix w[:pl] and the suffix w[j:] in AP_{n-1}
+    (n odd), of each chain q of AP_{n-1} met in w (n even); terms with a
+    factor zero in A are dropped.  It resolves every monomial algebra,
+    so a failed certificate raises.
+    """
+
+    def __init__(self, algebra):
+        A = algebra
+        quiver = A.presentation.quiver
+        # proper prefix of a relation -> relations; word -> coordinates
+        self._prefixes, self._elems = {}, {}
+        for r in _monomial_relations(A):
+            for k in range(1, len(r)):
+                self._prefixes.setdefault(r.arrows[:k], []).append(r.arrows)
+        self._basis = {p.arrows or p.source: k
+                       for k, p in enumerate(A.basis_paths)}
+        vertices = [quiver.trivial_path(v) for v in sorted(quiver.vertices)]
+        arrows = sorted((quiver.arrow_path(a.name) for a in quiver.arrows),
+                        key=lambda p: p.sort_key())
+        super().__init__(A, {0: [(p, 0) for p in vertices],
+                             1: [(p, 0) for p in arrows]}, {}, {})
+        pos = {p.source: k for k, p in enumerate(vertices)}
+        self.summands = {n: [(p.source, p.target) for p, _ in self.chains[n]]
+                         for n in (0, 1)}
+        self.terms = {0: [[] for _ in vertices], 1: [[
+            (pos[p.target], self._elem(p.arrows), self._elem(p.target),
+             A.field.one),
+            (pos[p.source], self._elem(p.source), self._elem(p.arrows),
+             A.field.of(-1))] for p in arrows]}
+        self.certify()
+
+    def _elem(self, key):
+        """The coordinates of the path with word key (its vertex if it is
+        trivial), one dict per path, shared by the terms: in a monomial
+        algebra a path is a basis vector or zero."""
+        got = self._elems.get(key)
+        if got is None:
+            k = self._basis.get(key)
+            got = self._elems[key] = {} if k is None else \
+                {k: self.algebra.field.one}
+        return got
+
+    def _extend(self, n):
+        """Build AP_n, P^n and d^n from AP_{n-1}, then certify them."""
+        quiver, field = self.algebra.presentation.quiver, self.algebra.field
+        prev = self.chains[n - 1]
+        pos = {w.arrows: k for k, (w, _) in enumerate(prev)}
+        chains = []
+        for w, pl in prev:
+            word = w.arrows
+            found = [word[:p] + r for p in range(pl, len(word))
+                     for r in self._prefixes.get(word[p:], ())]
+            chains += [(quiver.path(*c), len(word)) for c in found
+                       if not any(len(o) < len(c) and c[:len(o)] == o
+                                  for o in found)]
+        chains.sort(key=lambda t: t[0].sort_key())
+        terms = []
+        for w, pl in chains:
+            word, s, t = w.arrows, w.source, w.target
+            if n % 2:
+                j = next(j for j in range(1, len(word)) if word[j:] in pos)
+                gen = [(pos[word[:pl]], self._elem(s), self._elem(word[pl:]),
+                        field.one),
+                       (pos[word[j:]], self._elem(word[:j]), self._elem(t),
+                        field.of(-1))]
+            else:
+                gen = [(pos[word[i:j]], self._elem(word[:i] or s),
+                        self._elem(word[j:] or t), field.one)
+                       for i in range(len(word))
+                       for j in range(i + 1, len(word) + 1)
+                       if word[i:j] in pos]
+            terms.append([g for g in gen if g[1] and g[2]])
+        self.chains[n], self.terms[n] = chains, terms
+        self.summands[n] = [(w.source, w.target) for w, _ in chains]
+        self.certify(start=n)
 
 
 def build_partial_resolution(algebra):
-    """P^0..P^3 with their differentials, certified by
-    `PartialResolution.certify`: the compositions vanish on the summand
-    generators, which suffices because each d^n is the A-A-bilinear
-    extension of its generator images, and the ranks of d^1, d^2 and d^3
-    on the one-sided complex P^* (x)_A A/J give exactness at P^0, P^1
-    and P^2."""
-    chains = chain_paths(algebra)
-    A = algebra
-    field = A.field
-    quiver = A.presentation.quiver
-
-    summands = {
-        0: [(p.source, p.target) for p in chains.vertices],
-        1: [(p.source, p.target) for p in chains.arrows],
-        2: [(p.source, p.target) for p in chains.relations],
-        3: [(p.source, p.target) for p in chains.overlaps],
-    }
-
-    basis_index = {p: k for k, p in enumerate(A.basis_paths or ())}
-    elems = {}  # one coordinate dict per path, shared by the terms
-
-    def elem(path):
-        got = elems.get(path)
-        if got is None:
-            k = basis_index.get(path)
-            got = elems[path] = {k: field.one} if k is not None else \
-                dict(A.element_from_path(path).coords)
-        return got
-
-    def word_path(word, vertex):
-        return quiver.path(*word) if word else quiver.trivial_path(vertex)
-
-    terms = {0: [[] for _ in chains.vertices], 1: [], 2: [], 3: []}
-    arrow_pos = {p.arrows[0]: k for k, p in enumerate(chains.arrows)}
-    vertex_pos = {p.source: k for k, p in enumerate(chains.vertices)}
-    rel_pos = {p.arrows: k for k, p in enumerate(chains.relations)}
-
-    for p in chains.arrows:
-        a_elem = elem(p)
-        terms[1].append([
-            (vertex_pos[p.target], a_elem,
-             elem(quiver.trivial_path(p.target)), field.one),
-            (vertex_pos[p.source], elem(quiver.trivial_path(p.source)),
-             a_elem, field.of(-1)),
-        ])
-
-    for p in chains.relations:
-        word = p.arrows
-        terms[2].append([
-            (arrow_pos[name], elem(word_path(word[:k], p.source)),
-             elem(word_path(word[k + 1:], p.target)), field.one)
-            for k, name in enumerate(word)])
-
-    for p in chains.overlaps:
-        word = p.arrows
-        r1 = next(r for r in chains.relations
-                  if word[:len(r.arrows)] == r.arrows)
-        r2 = next(r for r in chains.relations
-                  if word[-len(r.arrows):] == r.arrows)
-        tail = word_path(word[len(r1.arrows):], p.target)
-        head = word_path(word[:-len(r2.arrows)], p.source)
-        terms[3].append([
-            (rel_pos[r1.arrows], elem(quiver.trivial_path(r1.source)),
-             elem(tail), field.one),
-            (rel_pos[r2.arrows], elem(head),
-             elem(quiver.trivial_path(r2.target)), field.of(-1)),
-        ])
-
-    res = PartialResolution(A, chains, summands, terms)
-    res.certify()
+    """Bardzell's resolution of a monomial algebra through P^3, certified
+    exact at P^0, P^1 and P^2 (`PartialResolution.certify`); `reach`
+    extends it."""
+    res = BardzellResolution(algebra)
+    res.reach(2)
     return res
 
 
@@ -402,15 +407,17 @@ def _partial_resolution(algebra):
 
 
 def hh_via_resolution(algebra, n, resolution=None):
-    """hh^n(A) for n <= 2 from the partial minimal resolution (built once
-    per algebra unless one is passed), with its representatives built;
-    one space per degree, kept on the resolution."""
-    if n not in (0, 1, 2):
-        raise ValueError("the partial resolution reaches degree 2 only")
+    """hh^n(A) on Bardzell's resolution, extended through P^{n+1}: the
+    one kept on the algebra, which `hh`'s dims share, unless one is
+    passed.  Its representatives are built; one space per degree, kept
+    on the resolution."""
+    if n < 0:
+        raise ValueError(f"negative degree {n}")
     res = resolution if resolution is not None else \
         _partial_resolution(algebra)
     space = res._spaces.get(n)
     if space is None:
+        res.reach(n)
         space = res._spaces[n] = CohomologySpace(res, n)
         space.vectors()
     return space
@@ -459,8 +466,6 @@ class KoszulResolution(PartialResolution):
             1: [[(pos[t], a, self._idem[t], A.field.one),
                  (pos[s], self._idem[s], a, A.field.of(-1))]
                 for a, s, t in self._arrows]})
-        self.exact_to = -1   # exact at P^0..P^exact_to, certified
-        self.stuck = False   # certify found a P^n not exact
         self._certify_top(1)
 
     def _certify_top(self, n):
@@ -468,15 +473,6 @@ class KoszulResolution(PartialResolution):
             self.certify(start=n)
         except NotExact:
             self.stuck = True
-        else:
-            self.exact_to = n - 1
-
-    def reach(self, n):
-        """Whether P^0..P^n are certified exact, extending the complex
-        one degree at a time while each new position is exact."""
-        while self.exact_to < n and not self.stuck:
-            self._extend(max(self.summands) + 1)
-        return self.exact_to >= n
 
     def _extend(self, n):
         """Build K_n, P^n and d^n from K_{n-1}, then certify them."""
@@ -542,20 +538,24 @@ def _koszul_resolution(algebra):
     return res
 
 
-def koszul_route(algebra, module, n):
-    """For hh^n(algebra, module): None unless module is the regular
-    bimodule of a presented algebra whose relations are all quadratic and
-    whose J^2 is not zero (otherwise the Koszul complex is the normalized
-    one); else a function that returns the Koszul resolution when it is
-    certified exact through P^n, and None when it is not."""
+def resolution_route(algebra, module, n):
+    """None unless module is the regular bimodule of a presented algebra
+    with J^2 != 0 (else the normalized complex is no bigger); else a
+    function giving the resolution that answers the dim of hh^n: the
+    Koszul one for quadratic relations, if exact through P^n, Bardzell's
+    for monomial ones, None for others."""
     pres = algebra.presentation
     if pres is None or algebra.nilpotency <= 2 \
-            or module is not getattr(algebra, "_regular_bimodule", None) \
-            or any(len(p) != 2 for r in pres.relations for p in r.terms):
+            or module is not getattr(algebra, "_regular_bimodule", None):
         return None
+    quadratic = all(len(p) == 2 for r in pres.relations for p in r.terms)
 
     def resolution():
-        res = _koszul_resolution(algebra)
+        try:
+            res = _koszul_resolution(algebra) if quadratic else \
+                _partial_resolution(algebra)
+        except NotMonomial:
+            return None
         return res if res.reach(n) else None
 
     return resolution

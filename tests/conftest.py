@@ -7,6 +7,7 @@ field; the row-walk reference of build_algebra; the forward-row
 reference of the kernel sweep; the hypothesis profile of the suite."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hochschild.algebra import _TruncatedIdeal, algebra_morphism, build_algebra
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
 from hochschild.linalg import QQ, Mat, Rationals, Sweep, reduce_mod
+from hochschild.minres import NotExact, PartialResolution
 from hochschild.quiver import (
     Path, PathSum, Presentation, Quiver, compose, parse_relation, paths_up_to,
 )
@@ -294,6 +296,33 @@ def twisted_regular(alg):
     return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
                              for i in range(d)],
                     [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
+
+
+def assert_broken_copies_refused(res, n, top):
+    """`certify` accepts res cut at P^top, and refuses that copy with the
+    sign of one term of d^n flipped, or with the last summand of P^n
+    dropped together with the terms of d^{n+1} that land in it."""
+    def copy():
+        return PartialResolution(
+            res.algebra, res.chains,
+            {k: list(res.summands[k]) for k in range(top + 1)},
+            {k: [list(g) for g in res.terms[k]] for k in range(top + 1)})
+
+    copy().certify()
+    flipped = copy()
+    y, u, v, c = flipped.terms[n][0][-1]
+    flipped.terms[n][0][-1] = (y, u, v, res.algebra.field.neg(c))
+    with pytest.raises(AssertionError, match=r"d\^\d o d\^\d is not zero"):
+        flipped.certify()
+    dropped = copy()
+    last = len(dropped.summands[n]) - 1
+    del dropped.summands[n][last], dropped.terms[n][last]
+    dropped.terms[n + 1] = [[t for t in g if t[0] != last]
+                            for g in dropped.terms[n + 1]]
+    with pytest.raises(AssertionError) as caught:
+        dropped.certify()
+    assert isinstance(caught.value, NotExact) or re.match(
+        r"d\^\d o d\^\d is not zero", str(caught.value))
 
 
 PRESENTATIONS = {

@@ -3,7 +3,6 @@ normalized complex, its chains against Bardzell's on monomial input, its
 certificate against broken copies, and the fallback where it is not
 exact."""
 
-import re
 from fractions import Fraction
 
 import pytest
@@ -17,12 +16,13 @@ from hochschild.cohomology import (
 )
 from hochschild.linalg import PrimeField, QQ
 from hochschild.minres import (
-    KoszulResolution, NotExact, PartialResolution, build_partial_resolution,
+    KoszulResolution, build_partial_resolution,
 )
 from hochschild.quiver import Path, PathSum, Presentation, Quiver
 
 from conftest import (
-    PRESENTATIONS, commutative_ladder_presentation, family_presentation,
+    PRESENTATIONS, assert_broken_copies_refused,
+    commutative_ladder_presentation, family_presentation,
     hereditary_presentation, quantum_plane_presentation,
 )
 
@@ -139,23 +139,16 @@ def test_monomial_koszul_chains_are_bardzells(name):
     alg = build_algebra(MONOMIAL_QUADRATIC[name]())
     assert alg.nilpotency > 2
     res = KoszulResolution(alg)
-    assert res.reach(2)
-    chains = build_partial_resolution(alg).chains
-    bardzell = [chains.vertices, chains.arrows, chains.relations,
-                chains.overlaps]
-    for n in (1, 2, 3):
+    assert res.reach(5)
+    bardzell = build_partial_resolution(alg)
+    assert bardzell.reach(5)
+    for n in range(1, 7):
+        chains = [p for p, _ in bardzell.chains[n]]
         assert sorted(res.summands[n]) == sorted(
-            (p.source, p.target) for p in bardzell[n])
+            (p.source, p.target) for p in chains)
         assert sorted(list(w.items()) for w in _words(res, n)) == \
-            sorted([(p.arrows, 1)] for p in bardzell[n])
-    assert res.summands[0] == [(p.source, p.target) for p in chains.vertices]
-
-
-def _copy(res, top):
-    return PartialResolution(
-        res.algebra, None,
-        {n: list(res.summands[n]) for n in range(top + 1)},
-        {n: [list(g) for g in res.terms[n]] for n in range(top + 1)})
+            sorted([(p.arrows, 1)] for p in chains)
+    assert res.summands[0] == bardzell.summands[0]
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 3), -1])
@@ -163,22 +156,7 @@ def _copy(res, top):
 def test_certify_rejects_a_broken_koszul_differential(q, n):
     res = KoszulResolution(build_algebra(quantum_plane_presentation(q)))
     assert res.reach(4)
-    _copy(res, 5).certify()
-    field = res.algebra.field
-    flipped = _copy(res, 5)
-    y, u, v, c = flipped.terms[n][0][-1]
-    flipped.terms[n][0][-1] = (y, u, v, field.neg(c))
-    with pytest.raises(AssertionError, match=r"d\^\d o d\^\d is not zero"):
-        flipped.certify()
-    dropped = _copy(res, 5)
-    last = len(dropped.summands[n]) - 1
-    del dropped.summands[n][last], dropped.terms[n][last]
-    dropped.terms[n + 1] = [[t for t in g if t[0] != last]
-                            for g in dropped.terms[n + 1]]
-    with pytest.raises(AssertionError) as caught:
-        dropped.certify()
-    assert isinstance(caught.value, NotExact) or re.match(
-        r"d\^\d o d\^\d is not zero", str(caught.value))
+    assert_broken_copies_refused(res, n, 5)
 
 
 def test_non_koszul_algebra_falls_back_from_the_first_inexact_degree():

@@ -102,7 +102,8 @@ def test_random_resolution_oracle(seed):
         pytest.skip("redundant relations combined into a non-monomial system")
     reg = regular_bimodule(alg)
     for n in (0, 1, 2):
-        assert hh_via_resolution(alg, n, res).dim == hh(alg, reg, n).dim
+        assert hh_via_resolution(alg, n, res).dim == \
+            len(hh(alg, reg, n).vectors())
 
 
 @pytest.mark.parametrize("seed", range(5))
