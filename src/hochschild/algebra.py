@@ -14,10 +14,12 @@ bimodules) are first-class: anything with structure constants and a
 complete list of orthogonal idempotents feeds the cohomology engine.
 """
 
+import heapq
+
 from .linalg import (
     Mat, Sweep, axpy, echelon_basis, kernel_basis_sparse, scale,
 )
-from .quiver import Path, compose, paths_up_to
+from .quiver import Path
 
 
 class AdmissibilityError(ValueError):
@@ -25,7 +27,6 @@ class AdmissibilityError(ValueError):
 
 
 DEFAULT_CAP = 30
-_PATH_GUARD = 500_000  # truncated path space growing past this is hopeless
 
 
 class AlgElement:
@@ -340,9 +341,9 @@ class _GroebnerBasis:
     Polynomials that are all monomials are their own basis once the words
     containing another are dropped, with no linear algebra.  Otherwise
     Buchberger's completion runs on the overlaps of tips, shortest overlap
-    first (Green, *Noncommutative Gröbner bases, and projective
-    resolutions*, 1999); a tip longer than cap ends it with
-    AdmissibilityError.
+    first from a heap, skipping overlaps of two monomials (Green,
+    *Noncommutative Gröbner bases, and projective resolutions*, 1999); a
+    tip longer than cap ends it with AdmissibilityError.
     """
 
     def __init__(self, field, key, polys, cap):
@@ -402,12 +403,10 @@ class _GroebnerBasis:
         # smallest tip first, from the end of the list
         pending = sorted(polys, key=lambda p: max(map(self.key, p)),
                          reverse=True)
-        pairs = set()  # (overlap length, tip, tip, shared length)
+        pairs = []  # heap of (overlap length, tip, tip, shared length)
         while pending or pairs:
             if not pending:
-                pair = min(pairs)
-                pairs.remove(pair)
-                _, a, b, k = pair
+                _, a, b, k = heapq.heappop(pairs)
                 if a in tails and b in tails:
                     # (a - tail_a) v - u (b - tail_b) with a v = u b
                     u, v = a[:len(a) - k], b[k:]
@@ -437,10 +436,13 @@ class _GroebnerBasis:
                 if old != tip and any(_contains(w, tip) for w in tail):
                     tails[old] = self.reduce(tail)
             for old in tails:
+                if not tails[tip] and not tails[old]:
+                    continue  # two monomials: their overlap reduces to zero
                 for a, b in dict.fromkeys([(tip, old), (old, tip)]):
                     for k in range(1, min(len(a), len(b))):
                         if a[len(a) - k:] == b[:k]:
-                            pairs.add((len(a) + len(b) - k, a, b, k))
+                            heapq.heappush(pairs,
+                                           (len(a) + len(b) - k, a, b, k))
 
 
 def _words(presentation):
@@ -536,88 +538,6 @@ def build_algebra(presentation, cap=DEFAULT_CAP, order="lex"):
     return algebra
 
 
-class _TruncatedIdeal:
-    """Span of the relation ideal inside paths of length <= L, which is
-    the ideal of the completed path algebra read modulo paths longer than
-    L.  Kept for relext's membership test of its square generators, whose
-    meaning is this truncation, and as the tests' row-walk reference of
-    `build_algebra`.
-
-    `rows[lead]` is the span's canonical RREF row with that lead
-    coordinate: 1 at its lead and 0 at every other lead.  A coordinate is
-    the reverse of the path order, so the leads land on the latest paths
-    and the earliest paths leading no row form the quotient basis.
-    """
-
-    def __init__(self, presentation, L, order="lex"):
-        self.field = presentation.field
-        self.L = L
-        paths = paths_up_to(presentation.quiver, L)
-        if len(paths) > _PATH_GUARD:
-            raise AdmissibilityError(
-                f"truncated path space exceeds {_PATH_GUARD} paths at L={L}")
-        self.paths = paths
-        if order == "lex":
-            ordered = paths
-        elif order == "revlex":
-            by_len = {}
-            for p in paths:
-                by_len.setdefault(len(p), []).append(p)
-            ordered = []
-            for ln in sorted(by_len):
-                ordered.extend(sorted(by_len[ln], key=Path.sort_key, reverse=True))
-        else:
-            raise ValueError(order)
-        self.ordered = ordered
-        n = len(ordered)
-        self.coord = {p: n - 1 - i for i, p in enumerate(ordered)}
-        self.from_coord = {c: p for p, c in self.coord.items()}
-        self.gen_vectors = []          # the truncated products u*r*v
-        self._build_generators(presentation)
-        self.rows = {min(row): row
-                     for row in echelon_basis(self.gen_vectors, self.field)}
-
-    def _build_generators(self, presentation):
-        by_source = {}
-        by_target = {}
-        for p in self.paths:
-            by_source.setdefault(p.source, []).append(p)
-            by_target.setdefault(p.target, []).append(p)
-        for rel in presentation.relations:
-            src, tgt = rel.endpoints()
-            minlen = min(len(p) for p in rel.terms)
-            for u in by_target.get(src, []):
-                if len(u) + minlen > self.L:
-                    continue
-                for v in by_source.get(tgt, []):
-                    if len(u) + minlen + len(v) > self.L:
-                        continue
-                    vec = {}
-                    for term, c in rel.terms.items():
-                        w = compose(compose(u, term), v)
-                        if len(w) <= self.L:
-                            cur = vec.get(self.coord[w])
-                            c2 = self.field.add(cur, c) if cur is not None else c
-                            if c2:
-                                vec[self.coord[w]] = c2
-                            else:
-                                del vec[self.coord[w]]
-                    if vec:
-                        self.gen_vectors.append(vec)
-
-    def normal_form(self, path):
-        """{path: scalar}, the normal form of a path of length <= L: the
-        path itself when it leads no row, else minus the rest of its row
-        (what reducing the path by every row gives, since no other row
-        meets the rest)."""
-        c = self.coord[path]
-        row = self.rows.get(c)
-        if row is None:
-            return {path: self.field.one}
-        neg, from_coord = self.field.neg, self.from_coord
-        return {from_coord[k]: neg(v) for k, v in row.items() if k != c}
-
-
 def multiply(a, b):
     """Bilinear product of two AlgElements of the same algebra."""
     return a * b
@@ -649,6 +569,16 @@ def is_triangular(algebra):
     return algebra.presentation.quiver.is_acyclic()
 
 
+def _presentation(source):
+    """source itself, or the presentation the algebra source was built
+    from."""
+    if not isinstance(source, Algebra):
+        return source
+    if source.presentation is None:
+        raise ValueError("algebra has no presentation")
+    return source.presentation
+
+
 def system_of_relations(source, cap=DEFAULT_CAP):
     """Deterministic minimal generating set of the relation ideal.
 
@@ -663,12 +593,9 @@ def system_of_relations(source, cap=DEFAULT_CAP):
     relations containing no other relation as a proper subword (the tips
     of the basis of I), each kept at its first occurrence.
     """
-    if isinstance(source, Algebra):
-        algebra, presentation = source, source.presentation
-        if presentation is None:
-            raise ValueError("algebra has no presentation")
-    else:
-        algebra, presentation = build_algebra(source, cap=cap), source
+    presentation = _presentation(source)
+    algebra = source if isinstance(source, Algebra) else \
+        build_algebra(source, cap=cap)
     quiver, field = presentation.quiver, presentation.field
     key = _word_key(quiver, "lex")
     rels = _words(presentation)

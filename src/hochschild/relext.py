@@ -6,12 +6,25 @@ B = C |x Ext^2(DC, C) has the same vertices, one new arrow y -> x per
 relation x -> y in a minimal system, and is presented by the cyclic
 derivatives of the potential W = sum rho_i alpha_i together with the
 square of the new-arrow ideal.
+
+The square is generated by the paths c = new * (old path) * new.  Each
+is kept unless the relations accepted before it imply it, that is unless
+c lies in I + J^(L+1), with I their ideal, J the arrow ideal and
+L = len(c) + 2.  The test is a normal form modulo the reduced Gröbner
+basis of I + J^(L+1) (`algebra._GroebnerBasis`), generated by the
+relations and every path of length L + 1.  Every longer path contains
+one of those, so the completion meets no tip longer than L + 1.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import build_algebra, system_of_relations
-from .quiver import Arrow, Path, PathSum, Quiver, paths_up_to
+from .algebra import (
+    AdmissibilityError, _GroebnerBasis, _presentation, _word_key, _words,
+    build_algebra, system_of_relations,
+)
+from .quiver import Arrow, Path, PathSum, Presentation, Quiver, paths_up_to
+
+_PATH_GUARD = 500_000  # a padding path space past this is hopeless
 
 
 class Potential:
@@ -104,12 +117,16 @@ class RelationExtensionPresentation:
         return self.jacobian_relations + self.square_generators
 
 
-def relation_extension_quiver(presentation):
-    """Q_B plus the new arrows, one per relation of a minimal system."""
-    quiver = presentation.quiver
+def relation_extension_quiver(source):
+    """Q_B plus the new arrows, one per relation of a minimal system.
+
+    source is a presentation of C, or an algebra built from one (which
+    spares building C again), as for `system_of_relations`.
+    """
+    quiver = _presentation(source).quiver
     if not quiver.is_acyclic():
         raise ValueError("relation extensions need a triangular algebra")
-    rels = system_of_relations(presentation)
+    rels = system_of_relations(source)
     arrows = list(quiver.arrows)
     new = []
     for k, rho in enumerate(rels):
@@ -139,16 +156,19 @@ def _old_paths_between(quiver):
     return by_ends
 
 
-def relation_extension_algebra(presentation, cap=30):
+def relation_extension_algebra(source):
     """The Jacobian-plus-square presentation of B, and B itself.
 
-    Relations: every nonzero cyclic derivative of the Keller potential,
-    plus generators of the square of the new-arrow ideal, realized as the
-    paths new * (old path) * new; generators already inside the ideal of
-    the accepted relations are reported, not repeated.
+    source is as for `relation_extension_quiver`.  Relations: every
+    nonzero cyclic derivative of the Keller potential, plus generators of
+    the square of the new-arrow ideal, realized as the paths
+    new * (old path) * new; generators already inside the ideal of the
+    accepted relations (see the module docstring) are reported, not
+    repeated.
     """
+    presentation = _presentation(source)
     field = presentation.field
-    quiver_b, new_arrows = relation_extension_quiver(presentation)
+    quiver_b, new_arrows = relation_extension_quiver(source)
     w = keller_potential(quiver_b, new_arrows, field=field)
     jacobian = []
     for arrow in quiver_b.arrows:
@@ -172,22 +192,32 @@ def relation_extension_algebra(presentation, cap=30):
                                        (n1,) + mid.arrows + (n2,)))
     candidates.sort(key=Path.sort_key)
 
-    from .algebra import _TruncatedIdeal
-    from .quiver import Presentation
-    accepted, implied = [], []
-    current = list(jacobian)
-    for cand in candidates:
-        probe = Presentation(quiver_b, field, list(current))
-        ideal = _TruncatedIdeal(probe, len(cand) + 2)
-        ps = PathSum({cand: field.one}, field)
-        if not ideal.normal_form(cand):
-            implied.append(ps)
-        else:
-            accepted.append(ps)
-            current.append(ps)
+    # the generators of J^(L+1), each path of length L + 1 a monomial,
+    # for every candidate length
+    longest = len(candidates[-1]) + 3 if candidates else 0
+    paths = paths_up_to(quiver_b, longest)
+    if len(paths) > _PATH_GUARD:
+        raise AdmissibilityError(
+            f"path space exceeds {_PATH_GUARD} paths at length {longest}")
+    padding = {}
+    for p in paths:
+        padding.setdefault(len(p), []).append({p.arrows: field.one})
 
-    pres_b = Presentation(quiver_b, field, list(current))
-    algebra_b = build_algebra(pres_b, cap=cap)
+    key = _word_key(quiver_b, "lex")
+    words = _words(Presentation(quiver_b, field, jacobian))
+    accepted, implied = [], []
+    for cand in candidates:
+        top = len(cand) + 3
+        gb = _GroebnerBasis(field, key, words + padding.get(top, []), top)
+        ps = PathSum({cand: field.one}, field)
+        if gb.reduce({cand.arrows: field.one}):
+            accepted.append(ps)
+            words.append({cand.arrows: field.one})
+        else:
+            implied.append(ps)
+
+    algebra_b = build_algebra(Presentation(quiver_b, field,
+                                           jacobian + accepted))
     data = RelationExtensionPresentation(
         base=presentation, quiver=quiver_b, new_arrows=new_arrows,
         potential=w, jacobian_relations=jacobian,
@@ -206,7 +236,7 @@ def crosscheck_with_trivial_extension(presentation):
     from .extension import (check_growth_bound, check_kernel_sequence,
                             trivial_extension)
     C = build_algebra(presentation)
-    data, algebra_b = relation_extension_algebra(presentation)
+    data, algebra_b = relation_extension_algebra(C)
     e2 = ext_dual_bimodule(C, 2)
     report = {
         "dim_C": C.dim,

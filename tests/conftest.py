@@ -3,8 +3,9 @@ presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n, commutative ladders, seeded random monomial)
 and a twisted, non-Peirce-graded regular module; the all-Fraction Q
-field; the row-walk reference of build_algebra; the forward-row
-reference of the kernel sweep; the hypothesis profile of the suite."""
+field; the truncated span, reference of build_algebra's row walk and of
+relext's square-generator test; the forward-row reference of the kernel
+sweep; the hypothesis profile of the suite."""
 
 import random
 import re
@@ -13,14 +14,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from hochschild.algebra import _TruncatedIdeal, algebra_morphism, build_algebra
+from hochschild.algebra import (
+    AdmissibilityError, algebra_morphism, build_algebra,
+)
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
-from hochschild.linalg import QQ, Mat, Rationals, Sweep, reduce_mod
+from hochschild.linalg import (
+    QQ, Mat, Rationals, Sweep, echelon_basis, reduce_mod,
+)
 from hochschild.minres import NotExact, PartialResolution
 from hochschild.quiver import (
     Path, PathSum, Presentation, Quiver, compose, parse_relation, paths_up_to,
 )
+from hochschild.relext import _PATH_GUARD
 
 # Property tests draw the same examples on every run, and a fixed number
 # of them, so the suite stays deterministic and its wall time steady.
@@ -55,6 +61,88 @@ class FractionRationals(Rationals):
 
     def addmul(self, a, c, b):
         return Fraction(a + c * b)
+
+
+class _TruncatedIdeal:
+    """Span of the relation ideal inside paths of length <= L, which is
+    the ideal of the completed path algebra read modulo paths longer than
+    L: the reference, by linear algebra alone, of `build_algebra` (the row
+    walk) and of relext's square-generator test, which asks the same
+    membership of a Gröbner basis of I + J^(L+1).
+
+    `rows[lead]` is the span's canonical RREF row with that lead
+    coordinate: 1 at its lead and 0 at every other lead.  A coordinate is
+    the reverse of the path order, so the leads land on the latest paths
+    and the earliest paths leading no row form the quotient basis.
+    """
+
+    def __init__(self, presentation, L, order="lex"):
+        self.field = presentation.field
+        self.L = L
+        paths = paths_up_to(presentation.quiver, L)
+        if len(paths) > _PATH_GUARD:
+            raise AdmissibilityError(
+                f"truncated path space exceeds {_PATH_GUARD} paths at L={L}")
+        self.paths = paths
+        if order == "lex":
+            ordered = paths
+        elif order == "revlex":
+            by_len = {}
+            for p in paths:
+                by_len.setdefault(len(p), []).append(p)
+            ordered = []
+            for ln in sorted(by_len):
+                ordered.extend(sorted(by_len[ln], key=Path.sort_key, reverse=True))
+        else:
+            raise ValueError(order)
+        self.ordered = ordered
+        n = len(ordered)
+        self.coord = {p: n - 1 - i for i, p in enumerate(ordered)}
+        self.from_coord = {c: p for p, c in self.coord.items()}
+        self.gen_vectors = []          # the truncated products u*r*v
+        self._build_generators(presentation)
+        self.rows = {min(row): row
+                     for row in echelon_basis(self.gen_vectors, self.field)}
+
+    def _build_generators(self, presentation):
+        by_source = {}
+        by_target = {}
+        for p in self.paths:
+            by_source.setdefault(p.source, []).append(p)
+            by_target.setdefault(p.target, []).append(p)
+        for rel in presentation.relations:
+            src, tgt = rel.endpoints()
+            minlen = min(len(p) for p in rel.terms)
+            for u in by_target.get(src, []):
+                if len(u) + minlen > self.L:
+                    continue
+                for v in by_source.get(tgt, []):
+                    if len(u) + minlen + len(v) > self.L:
+                        continue
+                    vec = {}
+                    for term, c in rel.terms.items():
+                        w = compose(compose(u, term), v)
+                        if len(w) <= self.L:
+                            cur = vec.get(self.coord[w])
+                            c2 = self.field.add(cur, c) if cur is not None else c
+                            if c2:
+                                vec[self.coord[w]] = c2
+                            else:
+                                del vec[self.coord[w]]
+                    if vec:
+                        self.gen_vectors.append(vec)
+
+    def normal_form(self, path):
+        """{path: scalar}, the normal form of a path of length <= L: the
+        path itself when it leads no row, else minus the rest of its row
+        (what reducing the path by every row gives, since no other row
+        meets the rest)."""
+        c = self.coord[path]
+        row = self.rows.get(c)
+        if row is None:
+            return {path: self.field.one}
+        neg, from_coord = self.field.neg, self.from_coord
+        return {from_coord[k]: neg(v) for k, v in row.items() if k != c}
 
 
 def row_walk_contains(ideal, path):

@@ -6,8 +6,8 @@ import pytest
 
 from hochschild.algebra import (
     DEFAULT_CAP, AdmissibilityError, AlgElement, Algebra, _GroebnerBasis,
-    _TruncatedIdeal, _contains, _word_key, _words, algebra_morphism,
-    build_algebra, center_basis, is_triangular, system_of_relations,
+    _contains, _word_key, _words, algebra_morphism, build_algebra,
+    center_basis, is_triangular, system_of_relations,
 )
 from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
 from hochschild.linalg import Mat, PrimeField, QQ, rank, reduce_mod
@@ -15,9 +15,9 @@ from hochschild.quiver import Presentation, Quiver, parse_relation
 from hochschild.relext import relation_extension_algebra
 
 from conftest import (
-    PRESENTATIONS, FractionRationals, commutative_ladder_presentation,
-    cyclic_nakayama_presentation, hereditary_presentation,
-    loops_presentation, quantum_plane_presentation,
+    PRESENTATIONS, FractionRationals, _TruncatedIdeal,
+    commutative_ladder_presentation, cyclic_nakayama_presentation,
+    hereditary_presentation, loops_presentation, quantum_plane_presentation,
     random_monomial_presentation, row_walk_algebra, row_walk_contains,
     square_presentation, structure_entries, truncated_presentation,
 )
@@ -170,22 +170,15 @@ def test_system_of_relations_of_the_algebra(corpus):
             system_of_relations(alg.presentation)
 
 
-def test_system_of_relations_reuses_the_certified_ideal(monkeypatch):
-    # the list is read from Gröbner normal forms: no truncated span is
-    # built for the algebra or for the list, in either order, and both
-    # orders give the same list
-    import hochschild.algebra as algebra_module
-    real = algebra_module._TruncatedIdeal
-    built = []
-    monkeypatch.setattr(algebra_module, "_TruncatedIdeal",
-                        lambda *args, **kw: built.append(args[1]) or
-                        real(*args, **kw))
+def test_system_of_relations_reuses_the_certified_ideal():
+    # the list is read from Gröbner normal forms (src/ has no truncated
+    # span to build), and both orders and the presentation give the same
+    # list
     for make in PRESENTATIONS.values():
         pres = make()
         lex, revlex = build_algebra(pres), build_algebra(pres, order="revlex")
         assert system_of_relations(revlex) == system_of_relations(lex)
         assert system_of_relations(pres) == system_of_relations(lex)
-    assert built == []
 
 
 def test_system_of_relations_needs_a_presentation(nakayama_c):

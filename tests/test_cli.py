@@ -421,6 +421,28 @@ def test_hh_reps_stdout_is_pinned():
     assert json.loads(proc.stdout)["results"]["dims"] == [3, 4, 6]
 
 
+RELEXT_SHA256 = {
+    "ex5_9_C":
+        "4dccbbe27e2fbdb6ebb367c423ea0c709db4ed9019b9a3e64fc626f5018a0424",
+    "square":
+        "40bbc732d3f278e92c5a29a0d2e70e522ff77fd33fd601b91391ed21b7766b95",
+    "ex3_8_C":
+        "3dadd66733d71e9c7a074bcd9fcbe035a93f765d5dd8b8b69fad2dfb6dc226c5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELEXT_SHA256))
+def test_relext_stdout_is_pinned(name):
+    # the relations, the implied square generators and the emitted file
+    # are canonical output: a change must update this hash deliberately
+    # and say so in CHANGES.md
+    proc = subprocess.run(
+        [sys.executable, "-m", "hochschild.cli", "relext", data_path(name)],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == RELEXT_SHA256[name]
+
+
 def test_verify_paper_unknown_block():
     proc = run_cli("verify-paper", "--only", "nonsense")
     assert proc.returncode == 2

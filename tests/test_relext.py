@@ -1,13 +1,22 @@
-import pytest
+import itertools
 
-from hochschild.quiver import Path, Quiver
+import pytest
+from hypothesis import assume, given, strategies as st
+
+import hochschild.algebra as algebra_module
+import hochschild.relext as relext
+from hochschild.algebra import AdmissibilityError
+from hochschild.algfile import load_bundled
+from hochschild.linalg import QQ
+from hochschild.quiver import Path, PathSum, Presentation, Quiver, paths_up_to
 from hochschild.relext import (
     Potential, crosscheck_with_trivial_extension, cyclic_derivative,
     keller_potential, relation_extension_algebra, relation_extension_quiver,
 )
 
 from conftest import (
-    kite_c_presentation, square_presentation, triangle_c_presentation,
+    _TruncatedIdeal, kite_c_presentation, square_presentation,
+    triangle_c_presentation,
 )
 
 
@@ -181,3 +190,110 @@ def test_new_arrow_counts_match_graded_pieces():
         a = qb.arrow_by_name[name]
         got[(a.source, a.target)] = got.get((a.source, a.target), 0) + 1
     assert got == counts
+
+
+def test_crosscheck_builds_each_algebra_once(monkeypatch):
+    # C is built once and handed to relext, whose minimal system of
+    # relations reads it; the other build is B
+    real = algebra_module.build_algebra
+    built = []
+
+    def build(pres, *args, **kwargs):
+        built.append(pres)
+        return real(pres, *args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "build_algebra", build)
+    monkeypatch.setattr(relext, "build_algebra", build)
+    pres = load_bundled("ex5_9_C")[1]
+    assert crosscheck_with_trivial_extension(pres)["pass"]
+    assert len(built) == 2
+    assert built[0] is pres
+    assert "rel0" in built[1].quiver.arrow_by_name
+
+
+def test_relext_of_the_algebra_equals_that_of_its_presentation():
+    pres = load_bundled("ex5_9_C")[1]
+    from_pres, b1 = relation_extension_algebra(pres)
+    C = algebra_module.build_algebra(pres)
+    from_alg, b2 = relation_extension_algebra(C)
+    assert from_alg.relations == from_pres.relations
+    assert from_alg.implied_square_generators == \
+        from_pres.implied_square_generators
+    assert (b1.labels, b1.structure) == (b2.labels, b2.structure)
+
+
+def test_padding_path_space_is_guarded(monkeypatch):
+    # the paths enumerated for J^(L+1) are refused past the guard, as the
+    # truncated span refused its path space
+    monkeypatch.setattr(relext, "_PATH_GUARD", 50)
+    with pytest.raises(AdmissibilityError, match="exceeds 50 paths"):
+        relation_extension_algebra(square_presentation())
+
+
+def replay_against_the_truncated_span(data):
+    """Replays relext's square-generator candidates in their order: each
+    must be implied exactly when the truncated span at L = len(c) + 2 of
+    the relations accepted before it contains it.  A span is rebuilt only
+    when L or the accepted relations change.  Returns the number of
+    candidates."""
+    field = data.base.field
+    verdicts = sorted(
+        [(g.paths()[0], True) for g in data.square_generators] +
+        [(g.paths()[0], False) for g in data.implied_square_generators],
+        key=lambda v: v[0].sort_key())
+    current = list(data.jacobian_relations)
+    ideal = None
+    for cand, kept in verdicts:
+        if ideal is None or ideal.L != len(cand) + 2:
+            probe = Presentation(data.quiver, field, current)
+            ideal = _TruncatedIdeal(probe, len(cand) + 2)
+        assert bool(ideal.normal_form(cand)) == kept, cand
+        if kept:
+            current.append(PathSum({cand: field.one}, field))
+            ideal = None
+    return len(verdicts)
+
+
+@pytest.mark.parametrize("name, count",
+                         [("ex5_9_C", 2), ("square", 8), ("ex3_8_C", 0)])
+def test_bundled_verdicts_equal_the_truncated_span(name, count):
+    data, _ = relation_extension_algebra(load_bundled(name)[1])
+    assert replay_against_the_truncated_span(data) == count
+
+
+@st.composite
+def acyclic_presentations(draw):
+    """An acyclic quiver on three to five vertices with two to six arrows,
+    each from a lower vertex to a higher one, bound by one or two
+    relations when it has paths of length 2 or 3: such a path, or, at
+    even odds when two of them are parallel, their difference (a
+    commutativity relation)."""
+    size = draw(st.integers(3, 5))
+    arrows = []
+    for k in range(draw(st.integers(2, 6))):
+        s = draw(st.integers(0, size - 2))
+        arrows.append((f"a{k}", str(s),
+                       str(draw(st.integers(s + 1, size - 1)))))
+    quiver = Quiver([str(v) for v in range(size)], arrows)
+    paths = [p for p in paths_up_to(quiver, 3) if len(p) >= 2]
+    parallel = [(p, q) for p, q in itertools.combinations(paths, 2)
+                if (p.source, p.target) == (q.source, q.target)]
+    relations = []
+    for _ in range(draw(st.integers(1, 2)) if paths else 0):
+        if parallel and draw(st.booleans()):
+            p, q = draw(st.sampled_from(parallel))
+            relations.append(PathSum({p: 1, q: -1}, QQ))
+        else:
+            relations.append(PathSum({draw(st.sampled_from(paths)): 1}, QQ))
+    return Presentation(quiver, QQ, relations)
+
+
+@given(acyclic_presentations())
+def test_generated_verdicts_equal_the_truncated_span(pres):
+    # the truncated span costs about the square of its path space, so
+    # draws whose longest candidate spans more than 600 paths are left out
+    data, _ = relation_extension_algebra(pres)
+    top = max((len(g.paths()[0]) for g in data.square_generators +
+               data.implied_square_generators), default=0) + 2
+    assume(len(paths_up_to(data.quiver, top)) <= 600)
+    replay_against_the_truncated_span(data)
