@@ -664,18 +664,23 @@ def algebra_morphism(source, target, arrow_images):
             acc = acc + img.scaled(c)
         if not acc.is_zero():
             raise ValueError(f"relation {rel.label()} is not sent to zero")
-    from .linalg import Mat
     entries = {}
     for j, img in enumerate(images):
         for r, v in img.coords.items():
             entries[(r, j)] = v
     m = Mat.from_entries(target.dim, source.dim, field, entries)
     # multiplicativity on all basis pairs (catches non-basis-path subtleties)
-    for i in range(source.dim):
-        for j in range(source.dim):
-            prod = source.structure.get((i, j), {})
-            lhs = m.matvec(dict(prod))
-            rhs = target.multiply_coords(images[i].coords, images[j].coords)
-            if lhs != rhs:
-                raise ValueError("arrow images do not define a morphism")
+    _check_multiplicative(m, source, target)
     return m
+
+
+def _check_multiplicative(m, src, tgt):
+    """Raise unless the matrix m: src -> tgt sends every product of two
+    basis vectors to the product of their images."""
+    for a in range(src.dim):
+        ma = m.column(a)
+        for b in range(src.dim):
+            lhs = m.matvec(src.structure.get((a, b), {}))
+            rhs = tgt.multiply_coords(ma, m.column(b))
+            if lhs != rhs:
+                raise ValueError("map is not an algebra morphism")

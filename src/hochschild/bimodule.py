@@ -2,14 +2,17 @@
 
 Carrying action matrices (rather than presentations) lets trivial
 extensions, duals, kernels of algebra maps, tensor products and Ext
-bimodules compose without any symbolic machinery.
+bimodules compose without any symbolic machinery.  The axioms, and those
+of a product on the module, are one certificate: A (+) M, with the actions
+and the product as structure constants, must be an associative unital
+algebra, which `Algebra` checks (see `Bimodule._check_axioms`).
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import center_basis
+from .algebra import Algebra, center_basis
 from .linalg import (
     Mat, SubspaceCoords, axpy, echelon_basis, kernel_basis_sparse, rank,
     reduce_mod,
@@ -22,7 +25,9 @@ class Bimodule:
     left[i], right[i] are dim x dim Mats for the i-th algebra basis vector;
     product, when present, is a structure-constant map (i, j) -> {k: c}
     making the space an associative algebra-without-unit compatible with
-    the actions (the input data of a split extension).
+    the actions (the input data of a split extension).  Together they are
+    the structure constants of A (+) M (`extension_structure`), and with
+    check on that is certified to be an associative unital algebra.
     """
 
     def __init__(self, algebra, dim, left, right, labels=None, product=None,
@@ -91,99 +96,50 @@ class Bimodule:
             tags.append(tag)
         return tags
 
+    def extension_structure(self):
+        """Structure constants of A (+) M, A's basis first: A's product, the
+        left actions at (a, dim A + b), the right actions at (dim A + b, a)
+        and M's product, when there is one, at (dim A + a, dim A + b)."""
+        n = self.algebra.dim
+        structure = {key: dict(prod)
+                     for key, prod in self.algebra.structure.items()}
+        for a in range(n):
+            for b in range(self.dim):
+                col = self.left[a].column(b)
+                if col:
+                    structure[(a, n + b)] = {n + k: v for k, v in col.items()}
+                col = self.right[a].column(b)
+                if col:
+                    structure[(n + b, a)] = {n + k: v for k, v in col.items()}
+        for (a, b), prod in (self.product or {}).items():
+            if prod:
+                structure[(n + a, n + b)] = {n + k: v for k, v in prod.items()}
+        return structure
+
     def _check_axioms(self):
-        field = self.field
-        dim_a = self.algebra.dim
-        idem = Mat.zero(self.dim, self.dim, field)
-        idem_r = Mat.zero(self.dim, self.dim, field)
-        for _, xi in self.algebra.idempotents:
-            idem = idem.add(self.left[xi])
-            idem_r = idem_r.add(self.right[xi])
-        ident = Mat.identity(self.dim, field)
-        if idem != ident or idem_r != ident:
-            raise ValueError("actions are not unital")
-        for i in range(dim_a):
-            li, ri = self.left[i], self.right[i]
-            for j in range(dim_a):
-                prod = self.algebra.structure.get((i, j), {})
-                lprod = Mat.zero(self.dim, self.dim, field)
-                rprod = Mat.zero(self.dim, self.dim, field)
-                for k, c in prod.items():
-                    lprod = lprod.add(self.left[k], c)
-                    rprod = rprod.add(self.right[k], c)
-                if self.left[i].matmul(self.left[j]) != lprod:
-                    raise ValueError(f"left action not multiplicative at {(i, j)}")
-                # (x*b_i)*b_j = x*(b_i b_j): right matrices anti-compose
-                if self.right[j].matmul(self.right[i]) != rprod:
-                    raise ValueError(f"right action not multiplicative at {(i, j)}")
-                if li.matmul(self.right[j]) != self.right[j].matmul(li):
-                    raise ValueError(f"left/right actions do not commute at {(i, j)}")
-        if self.product is not None:
-            self._check_product()
+        """Certify the bimodule, and its product if any, as the algebra
+        axioms of A (+) M.
 
-    def _check_product(self):
-        """Associativity, left and right module morphism, and balance over
-        the algebra, on every basis triple.
-
-        Both sides of each identity are summed from the nonzero structure
-        constants and action columns only, so the cost follows nnz rather
-        than dim^3; a triple missing from both sides is zero on both.
+        Expand (xy)z = x(yz) on basis triples by the summand of each
+        factor.  AAA is A's associativity; AAM is (ab)m = a(bm), the left
+        action; MAA is (ma)b = m(ab), the right action; AMA is
+        (am)b = a(mb), the commuting of the two.  MMM is associativity of
+        M's product, AMM is (am)n = a(mn) and MMA is (mn)a = m(na), the
+        product as a left and a right module morphism, and MAM is
+        (ma)n = m(an), its balance over A; without a product the last four
+        read 0 = 0.  The unit of A (+) M is the sum of A's idempotents, so
+        its two-sided identity on M is exactly unital actions.  M's Peirce
+        tags are read off the actions, so they pass; a tag of None is not
+        checked.
         """
-        field = self.field
-        acts = range(self.algebra.dim)
-        prods = [(key, p) for key, p in sorted(self.product.items()) if p]
-        # l -> [(k, x_l x_k)], [(i, x_i x_l)], [(c, c.x_l)], [(c, x_l.c)]
-        starting, ending, lefts, rights = {}, {}, {}, {}
-        for (i, j), p in prods:
-            starting.setdefault(i, []).append((j, p))
-            ending.setdefault(j, []).append((i, p))
-        for c in acts:
-            for l, col in self.left[c].columns_items():
-                lefts.setdefault(l, []).append((c, col))
-            for l, col in self.right[c].columns_items():
-                rights.setdefault(l, []).append((c, col))
-
-        def spread(table, vec):
-            # {k: sum_l vec_l table[l][k]} without zero vectors
-            out = {}
-            for l, c in vec.items():
-                for k, w in table.get(l, ()):
-                    axpy(field, out.setdefault(k, {}), c, w)
-            return [(k, w) for k, w in out.items() if w]
-
-        def check(lhs, rhs, message):
-            if dict(lhs) != dict(rhs):
-                raise ValueError(message)
-
-        # keys (i, j, k): (x_i x_j) x_k = x_i (x_j x_k)
-        check((((i, j, k), v) for (i, j), p in prods
-               for k, v in spread(starting, p)),
-              (((i, j, k), v) for (j, k), p in prods
-               for i, v in spread(ending, p)),
-              "product is not associative")
-        # keys (c, i, j) from here on
-        # c.(x_i x_j) = (c.x_i) x_j
-        check((((c, i, j), v) for (i, j), p in prods
-               for c, v in spread(lefts, p)),
-              (((c, i, j), v) for c in acts
-               for i, col in self.left[c].columns_items()
-               for j, v in spread(starting, col)),
-              "product is not a left module morphism")
-        # (x_i x_j).c = x_i (x_j.c)
-        check((((c, i, j), v) for (i, j), p in prods
-               for c, v in spread(rights, p)),
-              (((c, i, j), v) for c in acts
-               for j, col in self.right[c].columns_items()
-               for i, v in spread(ending, col)),
-              "product is not a right module morphism")
-        # (x_i.c) x_j = x_i (c.x_j)
-        check((((c, i, j), v) for c in acts
-               for i, col in self.right[c].columns_items()
-               for j, v in spread(starting, col)),
-              (((c, i, j), v) for c in acts
-               for j, col in self.left[c].columns_items()
-               for i, v in spread(ending, col)),
-              "product is not balanced over the algebra")
+        alg = self.algebra
+        try:
+            Algebra(self.field, [*alg.labels, *self.labels],
+                    self.extension_structure(), alg.idempotents,
+                    alg.peirce + self.peirce)
+        except ValueError as exc:
+            raise ValueError(f"bimodule axioms fail in A (+) M, A's basis "
+                             f"first: {exc}") from None
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"

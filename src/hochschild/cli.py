@@ -10,16 +10,14 @@ import json
 import sys
 import time
 
-from .algebra import AdmissibilityError, build_algebra
+from .algebra import build_algebra
 from .algfile import (
-    AlgebraFileError, emit_algebra_file, input_hash, load_algebra_file,
-    load_bimodule_file,
+    emit_algebra_file, input_hash, load_algebra_file, load_bimodule_file,
 )
 from .bimodule import dual_bimodule, regular_bimodule
-from .cohomology import BAR_CAP, CapExceeded, hh
+from .cohomology import BAR_CAP, hh
 from .extcohom import ext_dual_bimodule
 from .extension import projection_morphism, trivial_extension
-from .quiver import RelationSyntaxError
 from .relext import relation_extension_algebra
 from .verification import run_blocks
 
@@ -176,12 +174,14 @@ def build_parser():
         p.add_argument("--field", default=None,
                        help="expected field tag; mismatch with the file "
                             "is an error")
+        p.add_argument("--verbose", action="store_true")
+
+    def cap(p):
         p.add_argument("--cap", type=int, default=BAR_CAP,
                        help="cap on (dim A)^(n+1) * dim M, the size of "
                             "the bar complex in degree n; hh^n is gated on "
                             "it, though it builds the smaller normalized "
                             "complex (see ROADMAP item 2)")
-        p.add_argument("--verbose", action="store_true")
 
     p_hh = sub.add_parser("hh", help="cohomology dimensions of an algebra")
     p_hh.add_argument("file")
@@ -191,6 +191,7 @@ def build_parser():
     p_hh.add_argument("--reps", action="store_true",
                       help="include representative cocycles")
     common(p_hh)
+    cap(p_hh)
     p_hh.set_defaults(func=cmd_hh)
 
     p_phi = sub.add_parser("phi", help="projection morphism of a trivial "
@@ -200,6 +201,7 @@ def build_parser():
                        help="regular | dual | ext:m | file:path")
     p_phi.add_argument("--degree", type=degree, default=1)
     common(p_phi)
+    cap(p_phi)
     p_phi.set_defaults(func=cmd_phi)
 
     p_rx = sub.add_parser("relext", help="relation extension presentation")
@@ -221,14 +223,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraFileError, RelationSyntaxError, AdmissibilityError,
-            CapExceeded, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

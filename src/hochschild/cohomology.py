@@ -957,15 +957,17 @@ def hh(algebra, module, n, cap=BAR_CAP):
     """The n-th Hochschild cohomology of algebra with coefficients module."""
     if n < 0:
         raise ValueError(f"negative degree {n}")
+    # the cap only gates, so it is checked on every call and the space is
+    # cached by degree alone
+    _check_cap(algebra, module, n, cap)
     cache = getattr(module, "_hh_cache", None)
     if cache is None:
         cache = module._hh_cache = {}
-    got = cache.get((n, cap))
+    got = cache.get(n)
     if got is not None:
         return got
-    _check_cap(algebra, module, n, cap)
     from .minres import resolution_route
-    space = cache[(n, cap)] = CohomologySpace(
+    space = cache[n] = CohomologySpace(
         _normalized_complex(algebra, module), n,
         resolution_route(algebra, module, n))
     return space
@@ -1230,13 +1232,19 @@ def random_cochain(algebra, module, n, rng=None, seed=0, density=6):
 
 def random_normalized_vector(complex_, n, rng):
     """Deterministic pseudorandom vector of a complex in degree n: 6 (n + 1)
-    draws of a row and a coefficient in -4..4, as `random_cochain` makes."""
-    field = complex_.algebra.field
-    size = complex_.dim(n)
+    draws, as `random_cochain` makes."""
+    return random_vector(complex_.algebra.field, complex_.dim(n),
+                         6 * (n + 1), rng)
+
+
+def random_vector(field, size, draws, rng):
+    """Deterministic pseudorandom sparse vector of length size: each of
+    the draws picks an index, then a coefficient in -4..4, and adds it.
+    Nothing is drawn when size is 0."""
     out = {}
     if not size:
         return out
-    for _ in range(6 * (n + 1)):
+    for _ in range(draws):
         k = rng.randrange(size)
         c = rng.randint(-4, 4)
         if not c:

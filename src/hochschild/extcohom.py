@@ -39,7 +39,7 @@ import random
 from .bimodule import Bimodule
 from .cohomology import (
     CapExceeded, CohomologySpace, _factorizations, _normalized_complex,
-    is_derivation,
+    is_derivation, random_vector,
 )
 from .linalg import Mat, axpy
 
@@ -357,19 +357,8 @@ def check_chain_map(C, m, zeta, trials=20, seed=23, ambient_limit=2000):
             checked += 1
         return {"holds": True, "mode": "full", "checked": checked}
     rng = random.Random(seed)
-    field = C.field
     for _ in range(trials):
-        vec = {}
-        for _ in range(12):
-            idx = rng.randrange(dim)
-            c = rng.randint(-4, 4)
-            if c:
-                cur = vec.get(idx, field.zero)
-                w = field.add(cur, field.of(c))
-                if w:
-                    vec[idx] = w
-                elif idx in vec:
-                    del vec[idx]
+        vec = random_vector(C.field, dim, 12, rng)
         lhs = ambient_differential_apply(C, m, action_m.ambient_apply(vec))
         rhs = action_m1.ambient_apply(ambient_differential_apply(C, m, vec))
         if lhs != rhs:

@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import Algebra
+from .algebra import Algebra, _check_multiplicative
 from .bimodule import (
     Bimodule, hom_bimodule, is_symmetric_over_center, peirce_regrade,
     pullback_bimodule, regular_bimodule, sub_bimodule, tensor_over,
@@ -104,16 +104,6 @@ class SplitExtensionData:
                 f"dim E={self.E.dim})")
 
 
-def _check_multiplicative(m, src, tgt):
-    for a in range(src.dim):
-        ma = m.column(a)
-        for b in range(src.dim):
-            lhs = m.matvec(src.structure.get((a, b), {}))
-            rhs = tgt.multiply_coords(ma, m.column(b))
-            if lhs != rhs:
-                raise ValueError("map is not an algebra morphism")
-
-
 def _idempotent_compatible(ext_p, ext_q, B, C):
     b_idem = {idx: name for name, idx in B.idempotents}
     c_idem = {idx: name for name, idx in C.idempotents}
@@ -159,26 +149,8 @@ def _build_extension(C, E, trivial):
     nC, nE = C.dim, E.dim
     dim = nC + nE
     labels = list(C.labels) + [f"[{l}]" for l in E.labels]
-    structure = {}
-    for (a, b), prod in C.structure.items():
-        structure[(a, b)] = dict(prod)
-    for a in range(nC):
-        for b in range(nE):
-            col = E.left[a].column(b)
-            if col:
-                structure[(a, nC + b)] = {nC + k: v for k, v in col.items()}
-            col = E.right[a].column(b)
-            if col:
-                structure[(nC + b, a)] = {nC + k: v for k, v in col.items()}
-    if E.product:
-        for (a, b), prod in E.product.items():
-            if prod:
-                structure[(nC + a, nC + b)] = {nC + k: v
-                                               for k, v in prod.items()}
-    idempotents = [(name, idx) for name, idx in C.idempotents]
-    peirce = list(C.peirce) + list(E.peirce)
-    B = Algebra(field, labels, structure, idempotents, peirce,
-                check=dim <= 40)
+    B = Algebra(field, labels, E.extension_structure(), C.idempotents,
+                C.peirce + E.peirce, check=dim <= 40)
     p = Mat(nC, dim, field, {j: {j: field.one} for j in range(nC)})
     q = Mat(dim, nC, field, {j: {j: field.one} for j in range(nC)})
     i = Mat(dim, nE, field, {j: {nC + j: field.one} for j in range(nE)})

@@ -2,7 +2,8 @@
 presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n, commutative ladders, seeded random monomial)
-and a twisted, non-Peirce-graded regular module; the all-Fraction Q
+and a twisted, non-Peirce-graded regular module; the dense bimodule
+certificate, reference of `Bimodule._check_axioms`; the all-Fraction Q
 field; the truncated span, reference of build_algebra's row walk and of
 relext's square-generator test; the forward-row reference of the kernel
 sweep; the hypothesis profile of the suite."""
@@ -20,7 +21,7 @@ from hochschild.algebra import (
 from hochschild.bimodule import Bimodule, regular_bimodule
 from hochschild.extension import extension_from_maps
 from hochschild.linalg import (
-    QQ, Mat, Rationals, Sweep, echelon_basis, reduce_mod,
+    QQ, Mat, Rationals, Sweep, axpy, echelon_basis, reduce_mod,
 )
 from hochschild.minres import NotExact, PartialResolution
 from hochschild.quiver import (
@@ -384,6 +385,106 @@ def twisted_regular(alg):
     return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
                              for i in range(d)],
                     [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
+
+
+def reference_bimodule_check(module):
+    """The bimodule certificate `Bimodule._check_axioms` replaced: unital
+    actions, then on every pair of algebra basis vectors multiplicative
+    left and right actions that commute (dense `Mat.matmul`), then, for a
+    module with a product, associativity, left and right module morphism
+    and balance on every basis triple.  Raises ValueError on the first
+    failure."""
+    field = module.field
+    dim_a = module.algebra.dim
+    idem = Mat.zero(module.dim, module.dim, field)
+    idem_r = Mat.zero(module.dim, module.dim, field)
+    for _, xi in module.algebra.idempotents:
+        idem = idem.add(module.left[xi])
+        idem_r = idem_r.add(module.right[xi])
+    ident = Mat.identity(module.dim, field)
+    if idem != ident or idem_r != ident:
+        raise ValueError("actions are not unital")
+    for i in range(dim_a):
+        li = module.left[i]
+        for j in range(dim_a):
+            prod = module.algebra.structure.get((i, j), {})
+            lprod = Mat.zero(module.dim, module.dim, field)
+            rprod = Mat.zero(module.dim, module.dim, field)
+            for k, c in prod.items():
+                lprod = lprod.add(module.left[k], c)
+                rprod = rprod.add(module.right[k], c)
+            if li.matmul(module.left[j]) != lprod:
+                raise ValueError(f"left action not multiplicative at {(i, j)}")
+            # (x*b_i)*b_j = x*(b_i b_j): right matrices anti-compose
+            if module.right[j].matmul(module.right[i]) != rprod:
+                raise ValueError(
+                    f"right action not multiplicative at {(i, j)}")
+            if li.matmul(module.right[j]) != module.right[j].matmul(li):
+                raise ValueError(
+                    f"left/right actions do not commute at {(i, j)}")
+    if module.product is not None:
+        _reference_product_check(module)
+
+
+def _reference_product_check(module):
+    """Associativity, left and right module morphism, and balance over
+    the algebra, on every basis triple, each side summed from the nonzero
+    structure constants and action columns only."""
+    field = module.field
+    acts = range(module.algebra.dim)
+    prods = [(key, p) for key, p in sorted(module.product.items()) if p]
+    # l -> [(k, x_l x_k)], [(i, x_i x_l)], [(c, c.x_l)], [(c, x_l.c)]
+    starting, ending, lefts, rights = {}, {}, {}, {}
+    for (i, j), p in prods:
+        starting.setdefault(i, []).append((j, p))
+        ending.setdefault(j, []).append((i, p))
+    for c in acts:
+        for l, col in module.left[c].columns_items():
+            lefts.setdefault(l, []).append((c, col))
+        for l, col in module.right[c].columns_items():
+            rights.setdefault(l, []).append((c, col))
+
+    def spread(table, vec):
+        # {k: sum_l vec_l table[l][k]} without zero vectors
+        out = {}
+        for l, c in vec.items():
+            for k, w in table.get(l, ()):
+                axpy(field, out.setdefault(k, {}), c, w)
+        return [(k, w) for k, w in out.items() if w]
+
+    def check(lhs, rhs, message):
+        if dict(lhs) != dict(rhs):
+            raise ValueError(message)
+
+    # keys (i, j, k): (x_i x_j) x_k = x_i (x_j x_k)
+    check((((i, j, k), v) for (i, j), p in prods
+           for k, v in spread(starting, p)),
+          (((i, j, k), v) for (j, k), p in prods
+           for i, v in spread(ending, p)),
+          "product is not associative")
+    # keys (c, i, j) from here on
+    # c.(x_i x_j) = (c.x_i) x_j
+    check((((c, i, j), v) for (i, j), p in prods
+           for c, v in spread(lefts, p)),
+          (((c, i, j), v) for c in acts
+           for i, col in module.left[c].columns_items()
+           for j, v in spread(starting, col)),
+          "product is not a left module morphism")
+    # (x_i x_j).c = x_i (x_j.c)
+    check((((c, i, j), v) for (i, j), p in prods
+           for c, v in spread(rights, p)),
+          (((c, i, j), v) for c in acts
+           for j, col in module.right[c].columns_items()
+           for i, v in spread(ending, col)),
+          "product is not a right module morphism")
+    # (x_i.c) x_j = x_i (c.x_j)
+    check((((c, i, j), v) for c in acts
+           for i, col in module.right[c].columns_items()
+           for j, v in spread(starting, col)),
+          (((c, i, j), v) for c in acts
+           for j, col in module.left[c].columns_items()
+           for i, v in spread(ending, col)),
+          "product is not balanced over the algebra")
 
 
 def assert_broken_copies_refused(res, n, top):

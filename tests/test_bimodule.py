@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
-from hochschild.algebra import algebra_morphism
+from hochschild.algebra import algebra_morphism, build_algebra
+from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import (
     Bimodule, bimodules_isomorphic, dual_bimodule, hom_bimodule,
     is_symmetric_over_center, pullback_bimodule, regular_bimodule,
     sub_bimodule, tensor_over, zero_bimodule,
 )
+from hochschild.extcohom import ext_dual_bimodule
 from hochschild.linalg import Mat, QQ, kernel_basis_sparse, rank
+
+from conftest import reference_bimodule_check, twisted_regular
 
 
 @pytest.fixture(scope="module")
@@ -187,5 +193,112 @@ def test_corrupted_product_is_refused(corpus, name):
             continue
         product = dict(alg.structure)
         product[key] = {k: alg.field.add(c, c) for k, c in prod.items()}
-        with pytest.raises(ValueError, match="product is not"):
+        with pytest.raises(ValueError, match="associativity fails"):
             Bimodule(alg, alg.dim, reg.left, reg.right, product=product)
+
+
+# -- the A (+) M certificate against the dense reference ---------------------
+
+COEFFICIENTS = {
+    "regular": regular_bimodule,
+    "dual": dual_bimodule,
+    "E_1": lambda alg: ext_dual_bimodule(alg, 1),
+    "E_2": lambda alg: ext_dual_bimodule(alg, 2),
+    "DC (x)_C DC": lambda alg: tensor_over(dual_bimodule(alg),
+                                           dual_bimodule(alg)),
+}
+CERTIFIED_CASES = [(name, kind) for name in BUNDLED for kind in COEFFICIENTS]
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return {name: build_algebra(load_bundled(name)[1]) for name in BUNDLED}
+
+
+def mutants(module, seed, bumps=6, doubled=3):
+    """(name, left, right, product): the module as it is, its two sides
+    swapped, one entry of one left or right action matrix bumped by one
+    (bumps per side, at seeded places), and one product constant
+    doubled (up to doubled of them)."""
+    rng = random.Random(seed)
+    alg, dim, field = module.algebra, module.dim, module.field
+    yield "as is", module.left, module.right, module.product
+    yield "sides swapped", module.right, module.left, module.product
+    for side in ("left", "right") if dim else ():
+        for _ in range(bumps):
+            c, r, k = (rng.randrange(alg.dim), rng.randrange(dim),
+                       rng.randrange(dim))
+            acts = list(getattr(module, side))
+            acts[c] = acts[c].add(Mat.from_entries(dim, dim, field,
+                                                   {(r, k): 1}))
+            pair = (acts, module.right) if side == "left" else \
+                (module.left, acts)
+            yield f"{side}[{c}] entry {(r, k)} bumped", *pair, module.product
+    keys = sorted(key for key, p in (module.product or {}).items() if p)
+    for key in rng.sample(keys, min(doubled, len(keys))):
+        product = dict(module.product)
+        product[key] = {k: field.add(c, c) for k, c in product[key].items()}
+        yield f"product {key} doubled", module.left, module.right, product
+
+
+def certified_verdicts(module, seed):
+    """{mutant name: (accepted by A (+) M, accepted by the reference)}."""
+    out = {}
+    for name, left, right, product in mutants(module, seed):
+        mutant = Bimodule(module.algebra, module.dim, left, right,
+                          labels=list(module.labels), product=product,
+                          check=False)
+        verdicts = []
+        for check in (Bimodule._check_axioms, reference_bimodule_check):
+            try:
+                check(mutant)
+                verdicts.append(True)
+            except ValueError:
+                verdicts.append(False)
+        out[name] = tuple(verdicts)
+    return out
+
+
+@pytest.mark.parametrize("name, kind", CERTIFIED_CASES,
+                         ids=[f"{n}-{k}" for n, k in CERTIFIED_CASES])
+def test_extension_certificate_matches_the_reference(bundled, name, kind):
+    module = COEFFICIENTS[kind](bundled[name])
+    verdicts = certified_verdicts(module, f"{name} {kind}")
+    assert verdicts["as is"] == (True, True)
+    assert {m: v for m, v in verdicts.items() if v[0] != v[1]} == {}
+
+
+def test_extension_certificate_matches_the_reference_off_the_grading(
+        nakayama_c):
+    module = twisted_regular(nakayama_c)
+    assert not module.is_graded()
+    verdicts = certified_verdicts(module, "twisted")
+    assert verdicts["as is"] == (True, True)
+    assert {m: v for m, v in verdicts.items() if v[0] != v[1]} == {}
+    assert sum(v == (False, False) for v in verdicts.values()) >= 10
+
+
+def test_extension_structure_holds_actions_and_product(bundled):
+    # A (+) M, A's basis first: A's product, the actions, and M's product;
+    # the trivial extension by the dual module is built from it
+    from hochschild.extension import trivial_extension
+    alg = bundled["ex3_8_C"]
+    n = alg.dim
+    dc = dual_bimodule(alg)
+    assert trivial_extension(alg, dc).B.structure == dc.extension_structure()
+    for module in (dc, regular_bimodule(alg)):
+        structure = module.extension_structure()
+        shifted = {(i, j): p for (i, j), p in structure.items()
+                   if p and (i >= n or j >= n)}
+        want = {}
+        for a in range(n):
+            for b, col in module.left[a].columns_items():
+                want[(a, n + b)] = {n + k: v for k, v in col.items()}
+            for b, col in module.right[a].columns_items():
+                want[(n + b, a)] = {n + k: v for k, v in col.items()}
+        for (a, b), p in module.product.items():
+            if p:
+                want[(n + a, n + b)] = {n + k: v for k, v in p.items()}
+        assert shifted == want
+        assert {key: p for key, p in structure.items()
+                if key[0] < n and key[1] < n} == alg.structure

@@ -315,6 +315,37 @@ def test_cap_exceeded_exits_2():
     assert proc.returncode == 2
 
 
+def test_relext_takes_no_cap(capsys):
+    # relext builds no cohomology, so --cap is an unknown option there
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["relext", data_path("ex3_5_C"), "--cap", "5"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+def test_bimodule_file_failing_an_axiom_exits_2(tmp_path):
+    # the regular bimodule of ex3_8_C with one entry of the left action of
+    # an arrow changed: well formed, but A (+) M is not associative
+    from hochschild.algebra import build_algebra
+    from hochschild.bimodule import regular_bimodule
+    algebra = build_algebra(algfile.load_bundled("ex3_8_C")[1])
+    reg = regular_bimodule(algebra)
+    field = algebra.field
+    arrow = algebra.radical_indices[0]
+    sides = {side: [[[field.to_str(x) for x in row] for row in m.to_dense()]
+                    for m in mats]
+             for side, mats in (("left", reg.left), ("right", reg.right))}
+    assert sides["left"][arrow][0][0] == "0"
+    sides["left"][arrow][0][0] = "1"
+    bim = tmp_path / "broken.json"
+    bim.write_text(json.dumps({"dimension": reg.dim, **sides}))
+    proc = run_cli("hh", data_path("ex3_8_C"), "--module", f"file:{bim}")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bimodule axioms fail in A (+) M")
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 def test_bimodule_file_module(tmp_path):
     # the regular bimodule of the one-vertex algebra, written by hand
     alg = tmp_path / "point.json"

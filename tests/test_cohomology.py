@@ -356,6 +356,12 @@ def test_cap_guard():
     assert str(refused.value) == (
         "degree 2 refused: the bar complex size (dim A)^(n+1) * dim M = 81 "
         "exceeds the cap 10")
+    # the cap only gates: the space is cached by degree, so a second cap
+    # returns the same space, and a smaller one still refuses it
+    space = hh(alg, reg, 1)
+    assert hh(alg, reg, 1, cap=10**12) is space
+    with pytest.raises(CapExceeded):
+        hh(alg, reg, 1, cap=10)
 
 
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])
