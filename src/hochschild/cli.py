@@ -59,12 +59,6 @@ def _resolve_module(selector, algebra, field):
     raise UsageError(f"unknown module selector {selector!r}")
 
 
-def _matrix_strings(mat):
-    field = mat.field
-    return [[field.to_str(mat.entry(r, c)) for c in range(mat.cols)]
-            for r in range(mat.rows)]
-
-
 def cmd_hh(args):
     start = time.monotonic()
     data, pres = load_algebra_file(args.file, expect_field=args.field)
@@ -76,7 +70,7 @@ def cmd_hh(args):
         space = hh(algebra, module, n, cap=args.cap)
         dims.append(space.dim)
         if args.reps:
-            reps.append([_matrix_strings(rep.matrix())
+            reps.append([rep.matrix().to_strings()
                          for rep in space.representatives])
     results = {
         "field": pres.field.tag,

@@ -6,10 +6,10 @@ tensor-product bases.  The bar formula is written once, in `_bar_column`:
 complex, the reference for b o b = 0 (`bar_square_vanishes`), inner
 derivations, the surjectivity witness (`extension`) and the tests;
 `_bar_apply_within` evaluates it only where a check reads it, on
-tensors of given arguments; and every `NormalizedComplex` restricts it
-to radical arguments.  `extcohom` computes E_m = Ext^m_C(DC, C) as a
-`CohomologySpace` of the `NormalizedComplex` with coefficients
-C (x)_k C.
+tensors of arguments that span a subalgebra; and every
+`NormalizedComplex` restricts it to radical arguments.  `extcohom`
+computes E_m = Ext^m_C(DC, C) as a `CohomologySpace` of the
+`NormalizedComplex` with coefficients C (x)_k C.
 
 `hh` takes its representatives, in every degree and on every input,
 from one complex per space: the subcomplex of idempotent-normalized
@@ -414,46 +414,27 @@ def _bar_apply_within(algebra, module, n, args, values=None):
     """f -> b^{n+1}(f) on the tensors with every slot in args, 0 elsewhere,
     and, with values, at the value indices in values alone.
 
-    A term of b^{n+1}(f) copies all input slots but the one a contraction
-    splits, so an input tensor with two slots outside args reaches no
-    such tensor, and one with a single slot s outside only through the
-    contraction of s into x y with x, y in args.  The restricted kernel
-    `_bar_column(..., args=args, values=values)` is evaluated on the
-    remaining inputs, and forms no term at a value outside values; an
-    input with a slot outside also yields terms that keep s, which are
-    dropped.
+    The basis vectors at args must span a subalgebra, as C does in
+    C (+) E.  A term of b^{n+1}(f) copies every input slot but one, which
+    a contraction replaces by a pair x, y with the slot in the support of
+    b_x b_y.  With x and y in args that support lies in args, so an input
+    tensor with a slot outside args reaches no tensor of arguments, and is
+    skipped.  The restricted kernel `_bar_column(..., args=args,
+    values=values)` is evaluated on the rest, and forms no term at a
+    value outside values.
     """
     field = algebra.field
-    dm = module.dim
-    d = algebra.dim
     inside = set(args)
     column = _bar_column(algebra, module, n, args=args, values=values)
-    # slot values that a contraction inside args reaches
-    reach = {k for k, lst in _factorizations(algebra).items()
-             if any(x in inside and y in inside for x, y, _ in lst)}
-
-    def within(key):
-        t = key // dm
-        for _ in range(n + 1):
-            t, s = divmod(t, d)
-            if s not in inside:
-                return False
-        return True
 
     def apply(f):
         _check_shape(f, algebra, module, n)
         out = {}
         for t_idx, vals in f.data.items():
             slots = f.decode(t_idx)
-            outside = [s for s in slots if s not in inside]
-            if not outside:
+            if inside.issuperset(slots):
                 for m, c in vals.items():
                     axpy(field, out, c, column(t_idx, slots, m))
-            elif len(outside) == 1 and outside[0] in reach:
-                for m, c in vals.items():
-                    col = column(t_idx, slots, m)
-                    axpy(field, out, c,
-                         {k: v for k, v in col.items() if within(k)})
         return Cochain.from_vec(algebra, module, n + 1, out)
 
     return apply

@@ -190,7 +190,7 @@ class DerivationAction:
     Ext work.
     """
 
-    def __init__(self, C, m, zeta, ext=None):
+    def __init__(self, C, m, zeta):
         _check_ext_cap(C, m)
         self.C = C
         self.m = m
@@ -209,8 +209,6 @@ class DerivationAction:
         # (place value, table) per digit of the flat key: slot p, u, v
         self.terms = [(d ** (m + 1 - p), by_slot) for p in range(m)] \
             + [(d, minus), (1, minus)]
-        if ext is not None:
-            self.ext = ext
 
     @functools.cached_property
     def ext(self):
@@ -393,7 +391,7 @@ def check_projection1_surjective_for_ext(C, m, extension=None):
     witness_ok = True
     HC = hh(C, regular_bimodule(C), 1)
     for zeta in HC.representatives:
-        action = DerivationAction(C, m, zeta, ext=E)
+        action = DerivationAction(C, m, zeta)
         res = check_surjectivity_witness(ext, 1, zeta, action.induced)
         witness_ok = witness_ok and res["pass"]
     report["witness_pass"] = witness_ok

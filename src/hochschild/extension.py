@@ -1,7 +1,11 @@
 """Split and trivial extensions B of C by E, and the projection morphisms.
 
-B is C (+) E with product (c,e)(c',e') = (cc', ce' + ec' + ee'); p, q, i
-are the projection, section and inclusion.  The degree-n projection
+B is C (+) E with product (c,e)(c',e') = (cc', ce' + ec' + ee'), in one
+layout: C's basis first, then E's, with p, q, i the coordinate
+projection, section and inclusion.  A B presented with its own maps p and
+q is rebuilt in that layout as C (+) ker p (`extension_from_maps`); it is
+isomorphic to the given B by [q | i], and a cochain of the given B
+projects by `transport` with the given maps.  The degree-n projection
 morphism maps the class of f to the class of p o f o q^{(x)n}; it is an
 algebra morphism for the cup product, and its rank decides surjectivity.
 
@@ -23,28 +27,35 @@ from .bimodule import (
     pullback_bimodule, regular_bimodule, sub_bimodule, tensor_over,
 )
 from .cohomology import (
-    Cochain, _bar_apply_within, _normalized_complex, bar_apply, hh,
+    BAR_CAP, Cochain, _bar_apply_within, _normalized_complex, bar_apply, hh,
     random_cochain, random_normalized_vector, transport,
 )
 from .linalg import Mat, axpy, dense, kernel_basis_sparse, rank, scale
 
 
 class SplitExtensionData:
-    """The algebra B = C (+) E together with the maps p, q, i tying it to
-    C and E.  Use trivial_extension / split_extension / extension_from_maps."""
+    """The algebra B = C (+) E, C's basis first and then E's, with the
+    coordinate maps p: B -> C, q: C -> B and i: E -> B, built here, so
+    that every instance has this one layout.  Make one by
+    trivial_extension, split_extension or extension_from_maps; for a
+    presented algebra the last gives a B isomorphic to it by [q | i], and
+    cochains of the presented algebra project by `transport` with its
+    given maps."""
 
-    def __init__(self, C, E, B, p, q, i, is_trivial, idempotent_compatible):
+    def __init__(self, C, E, B, is_trivial):
+        field = C.field
+        nC, nE = C.dim, E.dim
+        one = field.one
         self.C = C
         self.E = E
         self.B = B
-        self.p = p
-        self.q = q
-        self.i = i
+        self.p = Mat(nC, B.dim, field, {j: {j: one} for j in range(nC)})
+        self.q = Mat(B.dim, nC, field, {j: {j: one} for j in range(nC)})
+        self.i = Mat(B.dim, nE, field, {j: {nC + j: one} for j in range(nE)})
         # the slot maps of `transport`, transposed once per extension
-        self.p_t = p.transpose()
-        self.q_t = q.transpose()
+        self.p_t = self.p.transpose()
+        self.q_t = self.q.transpose()
         self.is_trivial = is_trivial
-        self.idempotent_compatible = idempotent_compatible
         self._E_as_B = None
         self._C_as_B = None
         # degree -> normalized_projection; Mats only, so no cycle back here
@@ -72,13 +83,8 @@ class SplitExtensionData:
     # -- invariants ------------------------------------------------------------
 
     def _verify(self):
-        C, B, p, q, i = self.C, self.B, self.p, self.q, self.i
-        if p.matmul(q) != Mat.identity(C.dim, C.field):
-            raise ValueError("p o q is not the identity of C")
-        _check_multiplicative(p, B, C)
-        _check_multiplicative(q, C, B)
-        if dict(p.matvec(B.unit_coords())) != C.unit_coords():
-            raise ValueError("p does not preserve the unit")
+        C, B, p, i = self.C, self.B, self.p, self.i
+        _check_split_maps(C, B, p, self.q)
         # i embeds E as the kernel of p, and i(E) i(E) matches the product
         if p.matmul(i).nnz() != 0:
             raise ValueError("i(E) does not lie in ker p")
@@ -104,20 +110,14 @@ class SplitExtensionData:
                 f"dim E={self.E.dim})")
 
 
-def _idempotent_compatible(ext_p, ext_q, B, C):
-    b_idem = {idx: name for name, idx in B.idempotents}
-    c_idem = {idx: name for name, idx in C.idempotents}
-    for _, e in B.idempotents:
-        col = ext_p.column(e)
-        if col and not (len(col) == 1 and next(iter(col)) in c_idem
-                        and next(iter(col.values())) == B.field.one):
-            return False
-    for _, e in C.idempotents:
-        col = ext_q.column(e)
-        if not (len(col) == 1 and next(iter(col)) in b_idem
-                and next(iter(col.values())) == B.field.one):
-            return False
-    return True
+def _check_split_maps(C, B, p, q):
+    """p o q = id_C, p and q multiplicative, and p unital, or ValueError."""
+    if p.matmul(q) != Mat.identity(C.dim, C.field):
+        raise ValueError("p o q is not the identity of C")
+    _check_multiplicative(p, B, C)
+    _check_multiplicative(q, C, B)
+    if dict(p.matvec(B.unit_coords())) != C.unit_coords():
+        raise ValueError("p does not preserve the unit")
 
 
 def split_extension(C, E):
@@ -145,33 +145,31 @@ def _build_extension(C, E, trivial):
     # an E that is not Peirce-graded is replaced by its graded twin, which
     # becomes ext.E, so that B is Peirce-graded
     E = peirce_regrade(E)[0]
-    field = C.field
-    nC, nE = C.dim, E.dim
-    dim = nC + nE
+    dim = C.dim + E.dim
     labels = list(C.labels) + [f"[{l}]" for l in E.labels]
-    B = Algebra(field, labels, E.extension_structure(), C.idempotents,
+    B = Algebra(C.field, labels, E.extension_structure(), C.idempotents,
                 C.peirce + E.peirce, check=dim <= 40)
-    p = Mat(nC, dim, field, {j: {j: field.one} for j in range(nC)})
-    q = Mat(dim, nC, field, {j: {j: field.one} for j in range(nC)})
-    i = Mat(dim, nE, field, {j: {nC + j: field.one} for j in range(nE)})
-    return SplitExtensionData(C, E, B, p, q, i, trivial,
-                              _idempotent_compatible(p, q, B, C))
+    return SplitExtensionData(C, E, B, trivial)
 
 
 def extension_from_maps(C, B, p, q):
-    """Split extension data from a presented B with explicit p and q.
+    """The split extension of C by E = ker p, for a presented algebra B
+    with algebra maps p: B -> C and q: C -> B, p o q = id.
 
-    E is ker p with its C-actions through q; the basis of E is the
-    deterministic kernel basis of p.
+    The maps are checked first, as `SplitExtensionData` checks its own.
+    E's basis is the deterministic kernel basis of p (or its graded twin,
+    see `_build_extension`), with C acting through q and the product
+    taken from B.  The result is C (+) E in the one layout: its B is
+    isomorphic to the given one by [q | i], i the basis of E as vectors
+    of the given B, and its p, q and i are the coordinate maps.  A
+    cochain f of the given B projects to C by transport(f, C,
+    regular_bimodule(C), q.transpose(), p), with the given maps.
     """
-    field = C.field
+    _check_split_maps(C, B, p, q)
     kernel = kernel_basis_sparse(p)
     ambient_c = pullback_bimodule(C, q, regular_bimodule(B), check=False)
     E = sub_bimodule(ambient_c, kernel)
-    i = Mat(B.dim, len(kernel), field, dict(enumerate(kernel)))
-    trivial = not any(E.product.values()) if E.product else True
-    return SplitExtensionData(C, E, B, p, q, i, trivial,
-                              _idempotent_compatible(p, q, B, C))
+    return _build_extension(C, E, trivial=not any(E.product.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +197,10 @@ class ProjectionMatrix:
     def kernel_dim(self):
         return self.source.dim - self.rank
 
-    def report(self, include_representatives=True):
-        field = self.matrix.field
-
-        def strings(m):
-            return [[field.to_str(m.entry(r, c)) for c in range(m.cols)]
-                    for r in range(m.rows)]
-
-        out = {
+    def report(self):
+        return {
             "degree": self.degree,
-            "matrix": strings(self.matrix),
+            "matrix": self.matrix.to_strings(),
             "rank": self.rank,
             "surjective": self.surjective,
             "surjectivity_criterion":
@@ -216,13 +208,13 @@ class ProjectionMatrix:
             "kernel_dim": self.kernel_dim,
             "dim_source": self.source.dim,
             "dim_target": self.target.dim,
+            "source_representatives": [
+                rep.matrix().to_strings()
+                for rep in self.source.representatives],
+            "target_representatives": [
+                rep.matrix().to_strings()
+                for rep in self.target.representatives],
         }
-        if include_representatives:
-            out["source_representatives"] = [
-                strings(rep.matrix()) for rep in self.source.representatives]
-            out["target_representatives"] = [
-                strings(rep.matrix()) for rep in self.target.representatives]
-        return out
 
 
 def project_cochain(ext, f):
@@ -240,70 +232,41 @@ def normalized_projection(ext, n):
     """P^n: N^n(B) -> N^n(C), f -> p o f o q^{(x)n}, as a Mat on the rows
     of the normalized complexes of the regular bimodules.
 
-    Column j is project(transport(embed(e_j))), read off the tables that
-    `transport` reads: the chain w_1..w_n goes to each tensor of C-indices
-    u_1..u_n with every b_{w_i} in the support of q(b_{u_i}) (the slot's
-    column of q_t), with the product of those entries as coefficient, and
-    the value e_m goes to the column m of p.  When q sends idempotents to
-    idempotents and p sends each to an idempotent or 0
-    (`idempotent_compatible`), that image is normalized, so each term is
-    one lookup in N^n(C)'s index, and a key outside it raises
-    AssertionError; otherwise ValueError is raised.  Built once per
-    (ext, n) and kept on ext.
+    B is C (+) E with C's basis first, and p and q are the coordinate
+    maps, so column (chain, m) of N^n(B) is the unit vector at (chain, m)
+    of N^n(C) when every slot of chain and m are below dim C, and 0
+    otherwise.  A key outside N^n(C) raises AssertionError.  `transport`
+    stays the general reference.  Built once per (ext, n) and kept on ext.
     """
     got = ext._projections.get(n)
     if got is not None:
         return got
-    if not ext.idempotent_compatible:
-        raise ValueError("P^n needs p and q compatible with the "
-                         "idempotents")
-    B, C = ext.B, ext.C
-    field = C.field
-    mul = field.mul
-    flat, pos_b = _normalized_complex(B, regular_bimodule(B)).basis(n)
+    C = ext.C
+    d = C.dim
+    flat, pos_b = _normalized_complex(ext.B, regular_bimodule(ext.B)).basis(n)
     pos_c = _normalized_complex(C, regular_bimodule(C)).index(n)
-    d = dm = C.dim  # dim of C and of its regular bimodule
-    # B slot value -> its options [(C index, coefficient)], as `transport`
-    table = {s: list(col.items()) for s, col in ext.q_t.columns_items()
-             if col}
     cols = {}
-    prev = images = None
     for j, (chain, m) in enumerate(flat):
-        if chain != prev:
-            prev = chain
-            # [(C tensor index, coefficient)] over the options of each slot
-            images = [(0, field.one)]
-            for s in chain:
-                options = table.get(s)
-                if options is None:
-                    images = []
-                    break
-                images = [(t * d + u, mul(c, cu))
-                          for t, c in images for u, cu in options]
-        value = ext.p.column(m)
-        if not images or not value:
+        if m >= d or any(s >= d for s in chain):
             continue
-        col = {}
-        for t, c in images:
-            base = t * dm
-            for m2, v in value.items():
-                row = pos_c.get(base + m2)
-                if row is None:
-                    raise AssertionError(
-                        f"P^{n} left the normalized complex of C at key "
-                        f"{base + m2}")
-                col[row] = mul(c, v)
-        cols[j] = col
-    got = ext._projections[n] = Mat(len(pos_c), len(pos_b), field, cols)
+        key = 0
+        for s in chain:
+            key = key * d + s
+        key = key * d + m
+        row = pos_c.get(key)
+        if row is None:
+            raise AssertionError(
+                f"P^{n} left the normalized complex of C at key {key}")
+        cols[j] = {row: C.field.one}
+    got = ext._projections[n] = Mat(len(pos_c), len(pos_b), C.field, cols)
     return got
 
 
-def projection_morphism(ext, n, cap=None):
+def projection_morphism(ext, n, cap=BAR_CAP):
     """The matrix of [f] -> [p f q^{(x)n}] on class bases: the class of
     P^n v for each representative vector v of hh^n(B)."""
-    kwargs = {} if cap is None else {"cap": cap}
-    HB = hh(ext.B, regular_bimodule(ext.B), n, **kwargs)
-    HC = hh(ext.C, regular_bimodule(ext.C), n, **kwargs)
+    HB = hh(ext.B, regular_bimodule(ext.B), n, cap=cap)
+    HC = hh(ext.C, regular_bimodule(ext.C), n, cap=cap)
     P = normalized_projection(ext, n)
     entries = {}
     # representatives first: building them fills the rank cache that
@@ -355,15 +318,13 @@ def projection_respects_representatives(ext, n, trials=5, seed=1):
 def _projected_bar(ext, n):
     """f -> p b_B(f) q^{(x)(n+1)} for degree-n cochains f over B.
 
-    The projection reads b_B(f) only on tensors with every slot in S, the
-    B-indices in the support of q (the nonempty columns of q_t), and only
-    at the values in the support of p (its nonempty columns), so b_B is
-    evaluated there alone (`_bar_apply_within`).
+    The projection reads b_B(f) only on tensors of C-indices, the support
+    of q, and only at C-indices, the support of p, so b_B is evaluated
+    there alone (`_bar_apply_within`: C is a subalgebra of B).
     """
-    support = sorted(s for s, col in ext.q_t.columns_items() if col)
-    values = sorted(m for m, col in ext.p.columns_items() if col)
-    b_B = _bar_apply_within(ext.B, regular_bimodule(ext.B), n, support,
-                            values)
+    inside = list(range(ext.C.dim))
+    b_B = _bar_apply_within(ext.B, regular_bimodule(ext.B), n, inside,
+                            inside)
     return lambda f: project_cochain(ext, b_B(f))
 
 
@@ -384,20 +345,19 @@ def check_projection_chain_identity(ext, n, trials=20, seed=11):
     return {"holds": True, "checked": checked}
 
 
-def check_cup_compatibility(ext, max_total_degree, cap=None):
+def check_cup_compatibility(ext, max_total_degree):
     """phi is an algebra morphism: phi(x u y) = phi(x) u phi(y), classwise,
     over all basis class pairs with total degree within the bound.
 
     On vectors: P^{s+t}(f u g) - P^s f u P^t g must have class 0, for the
     representative vectors f, g of hh^s(B), hh^t(B).
     """
-    kwargs = {} if cap is None else {"cap": cap}
     regB = regular_bimodule(ext.B)
     regC = regular_bimodule(ext.C)
     field = ext.C.field
     degrees = range(max_total_degree + 1)
-    HB = {s: hh(ext.B, regB, s, **kwargs) for s in degrees}
-    HC = {s: hh(ext.C, regC, s, **kwargs) for s in degrees}
+    HB = {s: hh(ext.B, regB, s) for s in degrees}
+    HC = {s: hh(ext.C, regC, s) for s in degrees}
     pairs = 0
     # unit goes to unit
     unit_b = Cochain.from_values(ext.B, regB, 0, {(): ext.B.unit_coords()})
@@ -500,14 +460,13 @@ def zero_pairing_coefficients(E, homs):
     return kernel_basis_sparse(m)
 
 
-def zero_pairing_morphisms(E, hom_basis=None):
+def zero_pairing_morphisms(E):
     """Basis of the bimodule morphisms f: E -> C with f(x)y + xf(y) = 0.
 
     This is the kernel of the degree-(1,0) connecting map; inside B the
     condition reads q f(x) . y + x . q f(y) = 0.
     """
-    homs = hom_basis if hom_basis is not None \
-        else hom_bimodule(E, regular_bimodule(E.algebra))
+    homs = hom_bimodule(E, regular_bimodule(E.algebra))
     if not homs:
         return []
     return _combine_homs(E, homs, zero_pairing_coefficients(E, homs))
@@ -669,9 +628,6 @@ def check_surjectivity_witness(ext, n, zeta, alpha):
     bar differential at the tuples with one E slot.  There no E.E product
     arises, and the terms where E would act on E meet alpha on a pure-C
     tuple, where it is 0, so the bar differential is the vertical one.
-    This reads B in the layout `trivial_extension` and `split_extension`
-    build: C's basis, then E's, with q and i the coordinate inclusions.
-    Any other layout raises ValueError.
     """
     C, E, B = ext.C, ext.E, ext.B
     field = C.field
@@ -680,11 +636,6 @@ def check_surjectivity_witness(ext, n, zeta, alpha):
     if not bar_apply(C, regular_bimodule(C), n, zeta).is_zero():
         raise ValueError("zeta is not a cocycle")
     d = C.dim
-    if any(ext.q.column(j) != {j: field.one} for j in range(d)) \
-            or any(ext.i.column(k) != {d + k: field.one}
-                   for k in range(E.dim)):
-        raise ValueError("the witness check needs B laid out as C's basis "
-                         "then E's, with q and i the coordinate inclusions")
     values = {}
     for pos in range(n):
         comp = _alpha_component(alpha, E, n, pos)

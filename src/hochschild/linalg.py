@@ -444,6 +444,11 @@ class Mat:
                 out[r][j] = v
         return out
 
+    def to_strings(self):
+        """The dense rows, each entry as the field writes it."""
+        to_str = self.field.to_str
+        return [[to_str(v) for v in row] for row in self.to_dense()]
+
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented

@@ -234,6 +234,11 @@ def nakayama_b_presentation(field=QQ):
 def presented_nakayama_extension(c, b):
     """The split extension of the Nakayama algebra c by ker p inside b
     (the bundled ex3_5 pair), given by explicit algebra maps p and q."""
+    return extension_from_maps(c, b, *presented_nakayama_maps(c, b))
+
+
+def presented_nakayama_maps(c, b):
+    """The algebra maps p: b -> c and q: c -> b of the ex3_5 pair."""
     cq, bq = c.presentation.quiver, b.presentation.quiver
     p = algebra_morphism(b, c, {
         "a0": c.element_from_path(cq.path("alpha0")),
@@ -245,7 +250,17 @@ def presented_nakayama_extension(c, b):
         "alpha0": b.element_from_path(bq.path("a0")),
         "alpha1": b.element_from_path(bq.path("a1")),
     })
-    return extension_from_maps(c, b, p, q)
+    return p, q
+
+
+def diagonal_maps():
+    """C = k, B = k x k, p the first coordinate and q(1) = e_0 + e_1: a
+    section that sends the idempotent of C to no idempotent of B's basis.
+    Returns (C, B, p, q)."""
+    C = build_algebra(family_presentation(["0"], [], []))
+    B = build_algebra(family_presentation(["0", "1"], [], []))
+    return (C, B, Mat(1, 2, QQ, {0: {0: 1}}),
+            Mat(2, 1, QQ, {0: {0: 1, 1: 1}}))
 
 
 def kite_c_presentation():

@@ -5,7 +5,8 @@ the kernel sweep that builds their representatives.
 `NormalizedComplex.cup` are held to the cochain forms the checks used
 before (`transport` through `project_cochain`, and `cup`), on the 15
 identity extensions of verify-paper, a split extension with E^2 != 0 and
-a presented extension whose q scales an arrow.
+a presented extension whose given q scales an arrow, rebuilt as
+C (+) ker p like every presented extension.
 `linalg.kernel_basis_sparse` is held to the forward-row sweep on every
 kernel of one verification run.
 """
@@ -16,19 +17,20 @@ from fractions import Fraction
 import pytest
 
 from hochschild import verification
-from hochschild.algebra import algebra_morphism, build_algebra
+from hochschild.algebra import algebra_morphism
 from hochschild.bimodule import Bimodule, dual_bimodule, regular_bimodule
 from hochschild.cohomology import (
-    NormalizedComplex, _normalized_complex, cup, random_normalized_vector,
+    Cochain, NormalizedComplex, _normalized_complex, cup,
+    random_normalized_vector,
 )
 from hochschild.extension import (
-    extension_from_maps, normalized_projection, project_cochain,
-    projection_morphism, split_extension,
+    check_surjectivity_witness, extension_from_maps, normalized_projection,
+    project_cochain, projection_morphism, split_extension,
 )
 from hochschild.linalg import Mat, QQ
 
 from conftest import (
-    family_presentation, forward_kernel, same_vectors, twisted_regular,
+    diagonal_maps, forward_kernel, same_vectors, twisted_regular,
 )
 
 
@@ -145,17 +147,17 @@ def test_vector_cup_refuses_a_product_off_its_block(nakayama_b):
         nc_bad.cup(0, {row: 1}, 1, {0: 1})
 
 
-def test_projection_matrix_needs_compatible_idempotents():
-    # q sends the one idempotent of C = k to e_0 + e_1 in B = k x k
-    C = build_algebra(family_presentation(["0"], [], []))
-    B = build_algebra(family_presentation(["0", "1"], [], []))
-    ext = extension_from_maps(C, B, Mat(1, 2, QQ, {0: {0: 1}}),
-                              Mat(2, 1, QQ, {0: {0: 1, 1: 1}}))
-    assert not ext.idempotent_compatible
-    with pytest.raises(ValueError, match="idempotents"):
-        normalized_projection(ext, 0)
-    with pytest.raises(ValueError, match="idempotents"):
-        projection_morphism(ext, 1)
+def test_projection_matrix_with_a_non_idempotent_section():
+    # q sends the idempotent of C = k to e_0 + e_1, no basis idempotent
+    # of B = k x k; rebuilt as C (+) ker p, phi^n and the witness run
+    C, B, p, q = diagonal_maps()
+    ext = extension_from_maps(C, B, p, q)
+    got = [(phi.source.dim, phi.target.dim, phi.rank)
+           for phi in (projection_morphism(ext, n) for n in range(3))]
+    assert got == [(2, 1, 1), (0, 0, 0), (0, 0, 0)]
+    zeta = Cochain(C, regular_bimodule(C), 1)
+    assert check_surjectivity_witness(ext, 1, zeta,
+                                      Mat.zero(1, 1, QQ))["pass"]
 
 
 def test_kernels_of_a_run_match_the_forward_row_sweep(instrumented_run):

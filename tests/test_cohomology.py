@@ -7,21 +7,25 @@ import pytest
 import hochschild.cohomology as cohomology
 from hochschild.algebra import build_algebra
 from hochschild.algfile import BUNDLED, load_bundled
-from hochschild.bimodule import dual_bimodule, regular_bimodule
+from hochschild.bimodule import (
+    dual_bimodule, pullback_bimodule, regular_bimodule,
+)
 from hochschild.cohomology import (
     CapExceeded, Cochain, NormalizedComplex, _bar_column, _column_kernel,
     bar_apply, bar_differential, bracket1, cup, der0_basis,
     derivation_from_arrow_values, hh, hh1_via_derivations, is_derivation,
     random_cochain, transport,
 )
-from hochschild.extension import inflate_cochain, project_cochain
+from hochschild.extension import (
+    extension_from_maps, inflate_cochain, project_cochain,
+)
 from hochschild.linalg import Mat, PrimeField, QQ, axpy, kernel_basis_sparse
 from hochschild.quiver import Presentation, Quiver
 
 from conftest import (
     cyclic_nakayama_presentation, loops_presentation,
     nakayama_b_presentation, nakayama_c_presentation,
-    presented_nakayama_extension, quantum_plane_presentation,
+    presented_nakayama_maps, quantum_plane_presentation,
     triangle_b_presentation, truncated_presentation, twisted_regular,
 )
 
@@ -620,30 +624,37 @@ def _random_map(rows, cols, field, rng):
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_transport_matches_evaluation(field, n):
-    # the presented ex3_5 extension: q and p come from algebra maps, and p
-    # sends a basis vector to minus one
-    ext = presented_nakayama_extension(
-        build_algebra(nakayama_c_presentation(field)),
-        build_algebra(nakayama_b_presentation(field)))
-    C, B = ext.C, ext.B
+    # the given maps of the presented ex3_5 pair: q and p come from algebra
+    # maps, and p sends a basis vector to minus one
+    C = build_algebra(nakayama_c_presentation(field))
+    B = build_algebra(nakayama_b_presentation(field))
+    p, q = presented_nakayama_maps(C, B)
     regB, regC = regular_bimodule(B), regular_bimodule(C)
-    CasB = ext.C_as_B_bimodule()
+    CasB = pullback_bimodule(B, p, regC)
     rng = random.Random(n)
     f = random_cochain(B, regB, n, rng=rng, density=12)
     g = random_cochain(C, regC, n, rng=rng)
     # projection: p o f o q^{(x)n}
-    want = _evaluated(f, C, regC, ext.q, ext.p)
+    want = _evaluated(f, C, regC, q, p)
     assert not want.is_zero()
-    assert transport(f, C, regC, ext.q_t, ext.p) == want
-    assert project_cochain(ext, f) == want
+    assert transport(f, C, regC, q.transpose(), p) == want
     # inflation: g o p^{(x)n}
     ident = Mat.identity(C.dim, field)
-    want = _evaluated(g, B, CasB, ext.p, ident)
+    want = _evaluated(g, B, CasB, p, ident)
     assert not want.is_zero()
-    assert transport(g, B, CasB, ext.p_t, ident) == want
-    assert inflate_cochain(ext, g) == want
+    assert transport(g, B, CasB, p.transpose(), ident) == want
     # a slot map and a value map that come from no algebra map
     slot = _random_map(B.dim, C.dim, field, rng)
     value = _random_map(C.dim, B.dim, field, rng)
     assert transport(f, C, regC, slot.transpose(), value) == \
         _evaluated(f, C, regC, slot, value)
+    # the extension rebuilt from these maps, through its coordinate maps
+    ext = extension_from_maps(C, B, p, q)
+    h = random_cochain(ext.B, regular_bimodule(ext.B), n, rng=rng,
+                       density=12)
+    want = _evaluated(h, C, regC, ext.q, ext.p)
+    assert not want.is_zero()
+    assert project_cochain(ext, h) == want
+    want = _evaluated(g, ext.B, ext.C_as_B_bimodule(), ext.p, ident)
+    assert not want.is_zero()
+    assert inflate_cochain(ext, g) == want

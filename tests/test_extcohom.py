@@ -345,7 +345,7 @@ def test_witness_satisfies_conditions_triangle(triangle_c):
     E2 = ext_dual_bimodule(C, 2)
     ext = trivial_extension(C, E2)
     for zeta in hh(C, regular_bimodule(C), 1).representatives:
-        act = DerivationAction(C, 2, zeta, ext=E2)
+        act = DerivationAction(C, 2, zeta)
         report = check_surjectivity_witness(ext, 1, zeta, act.induced)
         assert report["c1"] and report["c2"] and report["pass"]
 
@@ -362,7 +362,7 @@ def test_doubled_witness_fails(corpus, name, m, flags):
     E = ext_dual_bimodule(C, m)
     ext = trivial_extension(C, E)
     zeta = hh(C, regular_bimodule(C), 1).representative(0)
-    act = DerivationAction(C, m, zeta, ext=E)
+    act = DerivationAction(C, m, zeta)
     assert not act.induced.is_zero()
     report = check_surjectivity_witness(ext, 1, zeta,
                                         act.induced.scaled(QQ.of(2)))

@@ -165,19 +165,23 @@ def test_raising_block_names_where_it_raised(monkeypatch):
 def test_one_run_builds_each_extension_once(instrumented_run):
     # the trivial extensions of the corpus are built once, in the
     # surjectivity block (dual, regular, E_0..E_2 where nonzero) and the
-    # relext block (E_2 of ex5_9_C, which the surjectivity block reuses),
-    # and the identities block reads those same objects
+    # relext block (E_2 of ex5_9_C, which the surjectivity block reuses);
+    # the two presented extensions, rebuilt as C (+) ker p, are built in
+    # the ex3_5 and ex3_8 blocks; the identities block reads those same
+    # objects
     run = instrumented_run
     built = run.extensions
     assert run.report["pass"]
-    assert sum(len(exts) for exts in built.values()) == 24
+    assert sum(len(exts) for exts in built.values()) == 26
     assert "identities" not in built
     ids = {block: {id(ext) for ext in exts} for block, exts in built.items()}
-    # the identities run over two presented extensions, made by maps, and
-    # 13 trivial ones: the 12 dual and regular ones of the surjectivity
-    # block and the E_2 one of the relext block
+    # the identities run over the two presented extensions and 13 trivial
+    # ones: the 12 dual and regular ones of the surjectivity block and the
+    # E_2 one of the relext block
     used = set(run.chained)
     assert len(used) == 15
+    assert len(used & ids["ex3_5"]) == 1
+    assert len(used & ids["ex3_8"]) == 1
     assert len(used & ids["surjectivity"]) == 12
     assert len(used & ids["relext"]) == 1
 
