@@ -2,10 +2,13 @@
 
 B is C (+) E with product (c,e)(c',e') = (cc', ce' + ec' + ee'), in one
 layout: C's basis first, then E's, with p, q, i the coordinate
-projection, section and inclusion.  A B presented with its own maps p and
-q is rebuilt in that layout as C (+) ker p (`extension_from_maps`); it is
-isomorphic to the given B by [q | i], and a cochain of the given B
-projects by `transport` with the given maps.  The degree-n projection
+projection, section and inclusion.  C and E determine it: B's table is
+`E.extension_structure()`, the algebra that E's bimodule certificate
+checks, so B runs no check of its own (`SplitExtensionData`).  A B
+presented with its own maps p and q is rebuilt in that layout as
+C (+) ker p (`extension_from_maps`); it is isomorphic to the given B by
+[q | i], and a cochain of the given B projects by `transport` with the
+given maps.  The degree-n projection
 morphism maps the class of f to the class of p o f o q^{(x)n}; it is an
 algebra morphism for the cup product, and its rank decides surjectivity.
 
@@ -35,32 +38,62 @@ from .linalg import Mat, axpy, dense, kernel_basis_sparse, rank, scale
 
 class SplitExtensionData:
     """The algebra B = C (+) E, C's basis first and then E's, with the
-    coordinate maps p: B -> C, q: C -> B and i: E -> B, built here, so
-    that every instance has this one layout.  Make one by
-    trivial_extension, split_extension or extension_from_maps; for a
-    presented algebra the last gives a B isomorphic to it by [q | i], and
-    cochains of the presented algebra project by `transport` with its
-    given maps."""
+    coordinate maps p: B -> C, q: C -> B and i: E -> B, so that every
+    instance has this one layout.  Make one by trivial_extension,
+    split_extension or extension_from_maps; for a presented algebra the
+    last gives a B isomorphic to it by [q | i], and cochains of the
+    presented algebra project by `transport` with its given maps."""
 
-    def __init__(self, C, E, B, is_trivial):
+    def __init__(self, C, E):
+        """B from E's table alone, with no certificate of its own.
+
+        B's structure constants are `E.extension_structure()`, with C's
+        idempotents and Peirce tags followed by E's: the algebra that
+        `Bimodule._check_axioms` certifies, at any size, so B's algebra
+        axioms are exactly E's bimodule certificate.  An E that is not
+        Peirce-graded is first replaced by its graded twin, which becomes
+        self.E; `sub_bimodule` builds the twin with that certificate.
+        Every E that reaches here from the package is certified or valid
+        by construction: the dual, file and Ext bimodules are certified
+        when built; the regular bimodule is C's own table, so its
+        conditions are C's associativity and unit; trivial_extension's
+        product-free copy keeps the actions of such an E, and with no
+        product the product conditions read 0 = 0; and extension_from_maps
+        takes E from `sub_bimodule`, whose certificate is what refuses a
+        section that is not unital.  A caller who builds E with
+        check=False vouches for it.
+
+        The conditions on p, q and i hold by this layout: p o q = id_C;
+        p and q are multiplicative and p is unital, since B's products of
+        C-indices are C's, every product with an E-index lands in E's
+        indices and B's idempotents are C's; i(E) = ker p with i of rank
+        dim E; and i(a) i(b) = i(ab), as E's product sits at E's indices.
+        """
+        E = peirce_regrade(E)[0]
         field = C.field
         nC, nE = C.dim, E.dim
         one = field.one
         self.C = C
         self.E = E
-        self.B = B
-        self.p = Mat(nC, B.dim, field, {j: {j: one} for j in range(nC)})
-        self.q = Mat(B.dim, nC, field, {j: {j: one} for j in range(nC)})
-        self.i = Mat(B.dim, nE, field, {j: {nC + j: one} for j in range(nE)})
+        self.B = Algebra(field, [*C.labels, *(f"[{l}]" for l in E.labels)],
+                         E.extension_structure(), C.idempotents,
+                         C.peirce + E.peirce, check=False)
+        nB = self.B.dim
+        self.p = Mat(nC, nB, field, {j: {j: one} for j in range(nC)})
+        self.q = Mat(nB, nC, field, {j: {j: one} for j in range(nC)})
+        self.i = Mat(nB, nE, field, {j: {nC + j: one} for j in range(nE)})
         # the slot maps of `transport`, transposed once per extension
         self.p_t = self.p.transpose()
         self.q_t = self.q.transpose()
-        self.is_trivial = is_trivial
         self._E_as_B = None
         self._C_as_B = None
         # degree -> normalized_projection; Mats only, so no cycle back here
         self._projections = {}
-        self._verify()
+
+    @property
+    def is_trivial(self):
+        """E^2 = 0: E carries no nonzero product."""
+        return not any((self.E.product or {}).values())
 
     # -- derived bimodules -----------------------------------------------------
 
@@ -74,35 +107,13 @@ class SplitExtensionData:
         return self._E_as_B
 
     def C_as_B_bimodule(self):
-        """C as a B-bimodule through p."""
+        """C as a B-bimodule through p, which is an algebra map by the
+        layout, so the pullback needs no certificate."""
         if self._C_as_B is None:
             self._C_as_B = pullback_bimodule(self.B, self.p,
-                                             regular_bimodule(self.C))
+                                             regular_bimodule(self.C),
+                                             check=False)
         return self._C_as_B
-
-    # -- invariants ------------------------------------------------------------
-
-    def _verify(self):
-        C, B, p, i = self.C, self.B, self.p, self.i
-        _check_split_maps(C, B, p, self.q)
-        # i embeds E as the kernel of p, and i(E) i(E) matches the product
-        if p.matmul(i).nnz() != 0:
-            raise ValueError("i(E) does not lie in ker p")
-        if rank(i) != self.E.dim or self.E.dim != B.dim - C.dim:
-            raise ValueError("i is not an isomorphism onto ker p")
-        for a in range(self.E.dim):
-            ia = i.column(a)
-            for b in range(self.E.dim):
-                prod = B.multiply_coords(ia, i.column(b))
-                want = i.matvec(self.E.multiply({a: B.field.one},
-                                                {b: B.field.one})) \
-                    if self.E.product is not None else {}
-                if prod != want:
-                    raise ValueError("i does not respect the product on E")
-        if self.is_trivial and self.E.product:
-            for key, val in self.E.product.items():
-                if val:
-                    raise ValueError("trivial extension with nonzero product")
 
     def __repr__(self):
         kind = "trivial" if self.is_trivial else "split"
@@ -110,23 +121,12 @@ class SplitExtensionData:
                 f"dim E={self.E.dim})")
 
 
-def _check_split_maps(C, B, p, q):
-    """p o q = id_C, p and q multiplicative, and p unital, or ValueError."""
-    if p.matmul(q) != Mat.identity(C.dim, C.field):
-        raise ValueError("p o q is not the identity of C")
-    _check_multiplicative(p, B, C)
-    _check_multiplicative(q, C, B)
-    if dict(p.matvec(B.unit_coords())) != C.unit_coords():
-        raise ValueError("p does not preserve the unit")
-
-
 def split_extension(C, E):
     """B = C (+) E with the product of E folded in; E.product required."""
     if E.product is None:
         raise ValueError("split extension needs a bimodule with a product "
                          "(use trivial_extension for E^2 = 0)")
-    return _build_extension(C, E, trivial=not any(E.product.values())
-                            if E.product else True)
+    return SplitExtensionData(C, E)
 
 
 def trivial_extension(C, E):
@@ -138,38 +138,33 @@ def trivial_extension(C, E):
     if E.product is None or any(E.product.values()):
         E = Bimodule(C, E.dim, E.left, E.right, labels=E.labels,
                      product={}, check=False)
-    return _build_extension(C, E, trivial=True)
-
-
-def _build_extension(C, E, trivial):
-    # an E that is not Peirce-graded is replaced by its graded twin, which
-    # becomes ext.E, so that B is Peirce-graded
-    E = peirce_regrade(E)[0]
-    dim = C.dim + E.dim
-    labels = list(C.labels) + [f"[{l}]" for l in E.labels]
-    B = Algebra(C.field, labels, E.extension_structure(), C.idempotents,
-                C.peirce + E.peirce, check=dim <= 40)
-    return SplitExtensionData(C, E, B, trivial)
+    return SplitExtensionData(C, E)
 
 
 def extension_from_maps(C, B, p, q):
     """The split extension of C by E = ker p, for a presented algebra B
     with algebra maps p: B -> C and q: C -> B, p o q = id.
 
-    The maps are checked first, as `SplitExtensionData` checks its own.
-    E's basis is the deterministic kernel basis of p (or its graded twin,
-    see `_build_extension`), with C acting through q and the product
-    taken from B.  The result is C (+) E in the one layout: its B is
-    isomorphic to the given one by [q | i], i the basis of E as vectors
-    of the given B, and its p, q and i are the coordinate maps.  A
-    cochain f of the given B projects to C by transport(f, C,
-    regular_bimodule(C), q.transpose(), p), with the given maps.
+    The given maps are checked: p o q = id_C, p and q multiplicative and
+    p unital, or ValueError.  E's basis is the deterministic kernel basis
+    of p (or its graded twin, see `SplitExtensionData`), with C acting
+    through q and the product taken from B; E's certificate refuses a q
+    that is not unital, whose unit does not act as the identity on E.
+    The result is C (+) E in the one layout: its B is isomorphic to the
+    given one by [q | i], i the basis of E as vectors of the given B, and
+    its p, q and i are the coordinate maps.  A cochain f of the given B
+    projects to C by transport(f, C, regular_bimodule(C), q.transpose(),
+    p), with the given maps.
     """
-    _check_split_maps(C, B, p, q)
-    kernel = kernel_basis_sparse(p)
+    if p.matmul(q) != Mat.identity(C.dim, C.field):
+        raise ValueError("p o q is not the identity of C")
+    _check_multiplicative(p, B, C)
+    _check_multiplicative(q, C, B)
+    if dict(p.matvec(B.unit_coords())) != C.unit_coords():
+        raise ValueError("p does not preserve the unit")
     ambient_c = pullback_bimodule(C, q, regular_bimodule(B), check=False)
-    E = sub_bimodule(ambient_c, kernel)
-    return _build_extension(C, E, trivial=not any(E.product.values()))
+    return SplitExtensionData(C, sub_bimodule(ambient_c,
+                                              kernel_basis_sparse(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n, commutative ladders, seeded random monomial)
 and a twisted, non-Peirce-graded regular module; the dense bimodule
-certificate, reference of `Bimodule._check_axioms`; the all-Fraction Q
+certificate, reference of `Bimodule._check_axioms`; the algebra
+certificate of a split extension and the conditions on its maps,
+references of `SplitExtensionData`'s layout; the all-Fraction Q
 field; the truncated span, reference of build_algebra's row walk and of
 relext's square-generator test; the forward-row reference of the kernel
 sweep; the hypothesis profile of the suite."""
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import settings
 
 from hochschild.algebra import (
-    AdmissibilityError, algebra_morphism, build_algebra,
+    AdmissibilityError, Algebra, _check_multiplicative, algebra_morphism,
+    build_algebra,
 )
-from hochschild.bimodule import Bimodule, regular_bimodule
+from hochschild.bimodule import Bimodule, peirce_regrade, regular_bimodule
 from hochschild.extension import extension_from_maps
 from hochschild.linalg import (
-    QQ, Mat, Rationals, Sweep, axpy, echelon_basis, reduce_mod,
+    QQ, Mat, Rationals, Sweep, axpy, echelon_basis, rank, reduce_mod,
 )
 from hochschild.minres import NotExact, PartialResolution
 from hochschild.quiver import (
@@ -502,6 +505,43 @@ def _reference_product_check(module):
           "product is not balanced over the algebra")
 
 
+def certified_extension_algebra(C, E):
+    """B = C (+) E certified as an algebra of its own, at any size: E's
+    graded twin, then `Algebra` with its check on E's table, with C's
+    idempotents and the Peirce tags of C and E.  `SplitExtensionData`
+    builds the same B unchecked and relies on E's certificate; this is
+    the certificate of B that it no longer runs.  Returns B."""
+    E = peirce_regrade(E)[0]
+    return Algebra(C.field, [*C.labels, *(f"[{l}]" for l in E.labels)],
+                   E.extension_structure(), C.idempotents,
+                   C.peirce + E.peirce)
+
+
+def check_split_conditions(ext):
+    """The conditions on p, q and i that hold by the coordinate layout of
+    a split extension: p o q = id_C, p and q multiplicative, p unital,
+    i(E) inside ker p, i an isomorphism onto it, and i respecting E's
+    product.  Raises ValueError on the first that fails."""
+    C, B, E, p, q, i = ext.C, ext.B, ext.E, ext.p, ext.q, ext.i
+    if p.matmul(q) != Mat.identity(C.dim, C.field):
+        raise ValueError("p o q is not the identity of C")
+    _check_multiplicative(p, B, C)
+    _check_multiplicative(q, C, B)
+    if dict(p.matvec(B.unit_coords())) != C.unit_coords():
+        raise ValueError("p does not preserve the unit")
+    if p.matmul(i).nnz() != 0:
+        raise ValueError("i(E) does not lie in ker p")
+    if rank(i) != E.dim or E.dim != B.dim - C.dim:
+        raise ValueError("i is not an isomorphism onto ker p")
+    one = B.field.one
+    for a in range(E.dim):
+        for b in range(E.dim):
+            want = {} if E.product is None else \
+                i.matvec(E.multiply({a: one}, {b: one}))
+            if B.multiply_coords(i.column(a), i.column(b)) != want:
+                raise ValueError("i does not respect the product on E")
+
+
 def assert_broken_copies_refused(res, n, top):
     """`certify` accepts res cut at P^top, and refuses that copy with the
     sign of one term of d^n flipped, or with the last summand of P^n
@@ -605,7 +645,7 @@ def instrumented_run():
     every spy the run-wide tests read installed for that run only.
 
     Its records: `report`; `extensions`, block name -> the extensions
-    `extension._build_extension` built in it; `chained`, id -> extension
+    `SplitExtensionData.__init__` built in it; `chained`, id -> extension
     for each extension the projection chain identity read; `resolutions`,
     the algebra of each `PartialResolution` made; `spaces` and `asked`,
     (algebra id, n) of each resolution space built and of each
@@ -624,17 +664,16 @@ def instrumented_run():
     rec = SimpleNamespace(extensions={}, chained={}, resolutions=[],
                           spaces=[], asked=[], peirce=[], kernels=[])
     current = []
-    real_build = extension._build_extension
+    real_init = extension.SplitExtensionData.__init__
     real_chain = verification.check_projection_chain_identity
     real_post_init = minres.PartialResolution.__post_init__
     real_space, real_hh = minres.CohomologySpace, minres.hh_via_resolution
     real_tags = Bimodule._peirce_tags
     real_kernel = linalg.kernel_basis_sparse
 
-    def build(*args, **kwargs):
-        ext = real_build(*args, **kwargs)
+    def init(ext, *args, **kwargs):
+        real_init(ext, *args, **kwargs)
         rec.extensions.setdefault(current[-1], []).append(ext)
-        return ext
 
     def chain(ext, n, **kwargs):
         rec.chained[id(ext)] = ext
@@ -662,7 +701,7 @@ def instrumented_run():
         return rec.kernels[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extension, "_build_extension", build)
+        mp.setattr(extension.SplitExtensionData, "__init__", init)
         mp.setattr(verification, "check_projection_chain_identity", chain)
         mp.setattr(minres.PartialResolution, "__post_init__", post_init)
         mp.setattr(minres, "CohomologySpace", space)

@@ -12,7 +12,9 @@ from hochschild.bimodule import (
 from hochschild.extcohom import ext_dual_bimodule
 from hochschild.linalg import Mat, QQ, kernel_basis_sparse, rank
 
-from conftest import reference_bimodule_check, twisted_regular
+from conftest import (
+    certified_extension_algebra, reference_bimodule_check, twisted_regular,
+)
 
 
 @pytest.fixture(scope="module")
@@ -242,14 +244,17 @@ def mutants(module, seed, bumps=6, doubled=3):
 
 
 def certified_verdicts(module, seed):
-    """{mutant name: (accepted by A (+) M, accepted by the reference)}."""
+    """{mutant name: (accepted by A (+) M, accepted by the reference,
+    accepted as the algebra of the split extension by it)}: the third is
+    the certificate of B that `SplitExtensionData` leaves to the first."""
     out = {}
     for name, left, right, product in mutants(module, seed):
         mutant = Bimodule(module.algebra, module.dim, left, right,
                           labels=list(module.labels), product=product,
                           check=False)
         verdicts = []
-        for check in (Bimodule._check_axioms, reference_bimodule_check):
+        for check in (Bimodule._check_axioms, reference_bimodule_check,
+                      lambda m: certified_extension_algebra(m.algebra, m)):
             try:
                 check(mutant)
                 verdicts.append(True)
@@ -264,8 +269,8 @@ def certified_verdicts(module, seed):
 def test_extension_certificate_matches_the_reference(bundled, name, kind):
     module = COEFFICIENTS[kind](bundled[name])
     verdicts = certified_verdicts(module, f"{name} {kind}")
-    assert verdicts["as is"] == (True, True)
-    assert {m: v for m, v in verdicts.items() if v[0] != v[1]} == {}
+    assert verdicts["as is"] == (True, True, True)
+    assert {m: v for m, v in verdicts.items() if len(set(v)) > 1} == {}
 
 
 def test_extension_certificate_matches_the_reference_off_the_grading(
@@ -273,9 +278,9 @@ def test_extension_certificate_matches_the_reference_off_the_grading(
     module = twisted_regular(nakayama_c)
     assert not module.is_graded()
     verdicts = certified_verdicts(module, "twisted")
-    assert verdicts["as is"] == (True, True)
-    assert {m: v for m, v in verdicts.items() if v[0] != v[1]} == {}
-    assert sum(v == (False, False) for v in verdicts.values()) >= 10
+    assert verdicts["as is"] == (True, True, True)
+    assert {m: v for m, v in verdicts.items() if len(set(v)) > 1} == {}
+    assert sum(v == (False, False, False) for v in verdicts.values()) >= 10
 
 
 def test_extension_structure_holds_actions_and_product(bundled):

@@ -26,7 +26,8 @@ from hochschild.linalg import (
 from hochschild.cohomology import derivation_from_arrow_values
 
 from conftest import (
-    diagonal_maps, nakayama_b_presentation, nakayama_c_presentation,
+    certified_extension_algebra, check_split_conditions, diagonal_maps,
+    nakayama_b_presentation, nakayama_c_presentation,
     presented_nakayama_extension, presented_nakayama_maps,
 )
 
@@ -194,6 +195,33 @@ def test_presented_extensions_take_the_one_layout(presented):
         iso = Mat(B.dim, B.dim, field, cols)
         assert rank(iso) == B.dim
         _check_multiplicative(iso, ext.B, B)
+
+
+def test_presented_extensions_hold_by_their_layout(presented):
+    # B passes the algebra certificate SplitExtensionData leaves to E's,
+    # and p, q and i meet the conditions the layout gives them
+    for ext, _, _, _ in presented:
+        assert certified_extension_algebra(ext.C, ext.E).structure == \
+            ext.B.structure
+        check_split_conditions(ext)
+
+
+def test_a_section_that_is_not_unital_is_refused():
+    # C = k, B = k x k, p the first coordinate and q(1) = e_0: p o q = id
+    # and both maps are multiplicative, but C's unit acts as 0 on
+    # ker p = k e_1, and E's certificate says so
+    C, B, p, _ = diagonal_maps()
+    q = Mat(2, 1, QQ, {0: {0: 1}})
+    with pytest.raises(ValueError, match="unit is not a two-sided identity"):
+        extension_from_maps(C, B, p, q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_presented_extension_with_a_product(n):
+    # ker p = k e_1 with e_1 e_1 = e_1, so E^2 != 0
+    ext = extension_from_maps(*diagonal_maps())
+    assert not ext.is_trivial
+    assert check_projection_chain_identity(ext, n)["holds"]
 
 
 # -- phi ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hochschild.linalg import PrimeField
 from hochschild.quiver import Presentation, Quiver, parse_relation
 
 from conftest import (
+    certified_extension_algebra, check_split_conditions,
     nakayama_c_presentation, peirce_matvec_tags, twisted_regular,
 )
 
@@ -184,6 +185,21 @@ def test_one_run_builds_each_extension_once(instrumented_run):
     assert len(used & ids["ex3_8"]) == 1
     assert len(used & ids["surjectivity"]) == 12
     assert len(used & ids["relext"]) == 1
+
+
+def test_every_extension_of_a_run_holds_by_its_layout(instrumented_run):
+    # SplitExtensionData checks neither B nor its maps: on every extension
+    # a run builds, the dim-43 one among them, B passes the algebra
+    # certificate of its own, with no size limit, and p, q and i meet the
+    # conditions the layout gives them
+    exts = [ext for built in instrumented_run.extensions.values()
+            for ext in built]
+    assert len(exts) == 26
+    assert max(ext.B.dim for ext in exts) == 43
+    for ext in exts:
+        assert certified_extension_algebra(ext.C, ext.E).structure == \
+            ext.B.structure
+        check_split_conditions(ext)
 
 
 def test_one_run_builds_each_resolution_once(instrumented_run):
