@@ -189,8 +189,21 @@ def dual_bimodule(algebra):
 def sub_bimodule(ambient, vectors, labels=None):
     """Restrict a bimodule to the span of the given independent vectors.
 
-    The family must be closed under both actions; the given vectors become
-    the basis, so callers control the presentation of the sub-bimodule.
+    The family must be closed under both actions, and under the product
+    when there is one: `coords` raises ValueError on an image outside the
+    span.  The given vectors become the basis, so callers control the
+    presentation of the sub-bimodule.
+
+    The result runs no certificate; the ambient's covers it.  Closure
+    makes A (+) span a subalgebra of A (+) ambient that contains its unit,
+    the sum of A's idempotents, and the result's actions and product are
+    the ambient's, written in the given basis.  So each condition of
+    `Bimodule._check_axioms` (the idempotents orthogonal, the unit a
+    two-sided identity, associativity on every basis triple) holds on the
+    span because it holds in A (+) ambient, and the Peirce tags are read
+    off the restricted actions as for every bimodule.  A certified ambient,
+    or one valid by construction, gives a valid result; a caller whose
+    ambient is neither vouches for it.
     """
     field = ambient.field
     vecs = [dict(v) for v in vectors]
@@ -220,7 +233,7 @@ def sub_bimodule(ambient, vectors, labels=None):
                 if c:
                     product[(a, b)] = c
     return Bimodule(ambient.algebra, dim, left, right, labels=labels,
-                    product=product)
+                    product=product, check=False)
 
 
 def peirce_regrade(module):

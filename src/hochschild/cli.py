@@ -2,24 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Reports on stdout are byte-identical across runs on the same input; wall
-clock timing goes to stderr under --verbose only.
+clock timing goes to stderr under --verbose only.  Each command imports
+the modules it runs when it runs, so `hh` loads no extension code and only
+`verify-paper` loads the verification suite.
 """
 
 import argparse
 import json
 import sys
 import time
-
-from .algebra import build_algebra
-from .algfile import (
-    emit_algebra_file, input_hash, load_algebra_file, load_bimodule_file,
-)
-from .bimodule import dual_bimodule, regular_bimodule
-from .cohomology import BAR_CAP, hh
-from .extcohom import ext_dual_bimodule
-from .extension import projection_morphism, trivial_extension
-from .relext import relation_extension_algebra
-from .verification import run_blocks
 
 
 class UsageError(ValueError):
@@ -44,6 +35,7 @@ def _report(command, data_hash, results):
 
 
 def _resolve_module(selector, algebra, field):
+    from .bimodule import dual_bimodule, regular_bimodule
     if selector == "regular":
         return regular_bimodule(algebra)
     if selector == "dual":
@@ -53,21 +45,33 @@ def _resolve_module(selector, algebra, field):
             m = int(selector.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad module selector {selector!r}")
+        from .extcohom import ext_dual_bimodule
         return ext_dual_bimodule(algebra, m)
     if selector.startswith("file:"):
+        from .algfile import load_bimodule_file
         return load_bimodule_file(selector.split(":", 1)[1], algebra)
     raise UsageError(f"unknown module selector {selector!r}")
 
 
+def _cap(args):
+    """--cap as given, or the library's bar cap."""
+    from .cohomology import BAR_CAP
+    return BAR_CAP if args.cap is None else args.cap
+
+
 def cmd_hh(args):
+    from .algebra import build_algebra
+    from .algfile import input_hash, load_algebra_file
+    from .cohomology import hh
     start = time.monotonic()
     data, pres = load_algebra_file(args.file, expect_field=args.field)
     algebra = build_algebra(pres)
     module = _resolve_module(args.module, algebra, pres.field)
+    cap = _cap(args)
     dims = []
     reps = []
     for n in range(args.max_degree + 1):
-        space = hh(algebra, module, n, cap=args.cap)
+        space = hh(algebra, module, n, cap=cap)
         dims.append(space.dim)
         if args.reps:
             reps.append([rep.matrix().to_strings()
@@ -93,12 +97,15 @@ def cmd_hh(args):
 
 
 def cmd_phi(args):
+    from .algebra import build_algebra
+    from .algfile import input_hash, load_algebra_file
+    from .extension import projection_morphism, trivial_extension
     start = time.monotonic()
     data, pres = load_algebra_file(args.file, expect_field=args.field)
     algebra = build_algebra(pres)
     module = _resolve_module(args.bimodule, algebra, pres.field)
     ext = trivial_extension(algebra, module)
-    phi = projection_morphism(ext, args.degree, cap=args.cap)
+    phi = projection_morphism(ext, args.degree, cap=_cap(args))
     results = phi.report()
     results["bimodule"] = args.bimodule
     command = {"name": "phi", "bimodule": args.bimodule,
@@ -112,10 +119,12 @@ def cmd_phi(args):
 
 
 def cmd_relext(args):
+    from .algfile import emit_algebra_file, input_hash, load_algebra_file
+    from .quiver import Presentation
+    from .relext import relation_extension_algebra
     start = time.monotonic()
     data, pres = load_algebra_file(args.file, expect_field=args.field)
     rext, algebra_b = relation_extension_algebra(pres)
-    from .quiver import Presentation
     pres_b = Presentation(rext.quiver, pres.field, rext.relations)
     results = {
         "dim_B": algebra_b.dim,
@@ -140,6 +149,7 @@ def cmd_relext(args):
 
 
 def cmd_verify_paper(args):
+    from .verification import run_blocks
     start = time.monotonic()
     timings = []
     body = run_blocks(only=args.only, timings=timings)
@@ -171,11 +181,12 @@ def build_parser():
         p.add_argument("--verbose", action="store_true")
 
     def cap(p):
-        p.add_argument("--cap", type=int, default=BAR_CAP,
+        p.add_argument("--cap", type=int, default=None,
                        help="cap on (dim A)^(n+1) * dim M, the size of "
                             "the bar complex in degree n; hh^n is gated on "
                             "it, though it builds the smaller normalized "
-                            "complex (see ROADMAP item 2)")
+                            "complex (see ROADMAP item 2); default "
+                            "cohomology.BAR_CAP")
 
     p_hh = sub.add_parser("hh", help="cohomology dimensions of an algebra")
     p_hh.add_argument("file")

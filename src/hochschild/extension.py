@@ -52,15 +52,15 @@ class SplitExtensionData:
         `Bimodule._check_axioms` certifies, at any size, so B's algebra
         axioms are exactly E's bimodule certificate.  An E that is not
         Peirce-graded is first replaced by its graded twin, which becomes
-        self.E; `sub_bimodule` builds the twin with that certificate.
-        Every E that reaches here from the package is certified or valid
-        by construction: the dual, file and Ext bimodules are certified
-        when built; the regular bimodule is C's own table, so its
+        self.E and which E's certificate covers (`sub_bimodule`).  Every
+        E that reaches here from the package is certified or valid by
+        construction: the dual, file and Ext bimodules are certified when
+        built; the regular bimodule is C's own table, so its
         conditions are C's associativity and unit; trivial_extension's
         product-free copy keeps the actions of such an E, and with no
         product the product conditions read 0 = 0; and extension_from_maps
-        takes E from `sub_bimodule`, whose certificate is what refuses a
-        section that is not unital.  A caller who builds E with
+        takes E = ker p inside B pulled back along q, which its map
+        checks make a bimodule (see there).  A caller who builds E with
         check=False vouches for it.
 
         The conditions on p, q and i hold by this layout: p o q = id_C;
@@ -98,7 +98,8 @@ class SplitExtensionData:
     # -- derived bimodules -----------------------------------------------------
 
     def E_as_B_bimodule(self):
-        """E with the B-action through i (E is an ideal of B)."""
+        """E with the B-action through i: E is an ideal of B, valid as
+        B's regular bimodule is (`sub_bimodule`)."""
         if self._E_as_B is None:
             ambient = regular_bimodule(self.B)
             vectors = [dict(self.i.column(j)) for j in range(self.E.dim)]
@@ -146,10 +147,14 @@ def extension_from_maps(C, B, p, q):
     with algebra maps p: B -> C and q: C -> B, p o q = id.
 
     The given maps are checked: p o q = id_C, p and q multiplicative and
-    p unital, or ValueError.  E's basis is the deterministic kernel basis
+    unital, or ValueError.  E's basis is the deterministic kernel basis
     of p (or its graded twin, see `SplitExtensionData`), with C acting
-    through q and the product taken from B; E's certificate refuses a q
-    that is not unital, whose unit does not act as the identity on E.
+    through q and the product taken from B.  The checks make E a
+    bimodule: B pulled back along a multiplicative, unital q is one, and
+    `sub_bimodule` restricts it to ker p, which the actions and the
+    product keep as p is multiplicative.  For a multiplicative q, q(1)
+    acts as the identity on ker p exactly when q(1) = 1, as q(1) q(c) =
+    q(c) and B = q(C) + ker p.
     The result is C (+) E in the one layout: its B is isomorphic to the
     given one by [q | i], i the basis of E as vectors of the given B, and
     its p, q and i are the coordinate maps.  A cochain f of the given B
@@ -162,6 +167,9 @@ def extension_from_maps(C, B, p, q):
     _check_multiplicative(q, C, B)
     if dict(p.matvec(B.unit_coords())) != C.unit_coords():
         raise ValueError("p does not preserve the unit")
+    if dict(q.matvec(C.unit_coords())) != B.unit_coords():
+        raise ValueError("q does not preserve the unit, so C's unit is not "
+                         "a two-sided identity on ker p")
     ambient_c = pullback_bimodule(C, q, regular_bimodule(B), check=False)
     return SplitExtensionData(C, sub_bimodule(ambient_c,
                                               kernel_basis_sparse(p)))

@@ -651,18 +651,21 @@ def instrumented_run():
     (algebra id, n) of each resolution space built and of each
     `hh_via_resolution` request of the blocks; `peirce`, per bimodule
     made, its `_peirce_tags` and the matvec rule's tags; `kernels`, each
-    matrix given to `kernel_basis_sparse` with the kernel returned.
+    matrix given to `kernel_basis_sparse` with the kernel returned; `subs`,
+    each bimodule `sub_bimodule` returned.
     """
     import sys
     from types import SimpleNamespace
 
+    import hochschild.bimodule as bimodule
     import hochschild.extension as extension
     import hochschild.linalg as linalg
     import hochschild.minres as minres
     import hochschild.verification as verification
 
     rec = SimpleNamespace(extensions={}, chained={}, resolutions=[],
-                          spaces=[], asked=[], peirce=[], kernels=[])
+                          spaces=[], asked=[], peirce=[], kernels=[],
+                          subs=[])
     current = []
     real_init = extension.SplitExtensionData.__init__
     real_chain = verification.check_projection_chain_identity
@@ -670,6 +673,7 @@ def instrumented_run():
     real_space, real_hh = minres.CohomologySpace, minres.hh_via_resolution
     real_tags = Bimodule._peirce_tags
     real_kernel = linalg.kernel_basis_sparse
+    real_sub = bimodule.sub_bimodule
 
     def init(ext, *args, **kwargs):
         real_init(ext, *args, **kwargs)
@@ -700,6 +704,10 @@ def instrumented_run():
         rec.kernels.append((m, real_kernel(m)))
         return rec.kernels[-1][1]
 
+    def sub(ambient, vectors, labels=None):
+        rec.subs.append(real_sub(ambient, vectors, labels))
+        return rec.subs[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extension.SplitExtensionData, "__init__", init)
         mp.setattr(verification, "check_projection_chain_identity", chain)
@@ -707,10 +715,15 @@ def instrumented_run():
         mp.setattr(minres, "CohomologySpace", space)
         mp.setattr(verification, "hh_via_resolution", hh_via_resolution)
         mp.setattr(Bimodule, "_peirce_tags", tags)
+        # the submodules only: the package serves its exports from them
         for name, module in list(sys.modules.items()):
-            if name.startswith("hochschild") and \
-                    getattr(module, "kernel_basis_sparse", None) is real_kernel:
-                mp.setattr(module, "kernel_basis_sparse", kernel)
+            if not name.startswith("hochschild."):
+                continue
+            for attr, real, spy in (
+                    ("kernel_basis_sparse", real_kernel, kernel),
+                    ("sub_bimodule", real_sub, sub)):
+                if getattr(module, attr, None) is real:
+                    mp.setattr(module, attr, spy)
         for name, run in list(verification.BLOCKS.items()):
             def entered(suite, name=name, run=run):
                 current.append(name)

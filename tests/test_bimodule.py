@@ -6,14 +6,16 @@ from hochschild.algebra import algebra_morphism, build_algebra
 from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import (
     Bimodule, bimodules_isomorphic, dual_bimodule, hom_bimodule,
-    is_symmetric_over_center, pullback_bimodule, regular_bimodule,
-    sub_bimodule, tensor_over, zero_bimodule,
+    is_symmetric_over_center, peirce_regrade, pullback_bimodule,
+    regular_bimodule, sub_bimodule, tensor_over, zero_bimodule,
 )
 from hochschild.extcohom import ext_dual_bimodule
+from hochschild.extension import extension_from_maps, trivial_extension
 from hochschild.linalg import Mat, QQ, kernel_basis_sparse, rank
 
 from conftest import (
-    certified_extension_algebra, reference_bimodule_check, twisted_regular,
+    certified_extension_algebra, diagonal_maps, reference_bimodule_check,
+    twisted_regular,
 )
 
 
@@ -178,6 +180,27 @@ def test_sub_bimodule_rejects_non_closed(nakayama_b):
     # a single arrow does not span an action-closed subspace
     with pytest.raises(ValueError):
         sub_bimodule(reg, [{2: QQ.one}])
+
+
+def test_sub_bimodules_pass_the_certificate_they_leave_to_the_ambient(
+        instrumented_run, kernel_bimodule, nakayama_c, triangle_b):
+    # sub_bimodule runs no certificate: a restriction keeps the ambient's
+    # axioms.  Every result of one verify-paper run and of the fixtures
+    # passes the dense reference and the A (+) M certificate all the same;
+    # the run's products are all zero, and ker p of the diagonal maps has
+    # e_1 e_1 = e_1
+    with_product = extension_from_maps(*diagonal_maps()).E
+    assert any(with_product.product.values())
+    made = [
+        *instrumented_run.subs, with_product, kernel_bimodule,
+        peirce_regrade(twisted_regular(triangle_b))[0],
+        trivial_extension(nakayama_c,
+                          dual_bimodule(nakayama_c)).E_as_B_bimodule(),
+    ]
+    assert len(instrumented_run.subs) == 18
+    for module in made:
+        reference_bimodule_check(module)
+        module._check_axioms()
 
 
 def test_peirce_tags(kernel_bimodule):
