@@ -42,14 +42,24 @@ def input_hash(data):
     return hashlib.sha256(canonical_bytes(data)).hexdigest()
 
 
+def _json_kind(value):
+    """The JSON name of a decoded value's type: "array" for a list."""
+    return {dict: "an object", list: "an array", str: "a string",
+            bool: "a boolean", type(None): "null"}.get(type(value),
+                                                        "a number")
+
+
 def parse_algebra_file(data, expect_field=None):
     """Validate and build the presentation described by a JSON object."""
+    if not isinstance(data, dict):
+        raise AlgebraFileError("an algebra file must hold a JSON object, "
+                               f"not {_json_kind(data)}")
     try:
         field_tag = data["field"]
         vertices = data["vertices"]
         arrows = data["arrows"]
         relations = data.get("relations", [])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise AlgebraFileError(f"missing key in algebra file: {exc}")
     if expect_field is not None and field_tag != expect_field:
         raise AlgebraFileError(
@@ -63,6 +73,17 @@ def parse_algebra_file(data, expect_field=None):
             or all(type(v) is int for v in vertices)):
         raise AlgebraFileError("vertices must be a nonempty list of all "
                                "strings or all integers")
+    if not isinstance(arrows, list):
+        raise AlgebraFileError("arrows must be a list of objects, not "
+                               f"{_json_kind(arrows)}")
+    for a in arrows:
+        if not isinstance(a, dict):
+            raise AlgebraFileError(f"arrow entry {a!r} is not an object "
+                                   "with keys name, from and to")
+        for key in ("name", "from", "to"):
+            if key not in a:
+                raise AlgebraFileError(f"arrow entry {a!r} has no key "
+                                       f"{key!r}")
     try:
         arrows = [(a["name"], a["from"], a["to"]) for a in arrows]
         for name, _, _ in arrows:

@@ -38,12 +38,16 @@ one sweep of its system per module; in degree 0 every cocycle already
 lies in the diagonal blocks), and `bar_apply` tells a non-cocycle.  From
 degree 2 on a cochain outside it is refused.
 
-The complex indexes cochains by the flat bar key tensor_index * dim M + m
-that `_bar_column` emits, mapped to a row with one dict built from the
-chains' tensor indices; its (chain, m) pairs are built only when asked
-for, so the top degree of a request, which is only rows, has none.  It
-caches its differentials and their ranks on the module, so hh^{n+1}
-reuses the matrix and the rank hh^n needed.  The column kernel of
+The complex names cochains by the flat bar key tensor_index * dim M + m
+that `_bar_column` emits, read off the chains' tensor indices.  Its
+differentials keep those keys as rows, so assembly does no lookup and
+the top degree of a request, which is only rows, has no index: the
+index {flat key: row} of a degree is built only where a vector of it is
+named, and its (chain, m) pairs only when asked for.  That every key an
+image reaches is a basis key is certified once per complex, on the
+algebra's products and the module's actions.  It caches its
+differentials and their ranks on the module, so hh^{n+1} reuses the
+matrix and the rank hh^n needed.  The column kernel of
 `_bar_column` is cached there too, once per degree and argument set, so
 the many `bar_apply` calls of a verification run set it up once.  It
 forms a term's key with one addition from a per-slot table, and stores a
@@ -271,9 +275,11 @@ def _column_kernel(algebra, module, n, args, values=None):
     # contraction at slot p, sign (-1)^{p+1}: the term of slot value k
     # lands at key t // (span d) * (d d span dm) + t % span * dm + m + delta,
     # with span = d^(n-1-p) and, per slot value, a table of
-    # (delta, c) = ((x * d + y) * span * dm, signed c)
+    # (delta, c) = ((x * d + y) * span * dm, signed c).  With no nonzero
+    # product of two arguments (J^2 = 0) there are none, and a column is
+    # its action terms alone
     contractions = []
-    for p in range(n):
+    for p in range(n if pairs else 0):
         span = d ** (n - 1 - p)
         step = span * dm
         contractions.append((span * d, d * d * step, span, {
@@ -440,30 +446,26 @@ def _bar_apply_within(algebra, module, n, args, values=None):
     return apply
 
 
-def _subcomplex_differential(algebra, module, n, basis, keys, pos):
+def _subcomplex_differential(algebra, module, n, basis, keys):
     """b^{n+1} on a subcomplex of cochains with radical arguments.
 
     basis lists the subcomplex's basis in degree n as pairs (chain, m):
     the cochain sending the tensor of the radical indices in chain to
     e_m.  keys holds their flat bar keys tensor_index * dim M + m in the
-    same order.  pos maps the flat bar key of each degree-(n+1) basis
-    pair to its row; a term at a key outside pos raises AssertionError.
+    same order.  Column j is the image of basis pair j as `_bar_column`
+    emits it, so its rows are the flat bar keys of degree n + 1, of
+    which the matrix has (dim A)^{n+1} * dim M.  That every key is one
+    of the subcomplex is not checked here: `NormalizedComplex` certifies
+    it once, on the tables the kernel reads.
     """
     column = _bar_column(algebra, module, n, args=algebra.radical_indices)
     dm = module.dim
-    row = pos.get
     cols = {}
     for j, ((chain, m), key) in enumerate(zip(basis, keys)):
-        image = column(key // dm, chain, m)
-        col = {row(k): v for k, v in image.items()}
-        if None in col:
-            t, m_out = divmod(next(k for k in image if k not in pos), dm)
-            raise AssertionError(
-                f"differential left the subcomplex at "
-                f"{Cochain(algebra, module, n + 1).decode(t)}, {m_out}")
+        col = column(key // dm, chain, m)
         if col:
             cols[j] = col
-    return Mat(len(pos), len(basis), algebra.field, cols)
+    return Mat(algebra.dim ** (n + 1) * dm, len(basis), algebra.field, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +491,22 @@ class NormalizedComplex(RankedComplex):
     Basis in degree n: (w_1..w_n, m) with w_i radical basis indices forming
     a composable chain and m a basis vector of the graded twin M' of the
     module (`peirce_regrade`) in the block e_{source} M' e_{target}.  The
-    restricted bar formula on M' is the differential; products of radical
-    basis vectors never hit idempotents (certified on the algebra), so the
-    formula closes.  A module that is Peirce-graded is its own twin;
-    otherwise `embed` and `project` carry values through the coordinate
-    maps, so cochains in and out are in the module's own basis.
+    restricted bar formula on M' is the differential; the constructor
+    certifies that it closes (`_certify`).  A module that is Peirce-graded
+    is its own twin; otherwise `embed` and `project` carry values through
+    the coordinate maps, so cochains in and out are in the module's own
+    basis.
 
-    The basis is indexed by its flat bar key tensor_index * dim M + m, the
-    coordinate `_bar_column` emits and `Cochain.vec` uses: `index(n)` is
-    pos = {flat key: row}, and `basis(n)` gives the pairs in row order
-    with it.  A key is in pos exactly when its arguments are radical, its
-    chain composable and its value in the right Peirce block, so
-    assembling a differential and projecting a cochain of a graded module
-    are one lookup per term, with no decoding.
+    The basis is named by its flat bar key tensor_index * dim M + m, the
+    coordinate `_bar_column` emits and `Cochain.vec` uses; `keys(n)` lists
+    them in row order, which is ascending key order, and `dim(n)` is their
+    count.  `differential(n)` is the bar differential's columns at the
+    degree-n basis with rows left on the flat bar keys of degree n + 1,
+    as the kernel emits them: rank and kernel do not read row names.  The
+    index {flat key: row} of a degree (`index(n)`, with the pairs in
+    `basis(n)`) is built only where a vector of N^n is named: the
+    boundaries of `CohomologySpace.vectors`, `project`, `cup` and the
+    callers in `extension` and `extcohom`.
     """
 
     backend = "normalized"
@@ -510,10 +515,6 @@ class NormalizedComplex(RankedComplex):
         if not algebra.is_peirce_graded():
             raise ValueError("hh needs a Peirce-graded algebra: every basis "
                              "vector in one block e_x A e_y")
-        if not algebra.radical_complement_closed():
-            raise ValueError("hh needs radical products that stay in the "
-                             "radical: a product of two non-idempotent basis "
-                             "vectors hits an idempotent")
         self.algebra = algebra
         self.module = module
         self.graded, self.to_graded, self.from_graded = peirce_regrade(module)
@@ -526,12 +527,77 @@ class NormalizedComplex(RankedComplex):
         self.m_blocks = {}
         for m, tag in enumerate(self.graded.peirce):
             self.m_blocks.setdefault(tag, []).append(m)
+        self._certify()
         self._chains = {}
         self._index = {}
         self._keys = {}
         self._flat = {}
         self._diff = {}
         self.ranks = {}
+
+    def _certify(self):
+        """Raise unless the restricted bar formula maps the degree-n basis
+        into the degree-(n+1) basis, for every n: ValueError if a product
+        of radical basis vectors hits an idempotent, AssertionError on any
+        other failure.
+
+        The kernel (`_bar_column` with the radical indices as arguments)
+        reads two tables, and this checks both, in one pass over each:
+        every product b_x b_y of radical x, y with a term at b_k has k
+        radical, s(x) = s(k), t(x) = s(y) and t(y) = t(k); and the twin
+        M' is graded, with every nonzero c.v (c radical, v in block
+        (a, b)) having t(c) = a and lying in block (s(c), b), and every
+        nonzero v.c having s(c) = b and lying in block (a, t(c)).
+
+        Proof that this closes the complex.  Let (w, m) be a basis pair
+        of degree n, m in block (s(w_1), t(w_n)) (a diagonal block (a, a)
+        when n = 0).  Its image has three kinds of terms.  c.m at the
+        tensor (c, w): c.m != 0 gives t(c) = s(w_1), so (c, w) is a
+        composable radical chain, and c.m lies in (s(c), t(w_n)), the
+        block of its ends; for n = 0 that block is (s(c), t(c)).  m.c at
+        (w, c): the mirror.  m at w with w_p replaced by (x, y), where
+        b_x b_y has a term at b_{w_p}: x and y are radical, and
+        s(x) = s(w_p), t(x) = s(y), t(y) = t(w_p) keep the chain
+        composable with the same ends, so m stays in the block of its
+        ends.  Every term therefore lies at the key of a basis pair of
+        degree n + 1, that is, in keys(n + 1).
+        """
+        peirce = self.algebra.peirce
+        src, tgt = self.src, self.tgt
+
+        def leaves(what):
+            return AssertionError(f"differential leaves the subcomplex: "
+                                  f"{what} is off its Peirce block")
+
+        for (x, y), prod in self.algebra.structure.items():
+            if prod and x in src and y in src:
+                if not prod.keys() <= src.keys():
+                    raise ValueError(
+                        "hh needs radical products that stay in the "
+                        "radical: a product of two non-idempotent basis "
+                        "vectors hits an idempotent")
+                ends = (src[x], tgt[y])
+                if tgt[x] != src[y] or any(peirce[k] != ends for k in prod):
+                    raise leaves(f"the product of basis vectors {x} and {y}")
+        tags = self.graded.peirce
+        if None in tags:
+            raise AssertionError("differential leaves the subcomplex: the "
+                                 "module's twin is not Peirce-graded")
+        for c in self.r:
+            s, t = src[c], tgt[c]
+            for side, action in (("left", self.graded.left[c]),
+                                 ("right", self.graded.right[c])):
+                for m, col in action.columns_items():
+                    if not col:
+                        continue
+                    a, b = tags[m]
+                    # c.v needs v in (t, b) and lands in (s, b); v.c needs
+                    # v in (a, s) and lands in (a, t)
+                    meets, land = (a == t, (s, b)) if side == "left" else \
+                        (b == s, (a, t))
+                    if not meets or any(tags[k] != land for k in col):
+                        raise leaves(f"the {side} action of basis vector "
+                                     f"{c} on {m}")
 
     def chains(self, n):
         """Composable radical index tuples of length n, lexicographic."""
@@ -568,50 +634,53 @@ class NormalizedComplex(RankedComplex):
                 out.append(m)
         return out
 
-    def index(self, n):
-        """{flat bar key: row} of the degree-n basis, in row order, cached.
-
-        Built from the chains' tensor indices, with no (chain, m) pair
-        list: the top degree of a request is only ever rows.
-        """
-        got = self._index.get(n)
+    def keys(self, n):
+        """The flat bar keys of the degree-n basis, in row order, cached:
+        read off the chains' tensor indices, with no index."""
+        got = self._keys.get(n)
         if got is None:
             dm = self.graded.dim
-            keys = [t * dm + m for chain, t in zip(*self._chained(n))
-                    for m in self.value_indices(chain)]
+            got = self._keys[n] = [
+                t * dm + m for chain, t in zip(*self._chained(n))
+                for m in self.value_indices(chain)]
+        return got
+
+    def index(self, n):
+        """{flat bar key: row} of the degree-n basis, in row order, cached;
+        built only where a vector of N^n is named."""
+        got = self._index.get(n)
+        if got is None:
+            keys = self.keys(n)
             got = self._index[n] = dict(zip(keys, range(len(keys))))
         return got
 
-    def keys(self, n):
-        """The flat bar keys of the degree-n basis, in row order, cached."""
-        got = self._keys.get(n)
-        if got is None:
-            got = self._keys[n] = list(self.index(n))
-        return got
-
-    def basis(self, n):
-        """([(chain, m)] in row order, {flat bar key: row}), cached."""
+    def _pairs(self, n):
+        """[(chain, m)] of the degree-n basis in row order, cached."""
         flat = self._flat.get(n)
         if flat is None:
             flat = self._flat[n] = [(chain, m) for chain in self.chains(n)
                                     for m in self.value_indices(chain)]
-        return flat, self.index(n)
+        return flat
+
+    def basis(self, n):
+        """([(chain, m)] in row order, {flat bar key: row}), cached."""
+        return self._pairs(n), self.index(n)
 
     def dim(self, n):
-        return len(self.index(n))
+        return len(self.keys(n))
 
     def differential(self, n):
-        """Matrix N^n -> N^{n+1} of the restricted bar differential."""
+        """Matrix of the restricted bar differential on N^n, its rows the
+        flat bar keys of degree n + 1 (`_subcomplex_differential`)."""
         got = self._diff.get(n)
         if got is None:
             got = self._diff[n] = _subcomplex_differential(
-                self.algebra, self.graded, n, *self.basis(n),
-                self.index(n + 1))
+                self.algebra, self.graded, n, self._pairs(n), self.keys(n))
         return got
 
     def embed(self, n, nvec):
         """A normalized vector as a full Cochain in the module's basis."""
-        flat, _ = self.basis(n)
+        flat = self._pairs(n)
         values = {}
         for k, v in nvec.items():
             chain, m = flat[k]
@@ -716,21 +785,27 @@ class CohomologySpace:
     (the matrix C^n -> C^{n+1}), `rank(n)` with its cache `ranks`
     (`RankedComplex`), `embed(n, vec)` (a vector of C^n as the caller's
     object) and, where cochains of the module map into it,
-    `project(cochain)` (its vector, or None if it lies outside).  Three
-    complexes do: the `NormalizedComplex` of `hh` and of E_m, the
-    two-term `DerivationComplex` of `hh1_via_derivations`, and
+    `project(cochain)` (its vector, or None if it lies outside).  The
+    rows of differential(n) are the positions of C^{n+1}, unless the
+    complex also gives `index(n)`, {row key: position of C^n}: the rows
+    are then keys, and the boundaries of `vectors`, the one place a row
+    of d^{n-1} is read as a vector of C^n, are renamed through it.  Rank
+    and kernel read no row names.  Three complexes do: the
+    `NormalizedComplex` of `hh` and of E_m, whose rows are flat bar keys,
+    the two-term `DerivationComplex` of `hh1_via_derivations`, and
     `minres.PartialResolution`.
 
-    Until the representatives exist, dim is dim C^n - rank d^n -
-    rank d^{n-1} from cached ranks: those of the complex, or, when the
-    constructor is given dims, a function called on the first dim read,
-    those of the complex it returns (`hh` passes the Koszul or Bardzell
-    resolution this way, `minres.resolution_route`; None keeps the
-    complex's own).  So `dim` is answered by that resolution, and no
-    differential of the complex is built until the representatives
-    are.  `vectors` builds the representatives on the complex on first
-    use, checks their count against the ranks of both complexes, and
-    from then on dim is their count; the class-coordinate sweep is built
+    The constructor builds nothing.  Until the representatives exist,
+    dim is dim C^n - rank d^n - rank d^{n-1} from cached ranks: those of
+    the complex, or, when the constructor is given dims, a function
+    called on the first dim read, those of the complex it returns (`hh`
+    passes the Koszul or Bardzell resolution this way,
+    `minres.resolution_route`; None keeps the complex's own).  So `dim`
+    is answered by that resolution, and no differential of the complex
+    is built until the representatives are.  `vectors` builds the
+    representatives on the complex on first use, checks their count
+    against the ranks of both complexes, and from then on dim is their
+    count; the class-coordinate sweep is built
     on the first class asked for.  A space whose dim is all that is read
     does no kernel or quotient work.
     On the normalized complex, in degrees 0 and 1, `is_cocycle` and
@@ -745,12 +820,6 @@ class CohomologySpace:
         self.degree = degree
         self._dims = dims
         self._dims_complex = complex_
-        if dims is None:
-            # built now, so that a subcomplex that does not close raises
-            # here
-            complex_.differential(degree)
-            if degree:
-                complex_.differential(degree - 1)
         self._reps_vecs = None
         self._boundaries = None
 
@@ -789,8 +858,13 @@ class CohomologySpace:
         n = self.degree
         cocycles = self._cocycle_matrix()
         cycles = kernel_basis_sparse(cocycles)
-        boundaries = [] if n == 0 else [
-            c for _, c in self.complex.differential(n - 1).columns_items()]
+        boundaries = []
+        if n:
+            index = getattr(self.complex, "index", None)
+            pos = None if index is None else index(n)
+            for _, col in self.complex.differential(n - 1).columns_items():
+                boundaries.append(col if pos is None else
+                                  {pos[k]: v for k, v in col.items()})
         reps, self._boundaries = quotient_basis(self.algebra.field, cycles,
                                                 boundaries)
         ranks = self.complex.ranks

@@ -100,7 +100,7 @@ class ExtBimodule(Bimodule):
         field = C.field
         d = C.dim
         pos = space.complex.index(m)
-        keys = list(pos)  # flat bar key of each row: pos is in row order
+        keys = space.complex.keys(m)
 
         def act_vec(nvec, c, side):
             out = {}

@@ -308,9 +308,13 @@ def projection_respects_representatives(ext, n, trials=5, seed=1):
                 shifted = f.add(bar_apply(ext.B, regB, n - 1, g))
                 got = HC.class_coords(project_cochain(ext, shifted))
             else:
+                # d^{n-1}'s rows are flat bar keys, named through index(n)
                 shifted = dict(f)
-                axpy(field, shifted, field.one, nc.differential(n - 1).matvec(
-                    random_normalized_vector(nc, n - 1, rng)))
+                pos = nc.index(n)
+                boundary = nc.differential(n - 1).matvec(
+                    random_normalized_vector(nc, n - 1, rng))
+                axpy(field, shifted, field.one,
+                     {pos[k]: v for k, v in boundary.items()})
                 found = HC.vector_coords(P.matvec(shifted))
                 got = None if found is None else dense(found, HC.dim, field)
             if got != want:

@@ -273,7 +273,11 @@ def field_from_tag(tag):
     if tag == "Q":
         return QQ
     if tag.startswith("Fp:"):
-        return PrimeField(int(tag.split(":", 1)[1]))
+        digits = tag[3:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"field tag {tag!r}: the modulus after Fp: "
+                             "must be decimal digits")
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field tag {tag!r}")
 
 

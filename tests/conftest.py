@@ -2,7 +2,9 @@
 presented split extension of the Nakayama pair; presentations of the
 generated families (loops, truncated polynomials, quantum planes, cyclic
 Nakayama, hereditary A_n, commutative ladders, seeded random monomial)
-and a twisted, non-Peirce-graded regular module; the dense bimodule
+and a twisted, non-Peirce-graded regular module; the per-term check of
+the normalized differential, reference of its closure certificate, and
+its rows renamed to those of the next degree; the dense bimodule
 certificate, reference of `Bimodule._check_axioms`; the algebra
 certificate of a split extension and the conditions on its maps,
 references of `SplitExtensionData`'s layout; the all-Fraction Q
@@ -10,6 +12,7 @@ field; the truncated span, reference of build_algebra's row walk and of
 relext's square-generator test; the forward-row reference of the kernel
 sweep; the hypothesis profile of the suite."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -22,6 +25,7 @@ from hochschild.algebra import (
     build_algebra,
 )
 from hochschild.bimodule import Bimodule, peirce_regrade, regular_bimodule
+from hochschild.cohomology import Cochain, _bar_column
 from hochschild.extension import extension_from_maps
 from hochschild.linalg import (
     QQ, Mat, Rationals, Sweep, axpy, echelon_basis, rank, reduce_mod,
@@ -403,6 +407,66 @@ def twisted_regular(alg):
     return Bimodule(alg, d, [s_inv.matmul(reg.left[i]).matmul(s)
                              for i in range(d)],
                     [s_inv.matmul(reg.right[i]).matmul(s) for i in range(d)])
+
+
+def reference_normalized_basis(algebra, graded, n):
+    """[(chain, m)] of the normalized complex in degree n, by brute force:
+    the tuples of radical indices, in lexicographic order, whose Peirce
+    blocks compose, each with the m of the graded twin in the block of
+    its ends (a diagonal block in degree 0), ascending."""
+    peirce = algebra.peirce
+    out = []
+    for chain in itertools.product(algebra.radical_indices, repeat=n):
+        if any(peirce[x][1] != peirce[y][0] for x, y in zip(chain, chain[1:])):
+            continue
+        for m, (a, b) in enumerate(graded.peirce):
+            if ((a, b) == (peirce[chain[0]][0], peirce[chain[-1]][1])
+                    if chain else a == b):
+                out.append((chain, m))
+    return out
+
+
+def reference_normalized_differential(algebra, module, n):
+    """d^n of the normalized complex on the rows of N^{n+1}, assembled
+    with the per-term check `NormalizedComplex._certify` replaced: each
+    term `_bar_column` emits is placed by a row index of the brute-force
+    degree-(n+1) basis, and a term at a key outside it raises
+    AssertionError naming its decoded (chain, m)."""
+    graded = peirce_regrade(module)[0]
+    dm = graded.dim
+    up = Cochain(algebra, graded, n + 1)
+    rows = {up.encode(chain) * dm + m: k for k, (chain, m) in
+            enumerate(reference_normalized_basis(algebra, graded, n + 1))}
+    column = _bar_column(algebra, graded, n, args=algebra.radical_indices)
+    basis = reference_normalized_basis(algebra, graded, n)
+    cols = {}
+    for j, (chain, m) in enumerate(basis):
+        col = {}
+        for key, v in column(up.encode(chain), chain, m).items():
+            if key not in rows:
+                t, m_out = divmod(key, dm)
+                raise AssertionError(f"differential left the subcomplex at "
+                                     f"{up.decode(t)}, {m_out}")
+            col[rows[key]] = v
+        if col:
+            cols[j] = col
+    return Mat(len(rows), len(basis), algebra.field, cols)
+
+
+def differential_on_rows(nc, n):
+    """nc.differential(n) with its rows, flat bar keys of degree n + 1,
+    renamed to the rows of N^{n+1} by nc.index(n + 1): the matrix
+    N^n -> N^{n+1}.  A key outside the index raises AssertionError."""
+    d = nc.differential(n)
+    pos = nc.index(n + 1)
+    cols = {}
+    for j, col in d.columns_items():
+        outside = [k for k in col if k not in pos]
+        if outside:
+            raise AssertionError(f"differential left the subcomplex at flat "
+                                 f"key {outside[0]}")
+        cols[j] = {pos[k]: v for k, v in col.items()}
+    return Mat(len(pos), d.cols, d.field, cols)
 
 
 def reference_bimodule_check(module):

@@ -180,26 +180,55 @@ def _square_vertices(relabel):
     return data
 
 
-@pytest.mark.parametrize("data", [
-    _square_with(field=7),
-    _square_with(field=None),
-    _square_with(relations=["a*c", 5]),
-    _square_with(relations=["a*c", None]),
-    _square_with(relations=["2/0*a*c"]),
-    _square_renamed(7),
-    _square_renamed(None),
-    _square_with(vertices=["1", "2", "3", "4", None]),
-    _square_with(vertices=["1", "2", "3", "4", 1.5]),
-    _square_vertices(lambda v: v if v != "4" else 4),
-    {"field": "Q", "vertices": [], "arrows": []},
-], ids=["field 7", "field null", "relation 5", "relation null",
-        "zero denominator", "arrow name 7", "arrow name null",
-        "vertex null", "vertex 1.5", "mixed vertices", "no vertices"])
-def test_malformed_algebra_file_exits_2(tmp_path, capsys, data):
+_VERTICES = "vertices must be a nonempty list of all strings or all integers"
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param(_square_with(field=7), "field tag must be a string, not 7",
+                 id="field 7"),
+    pytest.param(_square_with(field=None),
+                 "field tag must be a string, not None", id="field null"),
+    pytest.param(_square_with(field="Fp:x"),
+                 "field tag 'Fp:x': the modulus after Fp: must be decimal "
+                 "digits", id="field Fp:x"),
+    pytest.param(_square_with(relations=["a*c", 5]),
+                 "relations must be a list of strings", id="relation 5"),
+    pytest.param(_square_with(relations=["a*c", None]),
+                 "relations must be a list of strings", id="relation null"),
+    pytest.param(_square_with(relations=["2/0*a*c"]),
+                 "zero denominator in coefficient 2/0",
+                 id="zero denominator"),
+    pytest.param(_square_renamed(7),
+                 "bad quiver data: arrow name 7 is not a string",
+                 id="arrow name 7"),
+    pytest.param(_square_renamed(None),
+                 "bad quiver data: arrow name None is not a string",
+                 id="arrow name null"),
+    pytest.param(_square_with(arrows=["a"]),
+                 "arrow entry 'a' is not an object with keys name, from and "
+                 "to", id="string arrow"),
+    pytest.param(_square_with(arrows=[{"name": "a", "from": "1"}]),
+                 "arrow entry {'name': 'a', 'from': '1'} has no key 'to'",
+                 id="arrow without to"),
+    pytest.param(_square_with(arrows=5),
+                 "arrows must be a list of objects, not a number",
+                 id="arrows 5"),
+    pytest.param(_square_with(vertices=["1", "2", "3", "4", None]),
+                 _VERTICES, id="vertex null"),
+    pytest.param(_square_with(vertices=["1", "2", "3", "4", 1.5]),
+                 _VERTICES, id="vertex 1.5"),
+    pytest.param(_square_vertices(lambda v: v if v != "4" else 4),
+                 _VERTICES, id="mixed vertices"),
+    pytest.param({"field": "Q", "vertices": [], "arrows": []}, _VERTICES,
+                 id="no vertices"),
+    pytest.param([_square_with()], "an algebra file must hold a JSON "
+                 "object, not an array", id="top-level array"),
+])
+def test_malformed_algebra_file_exits_2(tmp_path, capsys, data, message):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(data))
     assert cli.main(["hh", str(f)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["hh", "phi", "relext"])

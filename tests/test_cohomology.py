@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 import hochschild.cohomology as cohomology
-from hochschild.algebra import build_algebra
+from hochschild.algebra import Algebra, build_algebra
 from hochschild.algfile import BUNDLED, load_bundled
 from hochschild.bimodule import (
-    dual_bimodule, pullback_bimodule, regular_bimodule,
+    Bimodule, dual_bimodule, pullback_bimodule, regular_bimodule,
 )
 from hochschild.cohomology import (
     CapExceeded, Cochain, NormalizedComplex, _bar_column, _column_kernel,
@@ -23,10 +23,11 @@ from hochschild.linalg import Mat, PrimeField, QQ, axpy, kernel_basis_sparse
 from hochschild.quiver import Presentation, Quiver
 
 from conftest import (
-    cyclic_nakayama_presentation, loops_presentation,
+    cyclic_nakayama_presentation, differential_on_rows, loops_presentation,
     nakayama_b_presentation, nakayama_c_presentation,
     presented_nakayama_maps, quantum_plane_presentation,
-    triangle_b_presentation, truncated_presentation, twisted_regular,
+    reference_normalized_differential, triangle_b_presentation,
+    truncated_presentation, twisted_regular,
 )
 
 
@@ -547,13 +548,15 @@ def test_normalized_rank_is_cols_minus_kernel(name):
 def _check_assembly(alg, module, degrees):
     # d^n against a test-local assembly: the brute-force column of each
     # degree-n basis pair, its keys placed by a row index rebuilt from the
-    # degree-(n+1) pair list.  The complex builds that row index with no
-    # pair list, and the pair list only when it is asked for
+    # degree-(n+1) pair list.  The complex builds neither that row index
+    # nor the pair list to assemble d^n, and its rows, the flat keys, are
+    # renamed by its index only here
     nc = NormalizedComplex(alg, module)
     graded = nc.graded
     for n in degrees:
-        matrix = nc.differential(n)
-        assert n + 1 not in nc._flat
+        nc.differential(n)
+        assert n + 1 not in nc._flat and n + 1 not in nc._index
+        matrix = differential_on_rows(nc, n)
         flat, _ = nc.basis(n)
         flat1, pos1 = nc.basis(n + 1)
         encode = Cochain(alg, graded, n + 1).encode
@@ -582,6 +585,93 @@ def test_normalized_differential_matches_brute_force_bundled(name,
                                                              coefficients):
     alg = build_algebra(load_bundled(name)[1])
     _check_assembly(alg, coefficients(alg), range(5))
+
+
+def _off_block_mutants(alg):
+    """(algebra, module) pairs, built with check=False, each with one
+    entry of alg moved to a basis vector of another Peirce block: a
+    product of two radical basis vectors (kept radical) with the regular
+    module of the mutant, or a radical action column of the regular
+    module."""
+    peirce = alg.peirce
+    radical = alg.radical_indices
+
+    def moved(col, among):
+        k = min(col)
+        j = next((j for j in among if peirce[j] != peirce[k] and
+                  j not in col), None)
+        if j is None:
+            return None
+        col = dict(col)
+        col[j] = col.pop(k)
+        return col
+
+    for (x, y), prod in sorted(alg.structure.items()):
+        if x in radical and y in radical and prod:
+            prod = moved(prod, radical)
+            if prod is not None:
+                mutant = Algebra(alg.field, alg.labels,
+                                 alg.structure | {(x, y): prod},
+                                 alg.idempotents, peirce, check=False)
+                yield mutant, regular_bimodule(mutant)
+    reg = regular_bimodule(alg)
+    for side in ("left", "right"):
+        for c in radical:
+            action = getattr(reg, side)[c]
+            for m, col in action.columns_items():
+                col = moved(col, range(alg.dim))
+                if col is None:
+                    continue
+                cols = dict(action.columns_items()) | {m: col}
+                actions = {"left": list(reg.left), "right": list(reg.right)}
+                actions[side][c] = Mat(reg.dim, reg.dim, alg.field, cols)
+                yield alg, Bimodule(alg, reg.dim, actions["left"],
+                                    actions["right"], check=False)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_certificate_refuses_what_the_per_term_check_refuses(name):
+    # the per-term check of d^0..d^2 (the reference) against the one
+    # certificate of the complex's constructor, on off-block mutants
+    alg = build_algebra(load_bundled(name)[1])
+    for n in range(3):
+        reference_normalized_differential(alg, regular_bimodule(alg), n)
+    NormalizedComplex(alg, regular_bimodule(alg))
+    refused = 0
+    for mutant, module in _off_block_mutants(alg):
+        try:
+            for n in range(3):
+                reference_normalized_differential(mutant, module, n)
+        except AssertionError:
+            refused += 1
+            with pytest.raises(AssertionError,
+                               match="leaves the subcomplex"):
+                NormalizedComplex(mutant, module)
+    assert refused
+
+
+@pytest.mark.parametrize("presentation", [
+    lambda: load_bundled("ex3_8_C")[1], lambda: loops_presentation(3),
+], ids=["ex3_8_C", "loops3"])
+def test_dims_build_no_row_index(monkeypatch, presentation):
+    # a dim is ranks and a count of keys: no degree gets a {key: row} index
+    built = []
+    index = NormalizedComplex.index
+
+    def counting(self, n):
+        if n not in self._index:
+            built.append(n)
+        return index(self, n)
+
+    monkeypatch.setattr(NormalizedComplex, "index", counting)
+    alg = build_algebra(presentation())
+    reg = regular_bimodule(alg)
+    dims = [hh(alg, reg, n).dim for n in range(5)]
+    assert built == []
+    assert sum(dims)
+    # naming the representatives does build the index of their degree
+    hh(alg, reg, 2).vectors()
+    assert built == [2]
 
 
 @pytest.mark.parametrize("coefficients", [regular_bimodule, dual_bimodule])

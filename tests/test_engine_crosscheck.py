@@ -12,21 +12,24 @@ import pytest
 
 from hochschild.algebra import build_algebra
 from hochschild.algfile import BUNDLED, load_bundled, parse_algebra_file
-from hochschild.bimodule import dual_bimodule, regular_bimodule
+from hochschild.bimodule import Bimodule, dual_bimodule, regular_bimodule
 import hochschild
 from hochschild import cohomology, extcohom, linalg, minres
 from hochschild.cohomology import (
     Cochain, CohomologySpace, NormalizedComplex, _normalized_complex,
-    _subcomplex_differential, bar_apply, bar_differential, hh,
-    hh1_via_derivations, random_cochain,
+    bar_apply, bar_differential, hh, hh1_via_derivations, random_cochain,
 )
 from hochschild.extcohom import (
     _ambient_differential, _ext_coefficients, ambient_differential_apply,
+    ext_dual_bimodule,
 )
 from hochschild.extension import projection_morphism, trivial_extension
-from hochschild.linalg import kernel_basis_sparse, quotient_basis, rank
+from hochschild.linalg import Mat, kernel_basis_sparse, quotient_basis, rank
 
-from conftest import PRESENTATIONS, twisted_regular
+from conftest import (
+    PRESENTATIONS, differential_on_rows, reference_normalized_differential,
+    twisted_regular,
+)
 
 
 def bar_reference(alg, module, n):
@@ -116,30 +119,56 @@ def test_normalized_differential_matches_bar_apply(bundled, name,
     alg = bundled[name]
     module = coefficients(alg)
     nc = _normalized_complex(alg, module)
-    matrix = nc.differential(n)
+    matrix = differential_on_rows(nc, n)
     for k in range(nc.dim(n)):
         basis_cochain = nc.embed(n, {k: alg.field.one})
         assert nc.embed(n + 1, matrix.column(k)) == \
             bar_apply(alg, module, n, basis_cochain)
 
 
+@pytest.mark.parametrize("coefficients", [
+    regular_bimodule, dual_bimodule,
+    *(lambda alg, m=m: ext_dual_bimodule(alg, m) for m in range(3)),
+], ids=["regular", "dual", "E_0", "E_1", "E_2"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_differential_rows_are_keys_of_the_next_degree(bundled, name,
+                                                       coefficients):
+    # the closure the constructor certifies, read off the matrices: every
+    # row of d^n is a flat bar key of the degree-(n+1) basis
+    alg = bundled[name]
+    nc = _normalized_complex(alg, coefficients(alg))
+    for n in range(4):
+        keys = set(nc.keys(n + 1))
+        matrix = nc.differential(n)
+        assert matrix.rows == alg.dim ** (n + 1) * nc.graded.dim
+        for _, col in matrix.columns_items():
+            assert keys.issuperset(col)
+
+
 def test_subcomplex_differential_refuses_terms_outside_its_basis(bundled):
-    # drop from the degree-1 index a key that d^0 hits: assembly must stop
-    # there and name the decoded (chain, m) of that key
+    # move one entry of a radical left action to a value off its Peirce
+    # block, so that d^0 hits a key outside the degree-1 basis: the
+    # per-term assembly must stop there and name the decoded (chain, m) of
+    # that key, and the complex must refuse the module when it is built
     alg = bundled["square"]
     reg = regular_bimodule(alg)
-    nc = _normalized_complex(alg, reg)
-    d0 = nc.differential(0)
-    assert not d0.is_zero()
-    flat1, pos1 = nc.basis(1)
-    _, col = next(iter(d0.columns_items()))
-    row = next(iter(col))
-    chain, m = flat1[row]
-    pos = {key: k for key, k in pos1.items() if k != row}
-    assert len(pos) == len(pos1) - 1
+    c = alg.radical_indices[0]
+    m, col = next((m, col) for m, col in reg.left[c].columns_items()
+                  if alg.peirce[m][0] == alg.peirce[m][1])
+    m2 = next(iter(col))
+    off = next(k for k in range(alg.dim) if alg.peirce[k] != alg.peirce[m2])
+    left = list(reg.left)
+    moved = {j: dict(cj) for j, cj in reg.left[c].columns_items()}
+    moved[m][off] = moved[m].pop(m2)
+    left[c] = Mat(reg.dim, reg.dim, alg.field, moved)
+    bad = Bimodule(alg, reg.dim, left, reg.right, check=False)
     with pytest.raises(AssertionError,
-                       match=rf"left the subcomplex at \({chain[0]},\), {m}$"):
-        _subcomplex_differential(alg, reg, 0, *nc.basis(0), pos)
+                       match=rf"left the subcomplex at \({c},\), {off}$"):
+        reference_normalized_differential(alg, bad, 0)
+    with pytest.raises(AssertionError,
+                       match=rf"left action of basis vector {c} on {m} is "
+                             "off its Peirce block"):
+        NormalizedComplex(alg, bad)
 
 
 def test_index_is_the_flat_bar_key(bundled):
@@ -190,9 +219,9 @@ def test_class_coords_refuses_cochains_outside_the_index(bundled, case):
 def test_ext_differential_matches_ambient_reference(bundled, name, m):
     C = bundled[name]
     ec = _normalized_complex(C, _ext_coefficients(C))
-    matrix = ec.differential(m)
+    matrix = differential_on_rows(ec, m)
     # the complex's rows are ambient flat keys, in row order
-    keys, keys_up = list(ec.index(m)), list(ec.index(m + 1))
+    keys, keys_up = ec.keys(m), ec.keys(m + 1)
     for k in range(ec.dim(m)):
         image = {keys_up[r]: c for r, c in matrix.column(k).items()}
         assert image == ambient_differential_apply(C, m,

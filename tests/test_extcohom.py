@@ -20,7 +20,9 @@ from hochschild.extension import (
 from hochschild.linalg import QQ, Mat
 from hochschild.quiver import Presentation, Quiver
 
-from conftest import PRESENTATIONS, nakayama_b_presentation
+from conftest import (
+    PRESENTATIONS, differential_on_rows, nakayama_b_presentation,
+)
 
 
 def one_point():
@@ -129,7 +131,7 @@ def test_actions_commute_with_differential_on_basis(triangle_c):
 
     acting = 0
     for n in range(3):
-        dn = nc.differential(n)
+        dn = differential_on_rows(nc, n)
         for c in range(C.dim):
             for side in ("left", "right"):
                 an = act_matrix(*nc.basis(n), c, side)
@@ -230,7 +232,7 @@ def test_ambient_apply_matches_brute_force(corpus, name, m):
 def test_action_is_a_chain_map_on_the_ext_complex(corpus, name, m):
     # D_m A_m == A_{m+1} D_m on the normalized complex, exactly
     C = corpus[name]
-    D = _normalized_complex(C, _ext_coefficients(C)).differential(m)
+    D = differential_on_rows(_normalized_complex(C, _ext_coefficients(C)), m)
     for zeta in hh(C, regular_bimodule(C), 1).representatives:
         A_m = DerivationAction(C, m, zeta).normalized_matrix
         A_m1 = DerivationAction(C, m + 1, zeta).normalized_matrix
